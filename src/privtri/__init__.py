@@ -13,11 +13,10 @@ from .harness import (
     run_project_compare,
     summarize,
 )
-from .perturbation import NoiseParams, PartialNoise, partial_noise, perturb, sample_gamma
+from .perturbation import NoiseParams, perturb
 from .projection import (
     NoisyDegrees,
     ProjectedGraph,
-    degree_similarity,
     effective_theta,
     max_private,
     project,
@@ -29,15 +28,12 @@ from .ring import (
     MultiplicationGroup,
     OpeningChannel,
     SharePair,
-    add_local,
     deal_mg,
-    mg_from_values,
     mul3,
     reconstruct,
     share,
 )
 from .secure_count import (
-    ServerState,
     SharedAdjacency,
     count,
     effective_bits,
@@ -56,17 +52,13 @@ __all__ = [
     "NoiseParams",
     "NoisyDegrees",
     "OpeningChannel",
-    "PartialNoise",
     "ProjectedGraph",
-    "ServerState",
     "SharePair",
     "SharedAdjacency",
     "TrialRecord",
-    "add_local",
     "central_lap",
     "count",
     "deal_mg",
-    "degree_similarity",
     "effective_bits",
     "effective_graph",
     "effective_theta",
@@ -74,9 +66,7 @@ __all__ = [
     "exact_triangle_count",
     "load_edge_list",
     "max_private",
-    "mg_from_values",
     "mul3",
-    "partial_noise",
     "perturb",
     "project",
     "project_random",
@@ -86,7 +76,6 @@ __all__ = [
     "run_central",
     "run_exact",
     "run_project_compare",
-    "sample_gamma",
     "share",
     "share_adjacency",
     "summarize",

@@ -133,25 +133,18 @@ def exact_triangle_count(g: Graph) -> int:
     """Number of unordered triples {i, j, k} with all three edges present.
 
     For every edge (i, j) with i < j, counts common neighbors k > j by
-    intersecting the two packed adjacency rows under a suffix mask, so each
-    triangle is counted exactly once at its smallest edge.
+    intersecting the packed upper-triangle rows of i and j: row j only
+    holds bits k > j, so each triangle is counted once, at its smallest edge.
     """
     n = g.n
     if n < 3:
         return 0
-    packed = _pack_rows(g.adj)
-    # suffix_mask[j] has bits set exactly at indices > j
-    suffix = _pack_rows(np.triu(np.ones((n, n), dtype=np.uint8), 1))
+    upper = np.triu(g.adj, 1)
+    packed = _pack_rows(upper)
     total = 0
     for i in range(n - 2):
-        nbrs = np.flatnonzero(g.adj[i, i + 1 :]) + i + 1
+        nbrs = np.flatnonzero(upper[i])
         if nbrs.size == 0:
             continue
-        common = packed[nbrs] & packed[i] & suffix[nbrs]
-        total += int(np.bitwise_count(common).sum())
+        total += int(np.bitwise_count(packed[nbrs] & packed[i]).sum())
     return total
-
-
-def degrees(g: Graph) -> np.ndarray:
-    """Degree vector of g (popcount of each adjacency row)."""
-    return g.degrees

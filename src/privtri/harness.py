@@ -19,7 +19,8 @@ Mechanisms:
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -125,12 +126,6 @@ class TrialRecord:
     t_projected: int | None = None
 
 
-def _metrics(t_true: int, t_noisy: float) -> tuple[float, float]:
-    l2 = (t_true - t_noisy) ** 2
-    rel = abs(t_true - t_noisy) / t_true if t_true > 0 else math.nan
-    return l2, rel
-
-
 def _noise_rng(cfg: ExperimentConfig, trial: int):
     seq = np.random.SeedSequence([cfg.seed, trial, _NOISE_STREAM])
     return np.random.Generator(np.random.PCG64(seq))
@@ -151,10 +146,36 @@ def load_graph(cfg: ExperimentConfig) -> Graph:
     return g
 
 
-def _finish(cfg: ExperimentConfig, rec: TrialRecord) -> TrialRecord:
+def _record(
+    cfg: ExperimentConfig,
+    g: Graph,
+    trial: int,
+    t_true: int,
+    t_noisy: float,
+    times: tuple[float, float, float],
+    d_max_noisy: float = math.nan,
+    **extra,
+) -> TrialRecord:
+    """One trial's record: error metrics, and (project, count, perturb) times.
+
+    Timings are written as 0.0 under cfg.zero_timings, so records and CSVs
+    depend only on the config.
+    """
     if cfg.zero_timings:
-        rec = replace(rec, time_project_s=0.0, time_count_s=0.0, time_perturb_s=0.0)
-    return rec
+        times = (0.0, 0.0, 0.0)
+    return TrialRecord(
+        trial=trial,
+        t_true=t_true,
+        t_noisy=t_noisy,
+        l2_loss=(t_true - t_noisy) ** 2,
+        relative_error=abs(t_true - t_noisy) / t_true if t_true > 0 else math.nan,
+        d_max_true=g.d_max,
+        d_max_noisy=d_max_noisy,
+        time_project_s=times[0],
+        time_count_s=times[1],
+        time_perturb_s=times[2],
+        **extra,
+    )
 
 
 def _cargo_trial(g: Graph, t_true: int, cfg: ExperimentConfig, trial: int) -> TrialRecord:
@@ -178,40 +199,23 @@ def _cargo_trial(g: Graph, t_true: int, cfg: ExperimentConfig, trial: int) -> Tr
     t_noisy = perturb(t_shares, params, noise_rng)
     time_perturb = time.perf_counter() - t0
 
-    l2, rel = _metrics(t_true, t_noisy)
-    return _finish(cfg, TrialRecord(
-        trial=trial,
-        t_true=t_true,
-        t_noisy=t_noisy,
-        l2_loss=l2,
-        relative_error=rel,
-        d_max_true=g.d_max,
-        d_max_noisy=noisy.d_max_noisy,
-        time_project_s=time_project,
-        time_count_s=time_count,
-        time_perturb_s=time_perturb,
-        t_projected=reconstruct(t_shares),
-    ))
-
-
-def _cargo_range(cfg: ExperimentConfig, trials: list[int]) -> list[TrialRecord]:
-    g = load_graph(cfg)
-    t_true = exact_triangle_count(g)
-    return [_cargo_trial(g, t_true, cfg, t) for t in trials]
+    return _record(
+        cfg, g, trial, t_true, t_noisy, (time_project, time_count, time_perturb),
+        d_max_noisy=noisy.d_max_noisy, t_projected=reconstruct(t_shares),
+    )
 
 
 def run_cargo(cfg: ExperimentConfig) -> list[TrialRecord]:
     """Full pipeline, cfg.trials times with per-trial derived seeds."""
     g = load_graph(cfg)
     t_true = exact_triangle_count(g)
+    trial = partial(_cargo_trial, g, t_true, cfg)
     if cfg.workers == 1 or cfg.trials == 1:
-        return [_cargo_trial(g, t_true, cfg, t) for t in range(cfg.trials)]
-    chunks = [list(c) for c in np.array_split(range(cfg.trials), cfg.workers) if c.size]
-    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-        parts = pool.map(_cargo_range, [cfg] * len(chunks), chunks)
-    records = [rec for part in parts for rec in part]
-    records.sort(key=lambda r: r.trial)
-    return records
+        return [trial(t) for t in range(cfg.trials)]
+    workers = min(cfg.workers, cfg.trials)
+    chunksize = -(-cfg.trials // workers)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(trial, range(cfg.trials), chunksize=chunksize))
 
 
 def run_central(cfg: ExperimentConfig) -> list[TrialRecord]:
@@ -223,19 +227,7 @@ def run_central(cfg: ExperimentConfig) -> list[TrialRecord]:
         t0 = time.perf_counter()
         result = central_lap(g, cfg.epsilon, rng)
         elapsed = time.perf_counter() - t0
-        l2, rel = _metrics(t_true, result.t_noisy)
-        records.append(_finish(cfg, TrialRecord(
-            trial=trial,
-            t_true=t_true,
-            t_noisy=result.t_noisy,
-            l2_loss=l2,
-            relative_error=rel,
-            d_max_true=g.d_max,
-            d_max_noisy=math.nan,
-            time_project_s=0.0,
-            time_count_s=elapsed,
-            time_perturb_s=0.0,
-        )))
+        records.append(_record(cfg, g, trial, t_true, result.t_noisy, (0.0, elapsed, 0.0)))
     return records
 
 
@@ -246,18 +238,7 @@ def run_exact(cfg: ExperimentConfig) -> list[TrialRecord]:
         t0 = time.perf_counter()
         t_true = exact_triangle_count(g)
         elapsed = time.perf_counter() - t0
-        records.append(_finish(cfg, TrialRecord(
-            trial=trial,
-            t_true=t_true,
-            t_noisy=float(t_true),
-            l2_loss=0.0,
-            relative_error=0.0 if t_true > 0 else math.nan,
-            d_max_true=g.d_max,
-            d_max_noisy=math.nan,
-            time_project_s=0.0,
-            time_count_s=elapsed,
-            time_perturb_s=0.0,
-        )))
+        records.append(_record(cfg, g, trial, t_true, float(t_true), (0.0, elapsed, 0.0)))
     return records
 
 
@@ -285,22 +266,10 @@ def run_project_compare(cfg: ExperimentConfig) -> list[TrialRecord]:
                 t0 = time.perf_counter()
                 t_hat = exact_triangle_count(effective_graph(pg, cfg.bit_policy))
                 time_count = time.perf_counter() - t0
-                l2, rel = _metrics(t_true, float(t_hat))
-                records.append(_finish(cfg, TrialRecord(
-                    trial=trial,
-                    t_true=t_true,
-                    t_noisy=float(t_hat),
-                    l2_loss=l2,
-                    relative_error=rel,
-                    d_max_true=g.d_max,
-                    d_max_noisy=math.nan,
-                    time_project_s=time_project,
-                    time_count_s=time_count,
-                    time_perturb_s=0.0,
-                    theta=theta,
-                    method=method,
-                    t_projected=t_hat,
-                )))
+                records.append(_record(
+                    cfg, g, trial, t_true, float(t_hat), (time_project, time_count, 0.0),
+                    theta=theta, method=method, t_projected=t_hat,
+                ))
     return records
 
 

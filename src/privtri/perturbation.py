@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ring import MASK, SharePair, decode_signed, encode_signed, share_with_mask
-from .secure_count import ServerState
+from .ring import MASK, SharePair, decode_signed
 
 FIXED_POINT_SCALE = 1 << 20
 
@@ -40,7 +39,6 @@ class NoiseParams:
     epsilon2: float
     sensitivity: float
     n_users: int
-    fixed_point_scale: int = FIXED_POINT_SCALE
 
     def __post_init__(self):
         if self.epsilon2 <= 0:
@@ -49,9 +47,6 @@ class NoiseParams:
             raise ValueError(f"sensitivity must be positive, got {self.sensitivity}")
         if not 1 <= self.n_users <= _MAX_USERS:
             raise ValueError(f"n_users out of range: {self.n_users}")
-        s = self.fixed_point_scale
-        if s < 2 or (s & (s - 1)) != 0:
-            raise ValueError(f"fixed_point_scale must be a power of two, got {s}")
         if self.scale > _MAX_SCALE:
             raise ValueError(f"noise scale {self.scale} exceeds supported range")
 
@@ -61,70 +56,32 @@ class NoiseParams:
         return self.sensitivity / self.epsilon2
 
 
-@dataclass(frozen=True)
-class PartialNoise:
-    """One user's contribution: the real draw and its fixed-point shares."""
-
-    gamma: float
-    shares: SharePair
-
-
-def sample_gamma(shape: float, scale: float, rng, size=None):
-    """Gamma draw(s) with the given shape and scale (mean shape*scale).
-
-    Valid for shape < 1, which is the regime here (shape = 1/n_users);
-    numpy's generator handles small shapes correctly.
-    """
-    if shape <= 0:
-        raise ValueError(f"shape must be positive, got {shape}")
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    return rng.gamma(shape, scale, size=size)
-
-
-def encode_fixed(value: float, scale: int = FIXED_POINT_SCALE) -> int:
-    """Round a real to the nearest multiple of 1/scale, as a ring element."""
-    return encode_signed(round(value * scale))
-
-
-def decode_fixed(element: int, scale: int = FIXED_POINT_SCALE) -> float:
+def decode_fixed(element: int) -> float:
     signed = decode_signed(element)
     if abs(signed) >= _OVERFLOW_GUARD:
         raise OverflowError("fixed-point value outside supported range")
-    return signed / scale
-
-
-def partial_noise(params: NoiseParams, rng) -> PartialNoise:
-    """One user's Gamma-difference draw, encoded and secret-shared."""
-    shape = 1.0 / params.n_users
-    gam1 = float(sample_gamma(shape, params.scale, rng))
-    gam2 = float(sample_gamma(shape, params.scale, rng))
-    gamma = gam1 - gam2
-    enc = encode_fixed(gamma, params.fixed_point_scale)
-    mask = int(rng.integers(0, 1 << 64, dtype=np.uint64))
-    return PartialNoise(gamma=gamma, shares=share_with_mask(enc, mask))
+    return signed / FIXED_POINT_SCALE
 
 
 def perturb(t_shares: SharePair, params: NoiseParams, rng) -> float:
     """Noisy count: servers fold aggregated noise shares into count shares.
 
-    Equivalent to n_users partial_noise contributions (drawn in bulk): each
-    server sums its n noise shares, scales its count share by S, adds, and
-    the opened total decodes to count + noise with the noise distribution
-    converging to Laplace(scale) up to 1/S quantization.
+    Every one of the n_users users draws a Gamma(1/n, scale) difference,
+    rounds it to the 1/S grid and secret-shares it; all draws come in one
+    bulk call per quantity. Each server sums its n noise shares, scales its
+    count share by S and adds; the opened total decodes to count + noise,
+    with the noise converging to Laplace(scale) up to 1/S quantization.
     """
     n = params.n_users
-    s = params.fixed_point_scale
+    s = FIXED_POINT_SCALE
     shape = 1.0 / n
     gam1 = rng.gamma(shape, params.scale, size=n)
     gam2 = rng.gamma(shape, params.scale, size=n)
     enc = np.rint((gam1 - gam2) * s).astype(np.int64).astype(np.uint64)
     masks = rng.integers(0, 1 << 64, size=n, dtype=np.uint64)
-    srv1 = ServerState(1, t_share=t_shares.s1,
-                       gamma_share=int(masks.sum(dtype=np.uint64)))
-    srv2 = ServerState(2, t_share=t_shares.s2,
-                       gamma_share=int((enc - masks).sum(dtype=np.uint64)))
+    noise1 = int(masks.sum(dtype=np.uint64))
+    noise2 = int((enc - masks).sum(dtype=np.uint64))
 
-    tp1 = (srv1.t_share * s + srv1.gamma_share) & MASK
-    tp2 = (srv2.t_share * s + srv2.gamma_share) & MASK
-    return decode_fixed((tp1 + tp2) & MASK, s)
+    tp1 = (t_shares.s1 * s + noise1) & MASK
+    tp2 = (t_shares.s2 * s + noise2) & MASK
+    return decode_fixed((tp1 + tp2) & MASK)

@@ -72,13 +72,6 @@ def max_private(degree_vector: np.ndarray, epsilon1: float, rng) -> NoisyDegrees
     return NoisyDegrees(values, float(values.max()), float(epsilon1))
 
 
-def degree_similarity(d_self: int, d_other: float) -> float:
-    """Relative degree gap |d_self - d_other| / d_self; lower is more similar."""
-    if d_self <= 0:
-        raise ValueError(f"d_self must be positive, got {d_self}")
-    return abs(d_self - d_other) / d_self
-
-
 def effective_theta(noisy: NoisyDegrees) -> int:
     """Integer projection bound: round the noisy max, floored at 1.
 

@@ -6,8 +6,9 @@ additive sharing where a secret x is held as shares (r, x - r).
 
 Correlated randomness (share masks and multiplication groups) comes from a
 seeded trusted dealer, standing in for an oblivious-transfer offline phase.
-A multiplication group carries shares of (x, y, z, xyz, xy, xz, yz) and is
-consumed by one three-way product of shared values.
+A multiplication group is one dealer row (x, y, z and seven share masks)
+from which one three-way product derives shares of (x, y, z, xyz, xy, xz,
+yz); the scalar product is one row of the batched kernel.
 """
 
 from dataclasses import dataclass
@@ -27,13 +28,8 @@ class MGReuseError(RuntimeError):
     """A multiplication group was offered to a second multiplication."""
 
 
-def encode_signed(value: int) -> RingElement:
-    """Two's-complement encoding of a possibly negative integer."""
-    return value & MASK
-
-
 def decode_signed(element: RingElement) -> int:
-    """Inverse of encode_signed."""
+    """Read a ring element as a two's-complement signed integer."""
     element &= MASK
     return element - RING_MOD if element >= _SIGN else element
 
@@ -84,59 +80,21 @@ def reconstruct(pair: SharePair) -> RingElement:
     return (pair.s1 + pair.s2) & MASK
 
 
-def add_local(a: SharePair, b: SharePair) -> SharePair:
-    """Each server adds its shares locally; reconstructs to the wrapped sum."""
-    return SharePair((a.s1 + b.s1) & MASK, (a.s2 + b.s2) & MASK)
-
-
 @dataclass
 class MultiplicationGroup:
-    """Dealer-issued shares of (x, y, z, w=xyz, o=xy, p=xz, q=yz).
+    """One (1, 10) dealer row, in the layout mul3_batch consumes per triple.
 
     Single use: reusing a group would open two values masked by the same
     x/y/z, leaking their difference.
     """
 
-    x: SharePair
-    y: SharePair
-    z: SharePair
-    w: SharePair
-    o: SharePair
-    p: SharePair
-    q: SharePair
+    draws: np.ndarray
     consumed: bool = False
 
 
-def _build_mg(x: int, y: int, z: int, masks) -> MultiplicationGroup:
-    w = (x * y * z) & MASK
-    o = (x * y) & MASK
-    p = (x * z) & MASK
-    q = (y * z) & MASK
-    mx, my, mz, mw, mo, mp, mq = (int(m) for m in masks)
-    return MultiplicationGroup(
-        x=share_with_mask(x, mx),
-        y=share_with_mask(y, my),
-        z=share_with_mask(z, mz),
-        w=share_with_mask(w, mw),
-        o=share_with_mask(o, mo),
-        p=share_with_mask(p, mp),
-        q=share_with_mask(q, mq),
-    )
-
-
 def deal_mg(rng: DealerRng) -> MultiplicationGroup:
-    """Draw one multiplication group: x, y, z uniform, then 7 share masks.
-
-    Consumes exactly 10 stream elements, in the same order as one row of
-    the batched dealer draw used by the counting loop.
-    """
-    d = rng.elements(10)
-    return _build_mg(int(d[0]), int(d[1]), int(d[2]), d[3:])
-
-
-def mg_from_values(x: int, y: int, z: int, rng: DealerRng) -> MultiplicationGroup:
-    """Multiplication group for forced x, y, z (test hook; 7 mask draws)."""
-    return _build_mg(x & MASK, y & MASK, z & MASK, rng.elements(7))
+    """Draw one multiplication group: one row of the batched dealer draw."""
+    return MultiplicationGroup(rng.elements((1, 10)))
 
 
 class OpeningChannel:
@@ -153,13 +111,6 @@ class OpeningChannel:
         self.record = record
         self.values: list[int] = []
 
-    def open(self, s1: int, s2: int) -> int:
-        value = (s1 + s2) & MASK
-        self.openings += 1
-        if self.record:
-            self.values.append(value)
-        return value
-
     def open_array(self, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
         value = s1 + s2
         self.openings += int(value.size)
@@ -175,56 +126,20 @@ def mul3(
     mg: MultiplicationGroup,
     channel: OpeningChannel | None = None,
 ) -> SharePair:
-    """Two-round product of three shared values: reconstructs to a*b*c.
-
-    Round 1: each server blinds its shares with the group's x, y, z shares
-    and the servers open e = a - x, f = b - y, g = c - z. Round 2: each
-    server evaluates its share of
-
-        d = w + o*g + p*f + q*e + x*f*g + y*e*g + z*e*f + e*f*g
-
-    with the public e*f*g term assigned to server 2 alone. Expanding with
-    e = a - x, f = b - y, g = c - z gives d = a*b*c exactly, in the ring.
-    """
+    """Product of three shared values, as one row of mul3_batch."""
     if mg.consumed:
         raise MGReuseError("multiplication group already used")
     mg.consumed = True
 
-    e1 = (a.s1 - mg.x.s1) & MASK
-    e2 = (a.s2 - mg.x.s2) & MASK
-    f1 = (b.s1 - mg.y.s1) & MASK
-    f2 = (b.s2 - mg.y.s2) & MASK
-    g1 = (c.s1 - mg.z.s1) & MASK
-    g2 = (c.s2 - mg.z.s2) & MASK
-    if channel is None:
-        channel = OpeningChannel()
-    e = channel.open(e1, e2)
-    f = channel.open(f1, f2)
-    g = channel.open(g1, g2)
+    def row(v: int) -> np.ndarray:
+        return np.array([v], dtype=np.uint64)
 
-    fg = f * g
-    eg = e * g
-    ef = e * f
-    u1 = (
-        mg.w.s1
-        + mg.o.s1 * g
-        + mg.p.s1 * f
-        + mg.q.s1 * e
-        + mg.x.s1 * fg
-        + mg.y.s1 * eg
-        + mg.z.s1 * ef
-    ) & MASK
-    u2 = (
-        mg.w.s2
-        + mg.o.s2 * g
-        + mg.p.s2 * f
-        + mg.q.s2 * e
-        + mg.x.s2 * fg
-        + mg.y.s2 * eg
-        + mg.z.s2 * ef
-        + e * fg
-    ) & MASK
-    return SharePair(u1, u2)
+    u1, u2 = mul3_batch(
+        row(a.s1), row(a.s2), row(b.s1), row(b.s2), row(c.s1), row(c.s2),
+        mg.draws,
+        channel,
+    )
+    return SharePair(int(u1[0]), int(u2[0]))
 
 
 def mul3_batch(
@@ -237,12 +152,22 @@ def mul3_batch(
     draws: np.ndarray,
     channel: OpeningChannel | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized mul3 over m independent triples.
+    """Two-round products a*b*c of m independent shared triples.
 
-    ``draws`` is the (m, 10) dealer matrix: columns 0..2 are x, y, z,
-    columns 3..9 the seven share masks, exactly the layout deal_mg consumes
-    one row at a time. Returns per-server output share arrays (u1, u2);
-    uint64 arithmetic wraps, which is the ring reduction.
+    ``draws`` is the (m, 10) dealer matrix, one multiplication group per
+    row: columns 0..2 are x, y, z, columns 3..9 server 1's shares of
+    x, y, z, w=xyz, o=xy, p=xz, q=yz; server 2's shares are the rest.
+
+    Round 1: each server blinds its shares with its x, y, z shares and the
+    servers open e = a - x, f = b - y, g = c - z. Round 2: each server
+    evaluates its share of
+
+        d = w + o*g + p*f + q*e + x*f*g + y*e*g + z*e*f + e*f*g
+
+    with the public e*f*g term assigned to server 2 alone. Expanding with
+    e = a - x, f = b - y, g = c - z gives d = a*b*c exactly, in the ring.
+    Returns per-server output share arrays (u1, u2); uint64 arithmetic
+    wraps, which is the ring reduction.
     """
     x = draws[:, 0]
     y = draws[:, 1]

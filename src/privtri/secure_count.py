@@ -27,15 +27,6 @@ BIT_POLICIES = ("and", "or", "row-owner")
 MAX_CHUNK = 1 << 19
 
 
-@dataclass
-class ServerState:
-    """One server's running accumulators: count share and noise share."""
-
-    server_id: int
-    t_share: int = 0
-    gamma_share: int = 0
-
-
 def effective_bits(pg: ProjectedGraph, policy: str = "and") -> np.ndarray:
     """Resolve the two directed post-projection bits of each pair into one.
 
@@ -78,13 +69,6 @@ class SharedAdjacency:
     s1: np.ndarray
     s2: np.ndarray
 
-    def pair(self, i: int, j: int) -> SharePair:
-        if i == j:
-            raise ValueError("no self-pair shares")
-        if i > j:
-            i, j = j, i
-        return SharePair(int(self.s1[i, j]), int(self.s2[i, j]))
-
     def reconstruct_bits(self) -> np.ndarray:
         """Upper-triangle effective bits, for round-trip checks."""
         total = self.s1 + self.s2
@@ -106,18 +90,17 @@ def count(
     n: int,
     dealer: DealerRng,
     channel: OpeningChannel | None = None,
-    max_chunk: int = MAX_CHUNK,
 ) -> SharePair:
     """Accumulate shares of the triangle count over all triples i < j < k.
 
     One fresh multiplication group per triple, drawn from the dealer stream
     in lexicographic triple order, so a given dealer seed fixes every share
-    while the reconstructed count depends only on the shared bits.
+    while the reconstructed count depends only on the shared bits. The
+    result equals a loop of mul3 calls over the triples with deal_mg groups
+    from the same stream; chunking only batches the openings.
     """
     if n != sa.n:
         raise ValueError(f"n={n} does not match shared adjacency n={sa.n}")
-    srv1 = ServerState(1)
-    srv2 = ServerState(2)
     if n < 3:
         return share(0, dealer)
     if channel is None:
@@ -126,14 +109,15 @@ def count(
     jj, kk = np.triu_indices(n, 1)
     n_pairs = jj.size
     s1m, s2m = sa.s1, sa.s2
+    t1 = t2 = 0
     for i in range(n - 2):
         # pairs (j, k) with j > i are a suffix of the row-major pair order
         start = n_pairs - ((n - 1 - i) * (n - 2 - i)) // 2
         j_all = jj[start:]
         k_all = kk[start:]
-        for lo in range(0, j_all.size, max_chunk):
-            j = j_all[lo : lo + max_chunk]
-            k = k_all[lo : lo + max_chunk]
+        for lo in range(0, j_all.size, MAX_CHUNK):
+            j = j_all[lo : lo + MAX_CHUNK]
+            k = k_all[lo : lo + MAX_CHUNK]
             draws = dealer.elements((j.size, 10))
             u1, u2 = mul3_batch(
                 s1m[i, j], s2m[i, j],
@@ -142,6 +126,6 @@ def count(
                 draws,
                 channel,
             )
-            srv1.t_share = (srv1.t_share + int(u1.sum(dtype=np.uint64))) & MASK
-            srv2.t_share = (srv2.t_share + int(u2.sum(dtype=np.uint64))) & MASK
-    return SharePair(srv1.t_share, srv2.t_share)
+            t1 = (t1 + int(u1.sum(dtype=np.uint64))) & MASK
+            t2 = (t2 + int(u2.sum(dtype=np.uint64))) & MASK
+    return SharePair(t1, t2)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from privtri import EdgeListFormatError, Graph, exact_triangle_count, load_edge_list
-from privtri.graph import degrees
 from privtri.synth import erdos_renyi
 
 from conftest import (
@@ -100,7 +99,7 @@ def test_triangle_counts_on_known_graphs():
 
 
 def test_degrees_known():
-    assert list(degrees(complete_graph(3))) == [2, 2, 2]
+    assert list(complete_graph(3).degrees) == [2, 2, 2]
     assert star_graph(5).degrees[0] == 5
     assert star_graph(5).d_max == 5
 

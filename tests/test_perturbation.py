@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from privtri import NoiseParams, SharePair, partial_noise, perturb, sample_gamma
-from privtri.perturbation import FIXED_POINT_SCALE, decode_fixed, encode_fixed
-from privtri.ring import reconstruct, share_with_mask
+from privtri import NoiseParams, SharePair, perturb
+from privtri.perturbation import FIXED_POINT_SCALE
+from privtri.ring import share_with_mask
 
 
 def rng_for(seed):
@@ -16,54 +16,20 @@ def shares_of(value: int, seed: int = 0) -> SharePair:
     return share_with_mask(value, mask)
 
 
-def test_sample_gamma_validates():
-    rng = rng_for(0)
-    with pytest.raises(ValueError):
-        sample_gamma(0.0, 1.0, rng)
-    with pytest.raises(ValueError):
-        sample_gamma(0.5, -1.0, rng)
-
-
-def test_sample_gamma_shape_one_is_exponential():
-    lam = 3.0
-    draws = sample_gamma(1.0, lam, rng_for(1), size=10**5)
-    se = lam / np.sqrt(draws.size)  # exponential std equals its mean
-    assert abs(draws.mean() - lam) < 3 * se
-    assert np.all(draws > 0)
-
-
-def test_sample_gamma_small_shape_moments():
-    n, lam = 50, 4.0
-    draws = sample_gamma(1.0 / n, lam, rng_for(2), size=10**5)
-    assert abs(draws.mean() - lam / n) < 0.05 * (lam / n)
-    assert abs(draws.var() - lam**2 / n) < 0.05 * (lam**2 / n)
-    assert np.all(draws >= 0)
-
-
 def test_fixed_point_roundtrip_and_quantization():
-    rng = rng_for(3)
-    for value in rng.laplace(0, 50, size=1000):
-        decoded = decode_fixed(encode_fixed(value))
-        assert abs(decoded - value) <= 0.5 / FIXED_POINT_SCALE
-
-
-def test_partial_noise_share_roundtrip():
-    params = NoiseParams(epsilon2=1.0, sensitivity=10.0, n_users=20)
-    rng = rng_for(4)
-    for _ in range(200):
-        pn = partial_noise(params, rng)
-        assert reconstruct(pn.shares) == encode_fixed(pn.gamma)
-
-
-def test_partial_noise_moments():
-    n_users, lam = 10, 5.0
+    # the opened sum decodes to count + noise on the 1/S grid, and each of
+    # the n users' draws is rounded by at most half a grid step
+    n_users, lam, t = 50, 50.0, 1000
     params = NoiseParams(epsilon2=1.0, sensitivity=lam, n_users=n_users)
-    rng = rng_for(5)
-    draws = np.array([partial_noise(params, rng).gamma for _ in range(10**5)])
-    var_expect = 2 * lam**2 / n_users  # difference of two Gamma(1/n, lam)
-    se_mean = np.sqrt(var_expect / draws.size)
-    assert abs(draws.mean()) < 3 * se_mean
-    assert abs(draws.var() - var_expect) < 0.05 * var_expect
+    for seed in range(200):
+        got = perturb(shares_of(t, seed), params, rng_for(seed))
+        assert float(got * FIXED_POINT_SCALE).is_integer()
+        rng = rng_for(seed)
+        gam1 = rng.gamma(1.0 / n_users, lam, size=n_users)
+        gam2 = rng.gamma(1.0 / n_users, lam, size=n_users)
+        real = t + float(np.sum(gam1 - gam2))
+        # 1e-9 covers float rounding in the reference sum, far below 0.5/S
+        assert abs(got - real) <= n_users * 0.5 / FIXED_POINT_SCALE + 1e-9
 
 
 def test_noise_params_validation():
@@ -73,8 +39,6 @@ def test_noise_params_validation():
         NoiseParams(epsilon2=1.0, sensitivity=0.0, n_users=10)
     with pytest.raises(ValueError):
         NoiseParams(epsilon2=1.0, sensitivity=1.0, n_users=0)
-    with pytest.raises(ValueError):
-        NoiseParams(epsilon2=1.0, sensitivity=1.0, n_users=10, fixed_point_scale=3)
     with pytest.raises(ValueError):
         NoiseParams(epsilon2=1.0, sensitivity=1.0, n_users=2 * 10**5)
     with pytest.raises(ValueError):

@@ -7,7 +7,6 @@ import pytest
 from privtri import (
     Graph,
     NoisyDegrees,
-    degree_similarity,
     effective_theta,
     exact_triangle_count,
     max_private,
@@ -49,14 +48,6 @@ def test_max_private_laplace_moments():
     se_mean = np.sqrt(2.0 / n)
     assert abs(draws.mean()) < 3 * se_mean
     assert abs(draws.var() - 2.0) < 0.05 * 2.0
-
-
-def test_degree_similarity_values():
-    assert degree_similarity(10, 10) == 0.0
-    assert degree_similarity(10, 5) == 0.5
-    assert degree_similarity(4, 5) == 0.25
-    with pytest.raises(ValueError):
-        degree_similarity(0, 5)
 
 
 def test_effective_theta_floors_at_one():

@@ -7,9 +7,7 @@ from privtri import (
     MGReuseError,
     OpeningChannel,
     SharePair,
-    add_local,
     deal_mg,
-    mg_from_values,
     mul3,
     reconstruct,
     share,
@@ -18,7 +16,6 @@ from privtri.ring import (
     MASK,
     RING_MOD,
     decode_signed,
-    encode_signed,
     mul3_batch,
     share_with_mask,
 )
@@ -46,53 +43,9 @@ def test_reconstruct_known_pairs():
     assert reconstruct(SharePair(RING_MOD - 1, 2)) == 1  # wraps
 
 
-def test_add_local():
-    rng = DealerRng(5)
-    a = share(2, rng)
-    b = share(3, rng)
-    assert reconstruct(add_local(a, b)) == 5
-    x = share(1234, rng)
-    zero = share(0, rng)
-    assert reconstruct(add_local(x, zero)) == 1234
-
-
-def test_add_local_homomorphism_random():
-    rng = DealerRng(17)
-    xs = rng.elements(1000).tolist()
-    ys = rng.elements(1000).tolist()
-    for x, y in zip(xs, ys):
-        got = reconstruct(add_local(share(x, rng), share(y, rng)))
-        assert got == (x + y) & MASK
-
-
 def test_signed_encoding_roundtrip():
     for v in [0, 1, -1, 12345, -12345, (1 << 62), -(1 << 62)]:
-        assert decode_signed(encode_signed(v)) == v
-
-
-def test_mg_forced_values():
-    rng = DealerRng(2)
-    mg = mg_from_values(0, 0, 0, rng)
-    for part in (mg.w, mg.o, mg.p, mg.q):
-        assert reconstruct(part) == 0
-    mg = mg_from_values(2, 3, 5, rng)
-    assert reconstruct(mg.w) == 30
-    assert reconstruct(mg.o) == 6
-    assert reconstruct(mg.p) == 10
-    assert reconstruct(mg.q) == 15
-
-
-def test_mg_product_relations_random():
-    rng = DealerRng(23)
-    for _ in range(200):
-        mg = deal_mg(rng)
-        x = reconstruct(mg.x)
-        y = reconstruct(mg.y)
-        z = reconstruct(mg.z)
-        assert reconstruct(mg.w) == (x * y * z) & MASK
-        assert reconstruct(mg.o) == (x * y) & MASK
-        assert reconstruct(mg.p) == (x * z) & MASK
-        assert reconstruct(mg.q) == (y * z) & MASK
+        assert decode_signed(v & MASK) == v
 
 
 def test_mul3_bits():
@@ -126,37 +79,6 @@ def test_mg_single_use():
     mul3(*args, mg)
     with pytest.raises(MGReuseError):
         mul3(*args, mg)
-
-
-def test_mul3_batch_matches_scalar():
-    # deal_mg consumes 10 stream elements per group in the same layout as
-    # one row of the batched draw, so equal seeds give equal outputs
-    m = 64
-    value_rng = DealerRng(59, 0)
-    a = value_rng.elements(m).tolist()
-    b = value_rng.elements(m).tolist()
-    c = value_rng.elements(m).tolist()
-    share_rng = DealerRng(59, 1)
-    pairs = [
-        (share(a[i], share_rng), share(b[i], share_rng), share(c[i], share_rng))
-        for i in range(m)
-    ]
-
-    scalar = []
-    mg_rng = DealerRng(59, 2)
-    for pa, pb, pc in pairs:
-        scalar.append(mul3(pa, pb, pc, deal_mg(mg_rng)))
-
-    draws = DealerRng(59, 2).elements((m, 10))
-    arr = lambda vals: np.array(vals, dtype=np.uint64)
-    u1, u2 = mul3_batch(
-        arr([p[0].s1 for p in pairs]), arr([p[0].s2 for p in pairs]),
-        arr([p[1].s1 for p in pairs]), arr([p[1].s2 for p in pairs]),
-        arr([p[2].s1 for p in pairs]), arr([p[2].s2 for p in pairs]),
-        draws,
-    )
-    for i in range(m):
-        assert (int(u1[i]), int(u2[i])) == scalar[i]
 
 
 def test_dealer_streams_reproducible_and_independent():

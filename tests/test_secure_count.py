@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,15 @@ from privtri import (
     Graph,
     OpeningChannel,
     ProjectedGraph,
+    SharePair,
     count,
+    deal_mg,
     exact_triangle_count,
+    mul3,
     reconstruct,
     share_adjacency,
 )
+from privtri.ring import MASK
 from privtri.secure_count import effective_bits, effective_graph
 from privtri.synth import erdos_renyi
 
@@ -47,7 +53,6 @@ def test_share_adjacency_roundtrip_symmetric():
     g = erdos_renyi(20, 0.3, rng)
     sa = share_adjacency(as_projected(g), DealerRng(1))
     assert np.array_equal(sa.reconstruct_bits(), np.triu(g.adj, 1))
-    assert sa.pair(4, 2) == sa.pair(2, 4)
 
 
 def test_share_adjacency_roundtrip_asymmetric():
@@ -148,3 +153,33 @@ def test_transcript_openings_and_masking():
         opened.append(channel.values)
     # same graph, different masks: every opened value moves
     assert opened[0] != opened[1]
+
+
+def test_count_matches_reference_protocol():
+    # count batches the per-triple protocol: one mul3 per triple i < j < k
+    # in lexicographic order, each with a deal_mg group from the same
+    # dealer stream. Shares and opened values must match exactly; within a
+    # row i, count opens every e, then every f, then every g.
+    g = erdos_renyi(7, 0.6, np.random.default_rng(29))
+    dealer = DealerRng(41)
+    sa = share_adjacency(as_projected(g), dealer.derive(0))
+    channel = OpeningChannel(record=True)
+    batched = count(sa, g.n, dealer.derive(1), channel)
+
+    def pair(a, b):
+        return SharePair(int(sa.s1[a, b]), int(sa.s2[a, b]))
+
+    mg_rng = dealer.derive(1)
+    t1 = t2 = 0
+    opened = {i: [] for i in range(g.n)}
+    for i, j, k in combinations(range(g.n), 3):
+        triple = OpeningChannel(record=True)
+        u = mul3(pair(i, j), pair(i, k), pair(j, k), deal_mg(mg_rng), triple)
+        t1 = (t1 + u.s1) & MASK
+        t2 = (t2 + u.s2) & MASK
+        opened[i].append(triple.values)
+    expected = [v for i in range(g.n) for col in zip(*opened[i]) for v in col]
+
+    assert batched == SharePair(t1, t2)
+    assert reconstruct(batched) == exact_triangle_count(g) > 0
+    assert channel.values == expected
