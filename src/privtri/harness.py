@@ -34,7 +34,7 @@ from .secure_count import BIT_POLICIES, count, effective_graph, share_adjacency
 
 MECHANISMS = ("cargo", "central", "exact", "project-compare")
 
-# O(n^3) triples: refuse big inputs unless explicitly allowed
+# O(n^3) BLAS work in the count: refuse big inputs unless explicitly allowed
 MAX_CARGO_NODES = 2000
 
 # per-trial substream tags
@@ -185,6 +185,10 @@ def _cargo_trial(g: Graph, t_true: int, cfg: ExperimentConfig, trial: int) -> Tr
     t0 = time.perf_counter()
     noisy = max_private(g.degrees, cfg.epsilon1, noise_rng)
     pg = project(g, noisy)
+    # validated before the count, so a noise scale out of range fails fast
+    params = NoiseParams(
+        epsilon2=cfg.epsilon2, sensitivity=float(pg.theta), n_users=g.n
+    )
     time_project = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -193,9 +197,6 @@ def _cargo_trial(g: Graph, t_true: int, cfg: ExperimentConfig, trial: int) -> Tr
     time_count = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    params = NoiseParams(
-        epsilon2=cfg.epsilon2, sensitivity=float(pg.theta), n_users=g.n
-    )
     t_noisy = perturb(t_shares, params, noise_rng)
     time_perturb = time.perf_counter() - t0
 

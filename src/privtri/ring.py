@@ -4,11 +4,14 @@ Scalar values are plain Python ints in [0, 2**64); bulk values are numpy
 uint64 arrays. All arithmetic wraps modulo 2**64, matching two-server
 additive sharing where a secret x is held as shares (r, x - r).
 
-Correlated randomness (share masks and multiplication groups) comes from a
-seeded trusted dealer, standing in for an oblivious-transfer offline phase.
-A multiplication group is one dealer row (x, y, z and seven share masks)
-from which one three-way product derives shares of (x, y, z, xyz, xy, xz,
-yz); the scalar product is one row of the batched kernel.
+Correlated randomness (share masks, multiplication groups, matrix and
+element-wise Beaver triples) comes from a seeded trusted dealer, standing
+in for an oblivious-transfer offline phase. A multiplication group is one
+dealer row (x, y, z and seven share masks) from which one three-way product
+derives shares of (x, y, z, xyz, xy, xz, yz); the scalar product is one row
+of the batched kernel. The secure count instead multiplies whole matrices
+of shares with ring_matmul and combines element-wise Beaver triples with
+beaver_share.
 """
 
 from dataclasses import dataclass
@@ -20,6 +23,18 @@ RING_BITS = 64
 RING_MOD = 1 << RING_BITS
 MASK = RING_MOD - 1
 _SIGN = 1 << (RING_BITS - 1)
+
+# ring_matmul splits each element into four 16-bit limbs, so a limb
+# product is at most (2**16 - 1)**2 < 2**32. The shift-k term adds the at
+# most four limb matmuls with l + m = k, so with inner dimension n every
+# partial sum of one of its entries is a non-negative integer below
+# 4 * n * (2**16 - 1)**2 < n * 2**34. float64 holds every integer up to
+# 2**53 exactly, so n < 2**19 keeps the sum exact in whatever order BLAS
+# adds.
+_LIMB_BITS = 16
+_LIMBS = RING_BITS // _LIMB_BITS
+MATMUL_MAX_INNER = 1 << 19
+_ROW_BLOCK = 128
 
 RingElement = int
 
@@ -209,3 +224,68 @@ def mul3_batch(
     u1 = w1 + o1 * g + p1 * f + q1 * e + x1 * fg + y1 * eg + z1 * ef
     u2 = w2 + o2 * g + p2 * f + q2 * e + x2 * fg + y2 * eg + z2 * ef + e * fg
     return u1, u2
+
+
+def check_matmul_inner(n: int) -> None:
+    """Raise ValueError unless ring_matmul is exact at inner dimension n."""
+    if n >= MATMUL_MAX_INNER:
+        raise ValueError(
+            f"inner dimension {n} >= {MATMUL_MAX_INNER}: float64 limb sums "
+            "would no longer be exact"
+        )
+
+
+def _limbs(a: np.ndarray) -> list[np.ndarray]:
+    """The four 16-bit limbs of a 2-D uint64 array, least significant first."""
+    words = np.ascontiguousarray(a, dtype="<u8").view("<u2")
+    return [words[:, l::_LIMBS].astype(np.float64) for l in range(_LIMBS)]
+
+
+def ring_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix product a @ b of uint64 matrices, exact modulo 2**64.
+
+    Native uint64 matmul does not use BLAS. Here each operand is split once
+    into four 16-bit limbs held as float64; for each shift k the limb
+    products with l + m = k are summed by float64 BLAS, exact below
+    MATMUL_MAX_INNER (see its derivation), and the sum is shifted left by
+    16 * k in uint64, which drops exactly the bits above 2**64. Rows of a
+    go through in blocks of _ROW_BLOCK, so only b's limbs are held whole.
+    """
+    check_matmul_inner(a.shape[1])
+    lb = _limbs(b)
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint64)
+    for r in range(0, a.shape[0], _ROW_BLOCK):
+        rows = slice(r, r + _ROW_BLOCK)
+        la = [limb[rows] for limb in lb] if a is b else _limbs(a[rows])
+        for k in range(_LIMBS):
+            acc = la[0] @ lb[k]
+            for l in range(1, k + 1):
+                acc += la[l] @ lb[k - l]
+            out[rows] += acc.astype(np.uint64) << (_LIMB_BITS * k)
+    return out
+
+
+def beaver_share(
+    f: np.ndarray,
+    g: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+    c: np.ndarray,
+    public: bool,
+) -> np.ndarray:
+    """One server's share of the element-wise product u * v.
+
+    The dealer gave each server shares a, b, c of a triple with c = a * b
+    element-wise, and the servers opened f = u - a and g = v - b. Since
+
+        u * v = f * g + f * b + a * g + c,
+
+    each server adds its f * b + a * g + c, and exactly one of them (public)
+    also adds the opened f * g.
+    """
+    w = f * b
+    w += a * g
+    w += c
+    if public:
+        w += f * g
+    return w

@@ -1,15 +1,17 @@
 """Two-server triangle counting over secret-shared adjacency bits.
 
 Users secret-share the bit of every unordered pair to two semi-honest,
-non-colluding servers. The servers walk all triples i < j < k in
-lexicographic order and run one three-way share multiplication per triple,
-accumulating output shares of the triangle count. Neither server sees a
-bit in the clear: the only cross-server traffic is the masked openings
-(e, f, g), routed through an OpeningChannel so the exchange is auditable.
+non-colluding servers. With U the strictly upper-triangular matrix of the
+effective bits, (U @ U)[i, k] counts the paths i < j < k, so the triangle
+count is exactly T = sum over i < k of U[i, k] * (U @ U)[i, k] in Z_2^64.
+The servers compute it on shares in two rounds of Beaver-masked openings:
+one matrix triple for U @ U and one element-wise triple per pair for the
+final product. Neither server sees a bit in the clear: the only
+cross-server traffic is the masked openings, routed through an
+OpeningChannel so the exchange is auditable.
 
-The simulation runs both servers in one process; triples are processed in
-vectorized chunks, which batches the openings without changing what is
-opened or in which order.
+The simulation runs both servers in one process. Each server's values are
+computed only from its own shares, its dealer shares, and opened values.
 """
 
 from dataclasses import dataclass
@@ -18,13 +20,17 @@ import numpy as np
 
 from .graph import Graph
 from .projection import ProjectedGraph
-from .ring import MASK, DealerRng, OpeningChannel, SharePair, mul3_batch, share
+from .ring import (
+    DealerRng,
+    OpeningChannel,
+    SharePair,
+    beaver_share,
+    check_matmul_inner,
+    ring_matmul,
+    share,
+)
 
 BIT_POLICIES = ("and", "or", "row-owner")
-
-# chunk bound for the vectorized triple loop; keeps peak memory flat at
-# large n without affecting the dealer stream layout
-MAX_CHUNK = 1 << 19
 
 
 def effective_bits(pg: ProjectedGraph, policy: str = "and") -> np.ndarray:
@@ -61,18 +67,13 @@ def effective_graph(pg: ProjectedGraph, policy: str = "and") -> Graph:
 class SharedAdjacency:
     """Additive shares of every pair bit, one uint64 matrix per server.
 
-    Entries are valid for i < j (the triple loop only reads the upper
+    Entries are valid for i < j (the count only reads the upper
     triangle); s1[i, j] + s2[i, j] wraps to the effective bit.
     """
 
     n: int
     s1: np.ndarray
     s2: np.ndarray
-
-    def reconstruct_bits(self) -> np.ndarray:
-        """Upper-triangle effective bits, for round-trip checks."""
-        total = self.s1 + self.s2
-        return np.triu(total.astype(np.uint8), 1)
 
 
 def share_adjacency(
@@ -91,41 +92,67 @@ def count(
     dealer: DealerRng,
     channel: OpeningChannel | None = None,
 ) -> SharePair:
-    """Accumulate shares of the triangle count over all triples i < j < k.
+    """Shares of the triangle count T = sum_{i<k} U[i, k] * (U @ U)[i, k].
 
-    One fresh multiplication group per triple, drawn from the dealer stream
-    in lexicographic triple order, so a given dealer seed fixes every share
-    while the reconstructed count depends only on the shared bits. The
-    result equals a loop of mul3 calls over the triples with deal_mg groups
-    from the same stream; chunking only batches the openings.
+    All element-wise data are vectors over the m = C(n, 2) pairs i < k in
+    row-major order. The dealer draws, in this order, m-vectors of server
+    shares x1, x2, z1 (a square triple: X = x1 + x2 strictly upper, and
+    Z = X @ X) and a1, a2, b1, b2, c1 (an element-wise triple c = a * b),
+    8 * m elements in one call.
+
+    Round 1 opens e = u - x and f = u - a. Server 1 computes
+    p1 = E @ X1 + X1 @ E + Z1 and server 2 p2 = E @ (E + X2) + X2 @ E + Z2,
+    so p1 + p2 = (E + X) @ (E + X) = U @ U on the pairs. Round 2 opens
+    g = p - b, and each server sums its beaver_share of u * p. That is 2
+    rounds, 3 * m openings and 5 ring matmuls of n x n matrices (one by the
+    dealer). A given dealer seed fixes every share and opened value; the
+    reconstructed count depends only on the shared bits.
     """
     if n != sa.n:
         raise ValueError(f"n={n} does not match shared adjacency n={sa.n}")
+    check_matmul_inner(n)
     if n < 3:
         return share(0, dealer)
     if channel is None:
         channel = OpeningChannel()
 
-    jj, kk = np.triu_indices(n, 1)
-    n_pairs = jj.size
-    s1m, s2m = sa.s1, sa.s2
-    t1 = t2 = 0
-    for i in range(n - 2):
-        # pairs (j, k) with j > i are a suffix of the row-major pair order
-        start = n_pairs - ((n - 1 - i) * (n - 2 - i)) // 2
-        j_all = jj[start:]
-        k_all = kk[start:]
-        for lo in range(0, j_all.size, MAX_CHUNK):
-            j = j_all[lo : lo + MAX_CHUNK]
-            k = k_all[lo : lo + MAX_CHUNK]
-            draws = dealer.elements((j.size, 10))
-            u1, u2 = mul3_batch(
-                s1m[i, j], s2m[i, j],
-                s1m[i, k], s2m[i, k],
-                s1m[j, k], s2m[j, k],
-                draws,
-                channel,
-            )
-            t1 = (t1 + int(u1.sum(dtype=np.uint64))) & MASK
-            t2 = (t2 + int(u2.sum(dtype=np.uint64))) & MASK
-    return SharePair(t1, t2)
+    pairs = np.triu(np.ones((n, n), dtype=bool), 1)
+
+    def square(v: np.ndarray) -> np.ndarray:
+        """The strictly upper n x n matrix holding pair vector v."""
+        mat = np.zeros((n, n), dtype=np.uint64)
+        mat[pairs] = v
+        return mat
+
+    # dealer: both triples, server 2's product shares derived from the values
+    x1, x2, z1, a1, a2, b1, b2, c1 = dealer.elements((8, int(pairs.sum())))
+    x_mat = square(x1 + x2)
+    z2 = ring_matmul(x_mat, x_mat)[pairs] - z1
+    # each del frees a buffer before the next matmul, which sets peak memory
+    del x_mat
+    c2 = (a1 + a2) * (b1 + b2) - c1
+
+    # round 1
+    u1 = sa.s1[pairs]
+    u2 = sa.s2[pairs]
+    e_mat = square(channel.open_array(u1 - x1, u2 - x2))
+    f = channel.open_array(u1 - a1, u2 - a2)
+    del u1, u2
+
+    # each server's share of U @ U on the pairs, then round 2
+    x1_mat = square(x1)
+    p1 = ring_matmul(e_mat, x1_mat)
+    p1 += ring_matmul(x1_mat, e_mat)
+    p1 = p1[pairs] + z1
+    del x1_mat
+    x2_mat = square(x2)
+    p2 = ring_matmul(x2_mat, e_mat)
+    x2_mat += e_mat
+    p2 += ring_matmul(e_mat, x2_mat)
+    p2 = p2[pairs] + z2
+    del x2_mat, e_mat
+    g = channel.open_array(p1 - b1, p2 - b2)
+
+    t1 = beaver_share(f, g, a1, b1, c1, public=False).sum(dtype=np.uint64)
+    t2 = beaver_share(f, g, a2, b2, c2, public=True).sum(dtype=np.uint64)
+    return SharePair(int(t1), int(t2))

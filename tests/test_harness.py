@@ -7,6 +7,7 @@ from privtri import (
     ExperimentConfig,
     TrialRecord,
     emit_csv,
+    harness,
     load_edge_list,
     run,
     run_cargo,
@@ -97,6 +98,16 @@ def test_cargo_desk_scale_guard(tmp_path):
         ExperimentConfig(graph_path=path, trials=1, allow_large=True, n_limit=10)
     )
     assert records[0].t_true == 0
+
+
+def test_cargo_bad_noise_scale_fails_before_count(k4_graph_file, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("count ran before the noise parameters were checked")
+
+    monkeypatch.setattr(harness, "count", unreachable)
+    # theta >= 1 and epsilon2 = 0.9e-4 put the Laplace scale above 10^4
+    with pytest.raises(ValueError, match="noise scale"):
+        run_cargo(ExperimentConfig(graph_path=k4_graph_file, epsilon=1e-4, trials=1))
 
 
 def test_relative_error_trend_with_epsilon(proxy_graph_file):

@@ -14,9 +14,11 @@ from privtri import (
 )
 from privtri.ring import (
     MASK,
+    MATMUL_MAX_INNER,
     RING_MOD,
     decode_signed,
     mul3_batch,
+    ring_matmul,
     share_with_mask,
 )
 
@@ -104,3 +106,31 @@ def test_opened_values_uniform_low_bits():
     counts = np.bincount(low, minlength=65536)
     chi2 = stats.chisquare(counts)
     assert chi2.pvalue > 0.001
+
+
+def test_ring_matmul_matches_native_uint64_matmul():
+    # native uint64 @ wraps modulo 2**64 too, but without BLAS
+    rng = np.random.default_rng(47)
+    shapes = [(1, 1, 1), (2, 2, 2), (1, 2, 1), (2, 1, 2)]
+    shapes += [tuple(rng.integers(1, 65, size=3)) for _ in range(30)]
+    for m, k, n in shapes:
+        a = rng.integers(0, RING_MOD, size=(m, k), dtype=np.uint64)
+        b = rng.integers(0, RING_MOD, size=(k, n), dtype=np.uint64)
+        assert np.array_equal(ring_matmul(a, b), a @ b)
+        assert np.array_equal(ring_matmul(a.T, a), a.T @ a)  # a as both operands
+    for n in (1, 2, 64):
+        full = np.full((n, n), MASK, dtype=np.uint64)
+        assert np.array_equal(ring_matmul(full, full), full @ full)
+    # more rows than one block of a, with and without limbs shared with b
+    big = rng.integers(0, RING_MOD, size=(300, 300), dtype=np.uint64)
+    assert np.array_equal(ring_matmul(big, big), big @ big)
+    assert np.array_equal(ring_matmul(big, big[:, :7]), big @ big[:, :7])
+
+
+def test_ring_matmul_refuses_inexact_inner_dimension():
+    # all-ones limbs at the largest admitted inner dimension are still exact
+    ok = np.full((1, MATMUL_MAX_INNER - 1), MASK, dtype=np.uint64)
+    assert np.array_equal(ring_matmul(ok, ok.T), ok @ ok.T)
+    a = np.ones((1, MATMUL_MAX_INNER), dtype=np.uint64)
+    with pytest.raises(ValueError, match="inner dimension"):
+        ring_matmul(a, a.T)

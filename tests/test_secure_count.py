@@ -1,4 +1,5 @@
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from privtri import (
     OpeningChannel,
     ProjectedGraph,
     SharePair,
+    SharedAdjacency,
     count,
     deal_mg,
     exact_triangle_count,
@@ -16,8 +18,8 @@ from privtri import (
     reconstruct,
     share_adjacency,
 )
-from privtri.ring import MASK
-from privtri.secure_count import effective_bits, effective_graph
+from privtri.ring import MASK, MATMUL_MAX_INNER
+from privtri.secure_count import BIT_POLICIES, effective_bits, effective_graph
 from privtri.synth import erdos_renyi
 
 from conftest import complete_graph
@@ -52,7 +54,7 @@ def test_share_adjacency_roundtrip_symmetric():
     rng = np.random.default_rng(3)
     g = erdos_renyi(20, 0.3, rng)
     sa = share_adjacency(as_projected(g), DealerRng(1))
-    assert np.array_equal(sa.reconstruct_bits(), np.triu(g.adj, 1))
+    assert np.array_equal(np.triu(sa.s1 + sa.s2, 1), np.triu(g.adj, 1))
 
 
 def test_share_adjacency_roundtrip_asymmetric():
@@ -63,7 +65,7 @@ def test_share_adjacency_roundtrip_asymmetric():
     for policy in ("and", "or", "row-owner"):
         sa = share_adjacency(pg, DealerRng(2), policy)
         assert np.array_equal(
-            sa.reconstruct_bits(), np.triu(effective_bits(pg, policy), 1)
+            np.triu(sa.s1 + sa.s2, 1), np.triu(effective_bits(pg, policy), 1)
         )
 
 
@@ -140,46 +142,61 @@ def test_count_mismatched_n_rejected():
         count(sa, 5, dealer.derive(1))
 
 
-def test_transcript_openings_and_masking():
-    g = complete_graph(6)  # C(6,3) = 20 triples, 3 openings each
+class CallCountingChannel(OpeningChannel):
+    def __init__(self):
+        super().__init__(record=True)
+        self.calls = 0
+
+    def open_array(self, s1, s2):
+        self.calls += 1
+        return super().open_array(s1, s2)
+
+
+def test_count_transcript():
+    # two rounds: e and f, then g, each one opened value per pair i < k
+    g = erdos_renyi(12, 0.5, np.random.default_rng(37))
     opened = []
     for seed in (1, 2):
         dealer = DealerRng(seed)
         sa = share_adjacency(as_projected(g), dealer.derive(0))
-        channel = OpeningChannel(record=True)
+        channel = CallCountingChannel()
         t = count(sa, g.n, dealer.derive(1), channel=channel)
-        assert channel.openings == 3 * 20
-        assert reconstruct(t) == 20
-        opened.append(channel.values)
-    # same graph, different masks: every opened value moves
-    assert opened[0] != opened[1]
+        assert channel.calls == 3
+        assert channel.openings == len(channel.values) == 3 * comb(g.n, 2)
+        assert reconstruct(t) == exact_triangle_count(g) > 0
+        opened.append(np.array(channel.values, dtype=np.uint64))
+    # same graph, different masks: the opened values move
+    assert np.count_nonzero(opened[0] == opened[1]) == 0
 
 
-def test_count_matches_reference_protocol():
-    # count batches the per-triple protocol: one mul3 per triple i < j < k
-    # in lexicographic order, each with a deal_mg group from the same
-    # dealer stream. Shares and opened values must match exactly; within a
-    # row i, count opens every e, then every f, then every g.
-    g = erdos_renyi(7, 0.6, np.random.default_rng(29))
-    dealer = DealerRng(41)
-    sa = share_adjacency(as_projected(g), dealer.derive(0))
-    channel = OpeningChannel(record=True)
-    batched = count(sa, g.n, dealer.derive(1), channel)
+def test_count_matches_mul3_loop_every_policy():
+    # the per-triple reference protocol: one mul3 per triple i < j < k,
+    # each with a fresh deal_mg group, summed in the ring
+    rng = np.random.default_rng(29)
+    adj = (rng.random((9, 9)) < 0.6).astype(np.uint8)
+    np.fill_diagonal(adj, 0)
+    pg = ProjectedGraph(adj, theta=9)
+    for policy in BIT_POLICIES:
+        dealer = DealerRng(41)
+        sa = share_adjacency(pg, dealer.derive(0), policy)
 
-    def pair(a, b):
-        return SharePair(int(sa.s1[a, b]), int(sa.s2[a, b]))
+        def pair(a, b):
+            return SharePair(int(sa.s1[a, b]), int(sa.s2[a, b]))
 
-    mg_rng = dealer.derive(1)
-    t1 = t2 = 0
-    opened = {i: [] for i in range(g.n)}
-    for i, j, k in combinations(range(g.n), 3):
-        triple = OpeningChannel(record=True)
-        u = mul3(pair(i, j), pair(i, k), pair(j, k), deal_mg(mg_rng), triple)
-        t1 = (t1 + u.s1) & MASK
-        t2 = (t2 + u.s2) & MASK
-        opened[i].append(triple.values)
-    expected = [v for i in range(g.n) for col in zip(*opened[i]) for v in col]
+        mg_rng = dealer.derive(2)
+        t1 = t2 = 0
+        for i, j, k in combinations(range(pg.n), 3):
+            u = mul3(pair(i, j), pair(i, k), pair(j, k), deal_mg(mg_rng))
+            t1 = (t1 + u.s1) & MASK
+            t2 = (t2 + u.s2) & MASK
+        got = reconstruct(count(sa, pg.n, dealer.derive(1)))
+        assert got == reconstruct(SharePair(t1, t2)) > 0
 
-    assert batched == SharePair(t1, t2)
-    assert reconstruct(batched) == exact_triangle_count(g) > 0
-    assert channel.values == expected
+
+def test_count_refuses_inexact_size_before_dealing():
+    n = MATMUL_MAX_INNER
+    tiny = np.zeros((1, 1), dtype=np.uint64)
+    dealer = DealerRng(3)
+    with pytest.raises(ValueError, match="inner dimension"):
+        count(SharedAdjacency(n, tiny, tiny), n, dealer)
+    assert np.array_equal(dealer.elements(4), DealerRng(3).elements(4))
