@@ -46,8 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--output", default=None, help="CSV output path")
     run_p.add_argument("--allow-large", action="store_true",
                        help="run cargo beyond the desk-scale node limit")
-    run_p.add_argument("--workers", type=int, default=1,
-                       help="parallel worker processes for trials")
     run_p.add_argument("--zero-timings", action="store_true",
                        help="write 0.0 timings for bit-reproducible CSVs")
     run_p.add_argument("--dealer-seed", type=int, default=None,
@@ -70,7 +68,6 @@ def main(argv=None) -> int:
             bit_policy=args.bit_policy,
             output_path=args.output,
             dealer_seed=args.dealer_seed,
-            workers=args.workers,
             zero_timings=args.zero_timings,
             allow_large=args.allow_large,
         )

@@ -23,8 +23,7 @@ class Graph:
     """Symmetric, loop-free adjacency matrix plus per-node degrees.
 
     adj is an (n, n) uint8 0/1 matrix; degrees[i] is the popcount of row i.
-    Instances are immutable after construction and safe to share across
-    workers.
+    Instances are immutable after construction.
     """
 
     n: int
@@ -46,10 +45,6 @@ class Graph:
         degrees.flags.writeable = False
         object.__setattr__(self, "adj", adj)
         object.__setattr__(self, "degrees", degrees)
-
-    @property
-    def edge_count(self) -> int:
-        return int(self.degrees.sum()) // 2
 
     @property
     def d_max(self) -> int:

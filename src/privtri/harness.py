@@ -1,11 +1,10 @@
 """Experiment orchestration: end-to-end pipeline runs, metrics, CSV output.
 
 A run is fully determined by its config, including the master seed: every
-trial derives its own noise and dealer substreams from (seed, trial), so
-trials can execute in any order or in parallel processes and still produce
-identical records. The dealer seed can be varied independently of the
-noise seed to check that share masking never moves the reconstructed
-count.
+trial derives its own noise and dealer substreams from (seed, trial), so a
+trial's record does not depend on how many trials the run has. The dealer
+seed can be varied independently of the noise seed to check that share
+masking never moves the reconstructed count.
 
 Mechanisms:
   cargo            private max degree -> projection -> secret-shared
@@ -18,9 +17,7 @@ Mechanisms:
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -69,6 +66,7 @@ class ExperimentConfig:
     bit_policy: str = "and"
     output_path: str | Path | None = None
     dealer_seed: int | None = None
+    # trials run in one process; kept only until the benchmark stops passing it
     workers: int = 1
     zero_timings: bool = False
     allow_large: bool = False
@@ -86,8 +84,8 @@ class ExperimentConfig:
             raise ValueError("n_limit must be positive")
         if self.bit_policy not in BIT_POLICIES:
             raise ValueError(f"unknown bit policy {self.bit_policy!r}")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
+        if self.workers != 1:
+            raise ValueError("trials run in one process; workers must be 1")
         if self.theta_override is not None:
             if self.mechanism != "project-compare":
                 raise ValueError("theta override applies to project-compare only")
@@ -134,16 +132,6 @@ def _noise_rng(cfg: ExperimentConfig, trial: int):
 def _dealer(cfg: ExperimentConfig, trial: int) -> DealerRng:
     base = cfg.seed if cfg.dealer_seed is None else cfg.dealer_seed
     return DealerRng(base, trial, _DEALER_STREAM)
-
-
-def load_graph(cfg: ExperimentConfig) -> Graph:
-    g = load_edge_list(cfg.graph_path, cfg.n_limit)
-    if cfg.mechanism == "cargo" and g.n > MAX_CARGO_NODES and not cfg.allow_large:
-        raise ValueError(
-            f"n={g.n} exceeds the desk-scale limit {MAX_CARGO_NODES} for "
-            "mechanism=cargo; pass allow_large to run anyway"
-        )
-    return g
 
 
 def _record(
@@ -208,19 +196,18 @@ def _cargo_trial(g: Graph, t_true: int, cfg: ExperimentConfig, trial: int) -> Tr
 
 def run_cargo(cfg: ExperimentConfig) -> list[TrialRecord]:
     """Full pipeline, cfg.trials times with per-trial derived seeds."""
-    g = load_graph(cfg)
+    g = load_edge_list(cfg.graph_path, cfg.n_limit)
+    if g.n > MAX_CARGO_NODES and not cfg.allow_large:
+        raise ValueError(
+            f"n={g.n} exceeds the desk-scale limit {MAX_CARGO_NODES} for "
+            "the cargo count; pass allow_large to run anyway"
+        )
     t_true = exact_triangle_count(g)
-    trial = partial(_cargo_trial, g, t_true, cfg)
-    if cfg.workers == 1 or cfg.trials == 1:
-        return [trial(t) for t in range(cfg.trials)]
-    workers = min(cfg.workers, cfg.trials)
-    chunksize = -(-cfg.trials // workers)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(trial, range(cfg.trials), chunksize=chunksize))
+    return [_cargo_trial(g, t_true, cfg, trial) for trial in range(cfg.trials)]
 
 
 def run_central(cfg: ExperimentConfig) -> list[TrialRecord]:
-    g = load_graph(cfg)
+    g = load_edge_list(cfg.graph_path, cfg.n_limit)
     t_true = exact_triangle_count(g)
     records = []
     for trial in range(cfg.trials):
@@ -233,7 +220,7 @@ def run_central(cfg: ExperimentConfig) -> list[TrialRecord]:
 
 
 def run_exact(cfg: ExperimentConfig) -> list[TrialRecord]:
-    g = load_graph(cfg)
+    g = load_edge_list(cfg.graph_path, cfg.n_limit)
     records = []
     for trial in range(cfg.trials):
         t0 = time.perf_counter()
@@ -249,7 +236,7 @@ def run_project_compare(cfg: ExperimentConfig) -> list[TrialRecord]:
     Degrees enter the similarity ordering noiselessly here, isolating the
     loss of the projection rule itself; no perturbation noise is added.
     """
-    g = load_graph(cfg)
+    g = load_edge_list(cfg.graph_path, cfg.n_limit)
     t_true = exact_triangle_count(g)
     exact_deg = NoisyDegrees.exact(g.degrees)
     records = []

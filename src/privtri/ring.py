@@ -60,18 +60,13 @@ class DealerRng:
     """Seeded stream of uniform ring elements.
 
     Same (seed, path) always yields the same stream, so share masks and
-    multiplication groups are reproducible run to run. ``derive`` gives an
-    independent substream, used to hand each worker or trial its own stream.
+    multiplication groups are reproducible run to run; a distinct path gives
+    an independent stream.
     """
 
     def __init__(self, seed: int, *path: int):
-        self.seed = int(seed)
-        self.path = tuple(int(p) for p in path)
-        seq = np.random.SeedSequence([self.seed, *self.path])
+        seq = np.random.SeedSequence([int(seed), *map(int, path)])
         self._gen = np.random.Generator(np.random.PCG64(seq))
-
-    def derive(self, *path: int) -> "DealerRng":
-        return DealerRng(self.seed, *self.path, *path)
 
     def element(self) -> RingElement:
         return int(self._gen.integers(0, RING_MOD, dtype=np.uint64))

@@ -4,7 +4,7 @@ Each file under tests/data/ is the output of
 ``privtri run --graph <clique_hub_proxy edge list> ARGS --zero-timings``
 for the ARGS listed here. The CSV carries reconstructed counts and noise
 but never shares, so a refactor of the protocol, the dealer layout or the
-harness must leave every byte in place. Cargo runs once per worker count.
+harness must leave every byte in place.
 """
 
 from pathlib import Path
@@ -27,17 +27,11 @@ GOLDEN = {
                             "--theta", "5,20,99", "--trials", "3", "--seed", "5"],
 }
 
-CASES = [
-    (name, workers)
-    for name in GOLDEN
-    for workers in ((1, 2) if name.startswith("cargo") else (1,))
-]
 
-
-@pytest.mark.parametrize("name,workers", CASES)
-def test_zero_timings_csv_matches_golden(name, workers, proxy_graph_file, tmp_path):
+@pytest.mark.parametrize("name", GOLDEN)
+def test_zero_timings_csv_matches_golden(name, proxy_graph_file, tmp_path):
     out = tmp_path / name
     argv = ["run", "--graph", str(proxy_graph_file), *GOLDEN[name],
-            "--workers", str(workers), "--zero-timings", "--output", str(out)]
+            "--zero-timings", "--output", str(out)]
     assert main(argv) == 0
     assert out.read_bytes() == (DATA / name).read_bytes()

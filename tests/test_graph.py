@@ -24,27 +24,27 @@ def test_load_k3(tmp_path):
 def test_load_collapses_duplicates(tmp_path):
     path = write_lines(tmp_path / "dup.txt", ["0 1", "0 1"])
     g = load_edge_list(path)
-    assert g.edge_count == 1
+    assert int(g.degrees.sum()) // 2 == 1
     assert g.degrees[0] == 1
 
 
 def test_load_collapses_reversed_duplicates(tmp_path):
     path = write_lines(tmp_path / "rev.txt", ["0 1", "1 0", "2 0"])
     g = load_edge_list(path)
-    assert g.edge_count == 2
+    assert int(g.degrees.sum()) // 2 == 2
 
 
 def test_load_skips_comments_and_blanks(tmp_path):
     path = write_lines(tmp_path / "c.txt", ["# header", "", "0 1", "# tail"])
     g = load_edge_list(path)
     assert g.n == 2
-    assert g.edge_count == 1
+    assert int(g.degrees.sum()) // 2 == 1
 
 
 def test_load_drops_self_loops(tmp_path):
     path = write_lines(tmp_path / "loop.txt", ["0 0", "0 1"])
     g = load_edge_list(path)
-    assert g.edge_count == 1
+    assert int(g.degrees.sum()) // 2 == 1
     assert np.all(np.diagonal(g.adj) == 0)
 
 
@@ -79,7 +79,7 @@ def test_limit_n_keeps_prefix_ids(tmp_path):
     g = load_edge_list(path, limit_n=3)
     assert g.n == 3
     assert exact_triangle_count(g) == 1
-    assert g.edge_count == 3
+    assert int(g.degrees.sum()) // 2 == 3
 
 
 def test_limit_n_admits_first_endpoint_of_dropped_edge(tmp_path):
@@ -136,5 +136,5 @@ def test_graph_is_immutable():
 def test_facebook_reference_stats():
     g = load_edge_list(facebook_path())
     assert g.n == 4039
-    assert g.edge_count == 88234
+    assert int(g.degrees.sum()) // 2 == 88234
     assert g.d_max == 1045

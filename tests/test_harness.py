@@ -37,6 +37,10 @@ def test_config_validation(k4_graph_file):
         ExperimentConfig(graph_path=k4_graph_file, trials=0)
     with pytest.raises(ValueError):
         ExperimentConfig(graph_path=k4_graph_file, bit_policy="nand")
+    for workers in (0, 2):
+        with pytest.raises(ValueError, match="workers must be 1"):
+            ExperimentConfig(graph_path=k4_graph_file, workers=workers)
+    ExperimentConfig(graph_path=k4_graph_file, workers=1)
     with pytest.raises(ValueError):
         ExperimentConfig(graph_path=k4_graph_file, theta_override=(5,))
     with pytest.raises(ValueError):
@@ -80,20 +84,15 @@ def test_cargo_dealer_seed_moves_masks_not_values(proxy_graph_file):
         assert a.t_noisy == b.t_noisy  # noise stream untouched
 
 
-def test_cargo_workers_do_not_change_records(proxy_graph_file):
-    base = dict(graph_path=proxy_graph_file, n_limit=30, epsilon=2.0,
-                trials=4, seed=3, zero_timings=True)
-    serial = run_cargo(ExperimentConfig(**base, workers=1))
-    parallel = run_cargo(ExperimentConfig(**base, workers=2))
-    assert serial == parallel
-
-
 def test_cargo_desk_scale_guard(tmp_path):
     path = write_lines(
         tmp_path / "path2001.txt", [f"{i} {i + 1}" for i in range(2000)]
     )
     with pytest.raises(ValueError, match="allow_large"):
         run_cargo(ExperimentConfig(graph_path=path, trials=1))
+    # the guard holds whatever mechanism the config names
+    with pytest.raises(ValueError, match="allow_large"):
+        run_cargo(ExperimentConfig(graph_path=path, mechanism="exact", trials=1))
     records = run_cargo(
         ExperimentConfig(graph_path=path, trials=1, allow_large=True, n_limit=10)
     )

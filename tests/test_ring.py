@@ -87,8 +87,6 @@ def test_dealer_streams_reproducible_and_independent():
     assert np.array_equal(DealerRng(7, 1).elements(16), DealerRng(7, 1).elements(16))
     assert not np.array_equal(DealerRng(7, 1).elements(16), DealerRng(7, 2).elements(16))
     assert not np.array_equal(DealerRng(7).elements(16), DealerRng(8).elements(16))
-    d = DealerRng(7)
-    assert np.array_equal(d.derive(3).elements(8), DealerRng(7, 3).elements(8))
 
 
 def test_opened_values_uniform_low_bits():

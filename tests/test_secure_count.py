@@ -30,9 +30,8 @@ def as_projected(g: Graph) -> ProjectedGraph:
 
 
 def secure_count_of(g: Graph, dealer_seed: int = 0, policy: str = "and") -> int:
-    dealer = DealerRng(dealer_seed)
-    sa = share_adjacency(as_projected(g), dealer.derive(0), policy)
-    return reconstruct(count(sa, g.n, dealer.derive(1)))
+    sa = share_adjacency(as_projected(g), DealerRng(dealer_seed, 0), policy)
+    return reconstruct(count(sa, g.n, DealerRng(dealer_seed, 1)))
 
 
 def test_effective_bits_policies():
@@ -76,9 +75,8 @@ def test_count_small_graphs():
 
 def test_count_tiny_graph_returns_zero_shares():
     g = Graph.from_edges(2, [(0, 1)])
-    dealer = DealerRng(0)
-    sa = share_adjacency(as_projected(g), dealer.derive(0))
-    assert reconstruct(count(sa, 2, dealer.derive(1))) == 0
+    sa = share_adjacency(as_projected(g), DealerRng(0, 0))
+    assert reconstruct(count(sa, 2, DealerRng(0, 1))) == 0
 
 
 def test_count_matches_oracle_on_random_graphs():
@@ -92,9 +90,8 @@ def test_count_value_independent_of_dealer_seed():
     g = erdos_renyi(25, 0.25, np.random.default_rng(13))
     shares = []
     for seed in (1, 2):
-        dealer = DealerRng(seed)
-        sa = share_adjacency(as_projected(g), dealer.derive(0))
-        shares.append(count(sa, g.n, dealer.derive(1)))
+        sa = share_adjacency(as_projected(g), DealerRng(seed, 0))
+        shares.append(count(sa, g.n, DealerRng(seed, 1)))
     assert reconstruct(shares[0]) == reconstruct(shares[1]) == exact_triangle_count(g)
     assert shares[0] != shares[1]  # masks moved, value did not
 
@@ -103,9 +100,8 @@ def test_count_deterministic_for_fixed_dealer():
     g = erdos_renyi(18, 0.3, np.random.default_rng(17))
 
     def one_run():
-        dealer = DealerRng(9)
-        sa = share_adjacency(as_projected(g), dealer.derive(0))
-        return count(sa, g.n, dealer.derive(1))
+        sa = share_adjacency(as_projected(g), DealerRng(9, 0))
+        return count(sa, g.n, DealerRng(9, 1))
 
     assert one_run() == one_run()
 
@@ -128,18 +124,16 @@ def test_count_asymmetric_projection_respects_policy():
     np.fill_diagonal(adj, 0)
     pg = ProjectedGraph(adj, theta=20)
     for policy in ("and", "or", "row-owner"):
-        dealer = DealerRng(31)
-        sa = share_adjacency(pg, dealer.derive(0), policy)
-        got = reconstruct(count(sa, 20, dealer.derive(1)))
+        sa = share_adjacency(pg, DealerRng(31, 0), policy)
+        got = reconstruct(count(sa, 20, DealerRng(31, 1)))
         assert got == exact_triangle_count(effective_graph(pg, policy))
 
 
 def test_count_mismatched_n_rejected():
     g = complete_graph(4)
-    dealer = DealerRng(1)
-    sa = share_adjacency(as_projected(g), dealer.derive(0))
+    sa = share_adjacency(as_projected(g), DealerRng(1, 0))
     with pytest.raises(ValueError):
-        count(sa, 5, dealer.derive(1))
+        count(sa, 5, DealerRng(1, 1))
 
 
 class CallCountingChannel(OpeningChannel):
@@ -157,10 +151,9 @@ def test_count_transcript():
     g = erdos_renyi(12, 0.5, np.random.default_rng(37))
     opened = []
     for seed in (1, 2):
-        dealer = DealerRng(seed)
-        sa = share_adjacency(as_projected(g), dealer.derive(0))
+        sa = share_adjacency(as_projected(g), DealerRng(seed, 0))
         channel = CallCountingChannel()
-        t = count(sa, g.n, dealer.derive(1), channel=channel)
+        t = count(sa, g.n, DealerRng(seed, 1), channel=channel)
         assert channel.calls == 3
         assert channel.openings == len(channel.values) == 3 * comb(g.n, 2)
         assert reconstruct(t) == exact_triangle_count(g) > 0
@@ -177,19 +170,18 @@ def test_count_matches_mul3_loop_every_policy():
     np.fill_diagonal(adj, 0)
     pg = ProjectedGraph(adj, theta=9)
     for policy in BIT_POLICIES:
-        dealer = DealerRng(41)
-        sa = share_adjacency(pg, dealer.derive(0), policy)
+        sa = share_adjacency(pg, DealerRng(41, 0), policy)
 
         def pair(a, b):
             return SharePair(int(sa.s1[a, b]), int(sa.s2[a, b]))
 
-        mg_rng = dealer.derive(2)
+        mg_rng = DealerRng(41, 2)
         t1 = t2 = 0
         for i, j, k in combinations(range(pg.n), 3):
             u = mul3(pair(i, j), pair(i, k), pair(j, k), deal_mg(mg_rng))
             t1 = (t1 + u.s1) & MASK
             t2 = (t2 + u.s2) & MASK
-        got = reconstruct(count(sa, pg.n, dealer.derive(1)))
+        got = reconstruct(count(sa, pg.n, DealerRng(41, 1)))
         assert got == reconstruct(SharePair(t1, t2)) > 0
 
 
