@@ -8,7 +8,6 @@ from .graph import Graph, exact_triangle_count
 @dataclass(frozen=True)
 class CentralResult:
     t_noisy: float
-    epsilon: float
     scale_used: float
 
 
@@ -23,4 +22,4 @@ def central_lap(g: Graph, epsilon: float, rng) -> CentralResult:
     t = exact_triangle_count(g)
     scale = g.d_max / epsilon
     noise = float(rng.laplace(0.0, scale)) if scale > 0 else 0.0
-    return CentralResult(t_noisy=t + noise, epsilon=epsilon, scale_used=scale)
+    return CentralResult(t_noisy=t + noise, scale_used=scale)

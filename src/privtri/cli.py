@@ -9,7 +9,6 @@ import argparse
 import sys
 
 from .harness import MECHANISMS, ExperimentConfig, run, summarize
-from .secure_count import BIT_POLICIES
 
 
 def _parse_thetas(text: str) -> tuple[int, ...]:
@@ -42,7 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--theta", type=_parse_thetas, default=None,
                        metavar="INT[,INT...]",
                        help="projection bounds for project-compare sweeps")
-    run_p.add_argument("--bit-policy", choices=BIT_POLICIES, default="and")
     run_p.add_argument("--output", default=None, help="CSV output path")
     run_p.add_argument("--allow-large", action="store_true",
                        help="run cargo beyond the desk-scale node limit")
@@ -65,7 +63,6 @@ def main(argv=None) -> int:
             theta_override=args.theta,
             trials=args.trials,
             seed=args.seed,
-            bit_policy=args.bit_policy,
             output_path=args.output,
             dealer_seed=args.dealer_seed,
             zero_timings=args.zero_timings,

@@ -27,7 +27,7 @@ from .graph import Graph, exact_triangle_count, load_edge_list
 from .perturbation import NoiseParams, perturb
 from .projection import NoisyDegrees, max_private, project, project_random
 from .ring import DealerRng, reconstruct
-from .secure_count import BIT_POLICIES, count, effective_graph, share_adjacency
+from .secure_count import count, effective_graph, share_adjacency
 
 MECHANISMS = ("cargo", "central", "exact", "project-compare")
 
@@ -63,7 +63,6 @@ class ExperimentConfig:
     theta_override: tuple[int, ...] | None = None
     trials: int = 10
     seed: int = 0
-    bit_policy: str = "and"
     output_path: str | Path | None = None
     dealer_seed: int | None = None
     # trials run in one process; kept only until the benchmark stops passing it
@@ -82,8 +81,6 @@ class ExperimentConfig:
             raise ValueError("trials must be at least 1")
         if self.n_limit is not None and self.n_limit < 1:
             raise ValueError("n_limit must be positive")
-        if self.bit_policy not in BIT_POLICIES:
-            raise ValueError(f"unknown bit policy {self.bit_policy!r}")
         if self.workers != 1:
             raise ValueError("trials run in one process; workers must be 1")
         if self.theta_override is not None:
@@ -180,7 +177,7 @@ def _cargo_trial(g: Graph, t_true: int, cfg: ExperimentConfig, trial: int) -> Tr
     time_project = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    sa = share_adjacency(pg, dealer, cfg.bit_policy)
+    sa = share_adjacency(pg, dealer)
     t_shares = count(sa, g.n, dealer)
     time_count = time.perf_counter() - t0
 
@@ -252,7 +249,7 @@ def run_project_compare(cfg: ExperimentConfig) -> list[TrialRecord]:
                     pg = project_random(g, theta, rng)
                 time_project = time.perf_counter() - t0
                 t0 = time.perf_counter()
-                t_hat = exact_triangle_count(effective_graph(pg, cfg.bit_policy))
+                t_hat = exact_triangle_count(effective_graph(pg))
                 time_count = time.perf_counter() - t0
                 records.append(_record(
                     cfg, g, trial, t_true, float(t_hat), (time_project, time_count, 0.0),

@@ -9,7 +9,6 @@ degrees of a triangle tend to be similar, this preserves far more triangles
 than deleting uniformly at random, which is kept as a baseline.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,13 +26,12 @@ class NoisyDegrees:
 
     values: np.ndarray
     d_max_noisy: float
-    epsilon1: float
 
     @classmethod
     def exact(cls, degree_vector: np.ndarray) -> "NoisyDegrees":
         """Noiseless stand-in (used by projection-only comparisons)."""
         values = np.asarray(degree_vector, dtype=np.float64)
-        return cls(values, float(values.max()), math.inf)
+        return cls(values, float(values.max()))
 
 
 @dataclass(frozen=True)
@@ -42,8 +40,8 @@ class ProjectedGraph:
 
     Rows only lose bits relative to the input graph. The matrix may be
     asymmetric: each user truncates its own row without coordinating with
-    the other endpoint. How the two directions are reconciled is decided
-    when the bits are shared for counting.
+    the other endpoint. A pair is counted only if both endpoints kept it
+    (see secure_count.effective_bits).
     """
 
     adj: np.ndarray
@@ -69,7 +67,7 @@ def max_private(degree_vector: np.ndarray, epsilon1: float, rng) -> NoisyDegrees
         raise ValueError(f"epsilon1 must be positive, got {epsilon1}")
     degree_vector = np.asarray(degree_vector, dtype=np.float64)
     values = degree_vector + rng.laplace(0.0, 1.0 / epsilon1, size=degree_vector.size)
-    return NoisyDegrees(values, float(values.max()), float(epsilon1))
+    return NoisyDegrees(values, float(values.max()))
 
 
 def effective_theta(noisy: NoisyDegrees) -> int:

@@ -76,14 +76,10 @@ class DealerRng:
         return self._gen.integers(0, RING_MOD, size=shape, dtype=np.uint64)
 
 
-def share_with_mask(secret: int, mask: int) -> SharePair:
-    """Split a secret using an explicit mask: (mask, secret - mask)."""
-    return SharePair(mask & MASK, (secret - mask) & MASK)
-
-
 def share(secret: int, rng: DealerRng) -> SharePair:
-    """Split a secret into two uniform additive shares."""
-    return share_with_mask(secret, rng.element())
+    """Split a secret into two uniform additive shares: (mask, secret - mask)."""
+    mask = rng.element()
+    return SharePair(mask, (secret - mask) & MASK)
 
 
 def reconstruct(pair: SharePair) -> RingElement:

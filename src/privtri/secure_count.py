@@ -30,36 +30,22 @@ from .ring import (
     share,
 )
 
-BIT_POLICIES = ("and", "or", "row-owner")
-
-
-def effective_bits(pg: ProjectedGraph, policy: str = "and") -> np.ndarray:
+def effective_bits(pg: ProjectedGraph) -> np.ndarray:
     """Resolve the two directed post-projection bits of each pair into one.
 
     Projection is per-row, so A_hat[i, j] and A_hat[j, i] can disagree.
-    'and' keeps an edge only if both endpoints kept it (never counts an
-    edge either side dropped, so the count stays below the true one),
-    'or' keeps it if either did, 'row-owner' trusts the lower-indexed
-    endpoint's row. Returns a symmetric 0/1 matrix.
+    A pair counts only if both endpoints kept it, so an edge either side
+    dropped is never counted and the count stays below the true one.
+    Returns a symmetric 0/1 matrix.
     """
-    a = pg.adj
-    if policy == "and":
-        eff = a & a.T
-    elif policy == "or":
-        eff = a | a.T
-    elif policy == "row-owner":
-        upper = np.triu(a, 1)
-        eff = upper | upper.T
-    else:
-        raise ValueError(f"unknown bit policy {policy!r}")
-    eff = np.ascontiguousarray(eff, dtype=np.uint8)
+    eff = pg.adj & pg.adj.T
     np.fill_diagonal(eff, 0)
     return eff
 
 
-def effective_graph(pg: ProjectedGraph, policy: str = "and") -> Graph:
-    """The symmetric graph actually counted under the given policy."""
-    eff = effective_bits(pg, policy)
+def effective_graph(pg: ProjectedGraph) -> Graph:
+    """The symmetric graph actually counted."""
+    eff = effective_bits(pg)
     return Graph(eff.shape[0], eff)
 
 
@@ -80,7 +66,10 @@ def share_adjacency(
     pg: ProjectedGraph, rng: DealerRng, policy: str = "and"
 ) -> SharedAdjacency:
     """Secret-share each pair's effective bit between the two servers."""
-    eff = effective_bits(pg, policy).astype(np.uint64)
+    # only 'and' remains; benchmarks/workloads.py reads this argument from its trace
+    if policy != "and":
+        raise ValueError(f"unknown bit policy {policy!r}; only 'and' is supported")
+    eff = effective_bits(pg).astype(np.uint64)
     n = eff.shape[0]
     masks = rng.elements((n, n))
     return SharedAdjacency(n=n, s1=masks, s2=eff - masks)

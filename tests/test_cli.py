@@ -1,6 +1,12 @@
+import argparse
+import re
+from pathlib import Path
+
 import pytest
 
-from privtri.cli import main
+from privtri.cli import build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_cli_exact_run(k4_graph_file, tmp_path, capsys):
@@ -79,3 +85,20 @@ def test_cli_rejects_bad_theta(k4_graph_file):
             "run", "--graph", str(k4_graph_file), "--mechanism",
             "project-compare", "--theta", "ten",
         ])
+
+
+def test_cli_rejects_removed_bit_policy_flag(k4_graph_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--graph", str(k4_graph_file), "--bit-policy", "and"])
+    assert exc.value.code == 2
+
+
+def test_readme_synopsis_lists_every_run_flag():
+    # the README's `privtri run` synopsis block must name exactly the parser's flags
+    synopsis = re.search(r"```sh\n(privtri run .*?)```", README.read_text(), re.S)
+    documented = set(re.findall(r"--[a-z][a-z-]*", synopsis.group(1)))
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    offered = {opt for action in sub.choices["run"]._actions
+               for opt in action.option_strings if opt.startswith("--")}
+    assert documented == offered - {"--help"}

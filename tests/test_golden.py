@@ -17,9 +17,7 @@ DATA = Path(__file__).resolve().parent / "data"
 
 GOLDEN = {
     "cargo_and.csv": ["--mechanism", "cargo", "--n", "60", "--epsilon", "1",
-                      "--trials", "4", "--seed", "5", "--bit-policy", "and"],
-    "cargo_or.csv": ["--mechanism", "cargo", "--n", "60", "--epsilon", "1",
-                     "--trials", "4", "--seed", "5", "--bit-policy", "or"],
+                      "--trials", "4", "--seed", "5"],
     "central.csv": ["--mechanism", "central", "--n", "60", "--epsilon", "1",
                     "--trials", "4", "--seed", "5"],
     "exact.csv": ["--mechanism", "exact", "--n", "60", "--trials", "2"],

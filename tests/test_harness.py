@@ -35,8 +35,6 @@ def test_config_validation(k4_graph_file):
         ExperimentConfig(graph_path=k4_graph_file, epsilon_split=1.0)
     with pytest.raises(ValueError):
         ExperimentConfig(graph_path=k4_graph_file, trials=0)
-    with pytest.raises(ValueError):
-        ExperimentConfig(graph_path=k4_graph_file, bit_policy="nand")
     for workers in (0, 2):
         with pytest.raises(ValueError, match="workers must be 1"):
             ExperimentConfig(graph_path=k4_graph_file, workers=workers)

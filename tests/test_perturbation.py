@@ -4,7 +4,7 @@ from scipy import stats
 
 from privtri import NoiseParams, SharePair, perturb
 from privtri.perturbation import FIXED_POINT_SCALE
-from privtri.ring import share_with_mask
+from privtri.ring import MASK
 
 
 def rng_for(seed):
@@ -13,7 +13,7 @@ def rng_for(seed):
 
 def shares_of(value: int, seed: int = 0) -> SharePair:
     mask = int(rng_for(seed).integers(0, 1 << 64, dtype=np.uint64))
-    return share_with_mask(value, mask)
+    return SharePair(mask & MASK, (value - mask) & MASK)
 
 
 def test_fixed_point_roundtrip_and_quantization():

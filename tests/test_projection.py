@@ -51,7 +51,7 @@ def test_max_private_laplace_moments():
 
 
 def test_effective_theta_floors_at_one():
-    noisy = NoisyDegrees(values=np.array([-3.0]), d_max_noisy=-3.0, epsilon1=1.0)
+    noisy = NoisyDegrees(values=np.array([-3.0]), d_max_noisy=-3.0)
     assert effective_theta(noisy) == 1
 
 
@@ -82,8 +82,7 @@ def test_project_tie_break_by_index():
 def test_project_uses_raw_negative_noisy_degrees():
     g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
     # d_self = 3; DS(3, -2) = 5/3 beats DS(3, 9) = 2; no clamping
-    noisy = NoisyDegrees(values=np.array([3.0, 9.0, -2.0, 40.0]),
-                         d_max_noisy=40.0, epsilon1=1.0)
+    noisy = NoisyDegrees(values=np.array([3.0, 9.0, -2.0, 40.0]), d_max_noisy=40.0)
     pg = project(g, noisy, theta=1)
     assert list(np.flatnonzero(pg.adj[0])) == [2]
 
@@ -95,7 +94,7 @@ def test_planted_hub_projection_preserves_triangles():
     pg = project(g, NoisyDegrees.exact(g.degrees), theta=5)
     kept = set(np.flatnonzero(pg.adj[0]).tolist())
     assert {1, 2, 3} <= kept
-    assert exact_triangle_count(effective_graph(pg, "and")) == 4
+    assert exact_triangle_count(effective_graph(pg)) == 4
 
 
 def test_planted_hub_random_keep_probability():
@@ -119,11 +118,11 @@ def test_planted_hub_similarity_beats_random():
     g = planted_hub()
     t_true = exact_triangle_count(g)
     kept_proj = exact_triangle_count(
-        effective_graph(project(g, NoisyDegrees.exact(g.degrees), theta=5), "and")
+        effective_graph(project(g, NoisyDegrees.exact(g.degrees), theta=5))
     )
     rng = rng_for(5)
     kept_rand = [
-        exact_triangle_count(effective_graph(project_random(g, 5, rng), "and"))
+        exact_triangle_count(effective_graph(project_random(g, 5, rng)))
         for _ in range(1000)
     ]
     assert kept_proj == t_true
@@ -154,7 +153,7 @@ def test_k4_theta_one_kills_all_triangles():
     rng = rng_for(11)
     for _ in range(50):
         pg = project_random(g, 1, rng)
-        assert exact_triangle_count(effective_graph(pg, "and")) == 0
+        assert exact_triangle_count(effective_graph(pg)) == 0
 
 
 def test_random_keep_fraction_matches_theta_over_degree():
@@ -180,7 +179,7 @@ def test_projection_degree_bound_and_monotonicity():
         for pg in (project(g, noisy, theta=theta), project_random(g, theta, rng)):
             assert pg.adj.sum(axis=1).max() <= theta
             assert np.all(pg.adj <= g.adj)  # deletion only
-            t_after = exact_triangle_count(effective_graph(pg, "and"))
+            t_after = exact_triangle_count(effective_graph(pg))
             assert t_after <= exact_triangle_count(g)
 
 

@@ -19,13 +19,13 @@ from privtri.ring import (
     decode_signed,
     mul3_batch,
     ring_matmul,
-    share_with_mask,
 )
 
 
 def test_share_zero_with_known_mask():
-    pair = share_with_mask(0, 5)
-    assert pair == SharePair(5, RING_MOD - 5)
+    pair = share(0, DealerRng(3))
+    mask = DealerRng(3).element()
+    assert pair == SharePair(mask, RING_MOD - mask)
     assert reconstruct(pair) == 0
 
 

@@ -19,7 +19,7 @@ from privtri import (
     share_adjacency,
 )
 from privtri.ring import MASK, MATMUL_MAX_INNER
-from privtri.secure_count import BIT_POLICIES, effective_bits, effective_graph
+from privtri.secure_count import effective_bits, effective_graph
 from privtri.synth import erdos_renyi
 
 from conftest import complete_graph
@@ -29,8 +29,8 @@ def as_projected(g: Graph) -> ProjectedGraph:
     return ProjectedGraph(g.adj, theta=max(g.d_max, 1))
 
 
-def secure_count_of(g: Graph, dealer_seed: int = 0, policy: str = "and") -> int:
-    sa = share_adjacency(as_projected(g), DealerRng(dealer_seed, 0), policy)
+def secure_count_of(g: Graph, dealer_seed: int = 0) -> int:
+    sa = share_adjacency(as_projected(g), DealerRng(dealer_seed, 0))
     return reconstruct(count(sa, g.n, DealerRng(dealer_seed, 1)))
 
 
@@ -38,15 +38,13 @@ def test_effective_bits_policies():
     adj = np.zeros((3, 3), dtype=np.uint8)
     adj[0, 1] = 1  # row 0 kept the edge, row 1 dropped it
     pg = ProjectedGraph(adj, theta=1)
-    assert effective_bits(pg, "and")[0, 1] == 0
-    assert effective_bits(pg, "or")[0, 1] == 1
-    assert effective_bits(pg, "row-owner")[0, 1] == 1  # row 0 owns pair (0, 1)
+    assert effective_bits(pg)[0, 1] == effective_bits(pg)[1, 0] == 0
     adj2 = np.zeros((3, 3), dtype=np.uint8)
-    adj2[1, 0] = 1
+    adj2[1, 0] = 1  # row 1 kept the edge, row 0 dropped it
     pg2 = ProjectedGraph(adj2, theta=1)
-    assert effective_bits(pg2, "row-owner")[0, 1] == 0
+    assert effective_bits(pg2)[0, 1] == effective_bits(pg2)[1, 0] == 0
     with pytest.raises(ValueError):
-        effective_bits(pg, "xor")
+        share_adjacency(pg, DealerRng(0), "or")
 
 
 def test_share_adjacency_roundtrip_symmetric():
@@ -61,11 +59,8 @@ def test_share_adjacency_roundtrip_asymmetric():
     adj = (rng.random((15, 15)) < 0.4).astype(np.uint8)
     np.fill_diagonal(adj, 0)
     pg = ProjectedGraph(adj, theta=15)
-    for policy in ("and", "or", "row-owner"):
-        sa = share_adjacency(pg, DealerRng(2), policy)
-        assert np.array_equal(
-            np.triu(sa.s1 + sa.s2, 1), np.triu(effective_bits(pg, policy), 1)
-        )
+    sa = share_adjacency(pg, DealerRng(2))
+    assert np.array_equal(np.triu(sa.s1 + sa.s2, 1), np.triu(effective_bits(pg), 1))
 
 
 def test_count_small_graphs():
@@ -123,10 +118,9 @@ def test_count_asymmetric_projection_respects_policy():
     adj = (rng.random((20, 20)) < 0.35).astype(np.uint8)
     np.fill_diagonal(adj, 0)
     pg = ProjectedGraph(adj, theta=20)
-    for policy in ("and", "or", "row-owner"):
-        sa = share_adjacency(pg, DealerRng(31, 0), policy)
-        got = reconstruct(count(sa, 20, DealerRng(31, 1)))
-        assert got == exact_triangle_count(effective_graph(pg, policy))
+    sa = share_adjacency(pg, DealerRng(31, 0))
+    got = reconstruct(count(sa, 20, DealerRng(31, 1)))
+    assert got == exact_triangle_count(effective_graph(pg))
 
 
 def test_count_mismatched_n_rejected():
@@ -162,27 +156,26 @@ def test_count_transcript():
     assert np.count_nonzero(opened[0] == opened[1]) == 0
 
 
-def test_count_matches_mul3_loop_every_policy():
+def test_count_matches_mul3_loop():
     # the per-triple reference protocol: one mul3 per triple i < j < k,
     # each with a fresh deal_mg group, summed in the ring
     rng = np.random.default_rng(29)
     adj = (rng.random((9, 9)) < 0.6).astype(np.uint8)
     np.fill_diagonal(adj, 0)
     pg = ProjectedGraph(adj, theta=9)
-    for policy in BIT_POLICIES:
-        sa = share_adjacency(pg, DealerRng(41, 0), policy)
+    sa = share_adjacency(pg, DealerRng(41, 0))
 
-        def pair(a, b):
-            return SharePair(int(sa.s1[a, b]), int(sa.s2[a, b]))
+    def pair(a, b):
+        return SharePair(int(sa.s1[a, b]), int(sa.s2[a, b]))
 
-        mg_rng = DealerRng(41, 2)
-        t1 = t2 = 0
-        for i, j, k in combinations(range(pg.n), 3):
-            u = mul3(pair(i, j), pair(i, k), pair(j, k), deal_mg(mg_rng))
-            t1 = (t1 + u.s1) & MASK
-            t2 = (t2 + u.s2) & MASK
-        got = reconstruct(count(sa, pg.n, DealerRng(41, 1)))
-        assert got == reconstruct(SharePair(t1, t2)) > 0
+    mg_rng = DealerRng(41, 2)
+    t1 = t2 = 0
+    for i, j, k in combinations(range(pg.n), 3):
+        u = mul3(pair(i, j), pair(i, k), pair(j, k), deal_mg(mg_rng))
+        t1 = (t1 + u.s1) & MASK
+        t2 = (t2 + u.s2) & MASK
+    got = reconstruct(count(sa, pg.n, DealerRng(41, 1)))
+    assert got == reconstruct(SharePair(t1, t2)) > 0
 
 
 def test_count_refuses_inexact_size_before_dealing():
