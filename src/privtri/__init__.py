@@ -1,6 +1,6 @@
 """Two-server secure triangle counting with distributed differential privacy."""
 
-from .baselines import CentralResult, central_lap
+from .baselines import central_lap
 from .graph import EdgeListFormatError, Graph, exact_triangle_count, load_edge_list
 from .harness import (
     ExperimentConfig,
@@ -42,7 +42,6 @@ from .secure_count import (
 )
 
 __all__ = [
-    "CentralResult",
     "DealerRng",
     "EdgeListFormatError",
     "ExperimentConfig",

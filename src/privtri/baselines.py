@@ -1,17 +1,9 @@
 """Trusted-server comparator: plain Laplace mechanism on the exact count."""
 
-from dataclasses import dataclass
-
 from .graph import Graph, exact_triangle_count
 
 
-@dataclass(frozen=True)
-class CentralResult:
-    t_noisy: float
-    scale_used: float
-
-
-def central_lap(g: Graph, epsilon: float, rng) -> CentralResult:
+def central_lap(g: Graph, epsilon: float, rng) -> float:
     """Exact count plus Laplace(d_max / epsilon) noise.
 
     The trusted server sees the whole graph, so it uses the true maximum
@@ -22,4 +14,4 @@ def central_lap(g: Graph, epsilon: float, rng) -> CentralResult:
     t = exact_triangle_count(g)
     scale = g.d_max / epsilon
     noise = float(rng.laplace(0.0, scale)) if scale > 0 else 0.0
-    return CentralResult(t_noisy=t + noise, scale_used=scale)
+    return t + noise

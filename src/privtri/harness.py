@@ -210,9 +210,9 @@ def run_central(cfg: ExperimentConfig) -> list[TrialRecord]:
     for trial in range(cfg.trials):
         rng = _noise_rng(cfg, trial)
         t0 = time.perf_counter()
-        result = central_lap(g, cfg.epsilon, rng)
+        t_noisy = central_lap(g, cfg.epsilon, rng)
         elapsed = time.perf_counter() - t0
-        records.append(_record(cfg, g, trial, t_true, result.t_noisy, (0.0, elapsed, 0.0)))
+        records.append(_record(cfg, g, trial, t_true, t_noisy, (0.0, elapsed, 0.0)))
     return records
 
 

@@ -10,8 +10,9 @@ in for an oblivious-transfer offline phase. A multiplication group is one
 dealer row (x, y, z and seven share masks) from which one three-way product
 derives shares of (x, y, z, xyz, xy, xz, yz); the scalar product is one row
 of the batched kernel. The secure count instead multiplies whole matrices
-of shares with ring_matmul and combines element-wise Beaver triples with
-beaver_share.
+of shares with ring_matmul, the exact product of square strictly
+upper-triangular matrices (the only shape a pair-indexed share matrix
+has), and combines element-wise Beaver triples with beaver_share.
 """
 
 from dataclasses import dataclass
@@ -34,7 +35,7 @@ _SIGN = 1 << (RING_BITS - 1)
 _LIMB_BITS = 16
 _LIMBS = RING_BITS // _LIMB_BITS
 MATMUL_MAX_INNER = 1 << 19
-_ROW_BLOCK = 128
+_ROW_BLOCK = 64
 
 RingElement = int
 
@@ -232,27 +233,49 @@ def _limbs(a: np.ndarray) -> list[np.ndarray]:
     return [words[:, l::_LIMBS].astype(np.float64) for l in range(_LIMBS)]
 
 
-def ring_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product a @ b of uint64 matrices, exact modulo 2**64.
+def _limb_product(la: list[np.ndarray], lb: list[np.ndarray]) -> np.ndarray:
+    """The uint64 product of two matrices given as limbs, exact mod 2**64.
 
-    Native uint64 matmul does not use BLAS. Here each operand is split once
-    into four 16-bit limbs held as float64; for each shift k the limb
-    products with l + m = k are summed by float64 BLAS, exact below
-    MATMUL_MAX_INNER (see its derivation), and the sum is shifted left by
-    16 * k in uint64, which drops exactly the bits above 2**64. Rows of a
-    go through in blocks of _ROW_BLOCK, so only b's limbs are held whole.
+    For each shift k the limb products with l + m = k are summed by float64
+    BLAS, exact below MATMUL_MAX_INNER (see its derivation), and the sum is
+    shifted left by 16 * k in uint64, which drops exactly the bits above
+    2**64.
     """
-    check_matmul_inner(a.shape[1])
+    out = np.zeros((la[0].shape[0], lb[0].shape[1]), dtype=np.uint64)
+    for k in range(_LIMBS):
+        acc = la[0] @ lb[k]
+        for l in range(1, k + 1):
+            acc += la[l] @ lb[k - l]
+        out += acc.astype(np.uint64) << (_LIMB_BITS * k)
+    return out
+
+
+def ring_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product a @ b of square, strictly upper-triangular uint64 matrices.
+
+    Exact modulo 2**64, and strictly upper-triangular itself. Native uint64
+    matmul does not use BLAS; here each operand is split into four 16-bit
+    limbs held as float64 and multiplied by _limb_product. Rows of a go
+    through in blocks of _ROW_BLOCK, so only b's limbs are held whole. Rows
+    [r, r + _ROW_BLOCK) of a are zero in columns <= r, and rows > r of b
+    are zero in columns <= r + 1, so each block multiplies only
+    a[rows, r+1:] by b[r+1:, r+1:]; the product's columns <= r stay zero.
+    Raises ValueError if n >= MATMUL_MAX_INNER, if the operands are not
+    square of one size, or if one has a nonzero entry on or below the
+    diagonal: the skipped parts would otherwise silently drop terms.
+    """
+    n = a.shape[0]
+    if a.shape != (n, n) or b.shape != (n, n):
+        raise ValueError(f"operands must be square and of one size, got {a.shape} and {b.shape}")
+    check_matmul_inner(n)
+    if np.tril(a).any() or (b is not a and np.tril(b).any()):
+        raise ValueError("operand has a nonzero entry on or below the diagonal")
     lb = _limbs(b)
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint64)
-    for r in range(0, a.shape[0], _ROW_BLOCK):
+    out = np.zeros((n, n), dtype=np.uint64)
+    for r in range(0, n, _ROW_BLOCK):
         rows = slice(r, r + _ROW_BLOCK)
-        la = [limb[rows] for limb in lb] if a is b else _limbs(a[rows])
-        for k in range(_LIMBS):
-            acc = la[0] @ lb[k]
-            for l in range(1, k + 1):
-                acc += la[l] @ lb[k - l]
-            out[rows] += acc.astype(np.uint64) << (_LIMB_BITS * k)
+        la = [limb[rows, r + 1 :] for limb in lb] if a is b else _limbs(a[rows, r + 1 :])
+        out[rows, r + 1 :] = _limb_product(la, [limb[r + 1 :, r + 1 :] for limb in lb])
     return out
 
 

@@ -49,12 +49,20 @@ def effective_graph(pg: ProjectedGraph) -> Graph:
     return Graph(eff.shape[0], eff)
 
 
+def _pair_mask(n: int) -> np.ndarray:
+    """Strictly upper n x n mask: indexing with it lists the pairs i < j.
+
+    They come in row-major order, the order of every pair vector here.
+    """
+    return np.triu(np.ones((n, n), dtype=bool), 1)
+
+
 @dataclass(frozen=True)
 class SharedAdjacency:
-    """Additive shares of every pair bit, one uint64 matrix per server.
+    """Additive shares of every pair bit, one uint64 vector per server.
 
-    Entries are valid for i < j (the count only reads the upper
-    triangle); s1[i, j] + s2[i, j] wraps to the effective bit.
+    Entry p of each vector is the p-th pair i < j in row-major order;
+    s1[p] + s2[p] wraps to that pair's effective bit.
     """
 
     n: int
@@ -69,10 +77,9 @@ def share_adjacency(
     # only 'and' remains; benchmarks/workloads.py reads this argument from its trace
     if policy != "and":
         raise ValueError(f"unknown bit policy {policy!r}; only 'and' is supported")
-    eff = effective_bits(pg).astype(np.uint64)
-    n = eff.shape[0]
-    masks = rng.elements((n, n))
-    return SharedAdjacency(n=n, s1=masks, s2=eff - masks)
+    bits = effective_bits(pg)[_pair_mask(pg.n)].astype(np.uint64)
+    masks = rng.elements(bits.size)
+    return SharedAdjacency(n=pg.n, s1=masks, s2=bits - masks)
 
 
 def count(
@@ -83,19 +90,20 @@ def count(
 ) -> SharePair:
     """Shares of the triangle count T = sum_{i<k} U[i, k] * (U @ U)[i, k].
 
-    All element-wise data are vectors over the m = C(n, 2) pairs i < k in
-    row-major order. The dealer draws, in this order, m-vectors of server
-    shares x1, x2, z1 (a square triple: X = x1 + x2 strictly upper, and
-    Z = X @ X) and a1, a2, b1, b2, c1 (an element-wise triple c = a * b),
-    8 * m elements in one call.
+    All element-wise data, the shared bits u included, are vectors over the
+    m = C(n, 2) pairs i < k in row-major order. The dealer draws, in this
+    order, m-vectors of server shares x1, x2, z1 (a square triple:
+    X = x1 + x2 strictly upper, and Z = X @ X) and a1, a2, b1, b2, c1 (an
+    element-wise triple c = a * b), 8 * m elements in one call.
 
     Round 1 opens e = u - x and f = u - a. Server 1 computes
     p1 = E @ X1 + X1 @ E + Z1 and server 2 p2 = E @ (E + X2) + X2 @ E + Z2,
     so p1 + p2 = (E + X) @ (E + X) = U @ U on the pairs. Round 2 opens
     g = p - b, and each server sums its beaver_share of u * p. That is 2
-    rounds, 3 * m openings and 5 ring matmuls of n x n matrices (one by the
-    dealer). A given dealer seed fixes every share and opened value; the
-    reconstructed count depends only on the shared bits.
+    rounds, 3 * m openings and 5 ring_matmul products of strictly upper
+    n x n matrices (one by the dealer). A given dealer seed fixes every
+    share and opened value; the reconstructed count depends only on the
+    shared bits.
     """
     if n != sa.n:
         raise ValueError(f"n={n} does not match shared adjacency n={sa.n}")
@@ -105,7 +113,7 @@ def count(
     if channel is None:
         channel = OpeningChannel()
 
-    pairs = np.triu(np.ones((n, n), dtype=bool), 1)
+    pairs = _pair_mask(n)
 
     def square(v: np.ndarray) -> np.ndarray:
         """The strictly upper n x n matrix holding pair vector v."""
@@ -122,11 +130,8 @@ def count(
     c2 = (a1 + a2) * (b1 + b2) - c1
 
     # round 1
-    u1 = sa.s1[pairs]
-    u2 = sa.s2[pairs]
-    e_mat = square(channel.open_array(u1 - x1, u2 - x2))
-    f = channel.open_array(u1 - a1, u2 - a2)
-    del u1, u2
+    e_mat = square(channel.open_array(sa.s1 - x1, sa.s2 - x2))
+    f = channel.open_array(sa.s1 - a1, sa.s2 - a2)
 
     # each server's share of U @ U on the pairs, then round 2
     x1_mat = square(x1)

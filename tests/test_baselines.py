@@ -13,8 +13,7 @@ def rng_for(seed):
 
 def test_central_lap_high_budget_is_exact():
     g = erdos_renyi(30, 0.3, rng_for(0))
-    result = central_lap(g, 1e12, rng_for(1))
-    assert abs(result.t_noisy - exact_triangle_count(g)) < 1e-6
+    assert abs(central_lap(g, 1e12, rng_for(1)) - exact_triangle_count(g)) < 1e-6
 
 
 def test_central_lap_rejects_bad_epsilon():
@@ -23,16 +22,17 @@ def test_central_lap_rejects_bad_epsilon():
 
 
 def test_central_lap_scale_uses_true_max_degree():
+    # d_max 7 at epsilon 2: the noise is the stream's Laplace(3.5) draw
     g = star_graph(7)
-    result = central_lap(g, 2.0, rng_for(2))
-    assert result.scale_used == 7 / 2.0
+    want = exact_triangle_count(g) + rng_for(2).laplace(0.0, 3.5)
+    assert central_lap(g, 2.0, rng_for(2)) == want
 
 
 def test_central_lap_variance_k3():
     # K3 at epsilon 1: scale d_max/eps = 2, variance 2 * 2^2 = 8
     g = complete_graph(3)
     rng = rng_for(3)
-    draws = np.array([central_lap(g, 1.0, rng).t_noisy for _ in range(10**5)])
+    draws = np.array([central_lap(g, 1.0, rng) for _ in range(10**5)])
     assert abs(draws.mean() - 1.0) < 3 * np.sqrt(8 / draws.size)
     assert abs(draws.var() - 8.0) < 0.05 * 8.0
 

@@ -16,6 +16,8 @@ from privtri.ring import (
     MASK,
     MATMUL_MAX_INNER,
     RING_MOD,
+    _limb_product,
+    _limbs,
     decode_signed,
     mul3_batch,
     ring_matmul,
@@ -106,29 +108,47 @@ def test_opened_values_uniform_low_bits():
     assert chi2.pvalue > 0.001
 
 
+def strict_upper(rng, n):
+    return np.triu(rng.integers(0, RING_MOD, size=(n, n), dtype=np.uint64), 1)
+
+
 def test_ring_matmul_matches_native_uint64_matmul():
-    # native uint64 @ wraps modulo 2**64 too, but without BLAS
+    # native uint64 @ wraps modulo 2**64 too, but without BLAS; the sizes
+    # cover one partial block, block edges and several blocks of rows
     rng = np.random.default_rng(47)
-    shapes = [(1, 1, 1), (2, 2, 2), (1, 2, 1), (2, 1, 2)]
-    shapes += [tuple(rng.integers(1, 65, size=3)) for _ in range(30)]
-    for m, k, n in shapes:
-        a = rng.integers(0, RING_MOD, size=(m, k), dtype=np.uint64)
-        b = rng.integers(0, RING_MOD, size=(k, n), dtype=np.uint64)
+    sizes = [1, 2, 3, 63, 64, 65, 129, 300]
+    sizes += [int(n) for n in rng.integers(4, 200, size=5)]
+    for n in sizes:
+        a = strict_upper(rng, n)
+        b = strict_upper(rng, n)
         assert np.array_equal(ring_matmul(a, b), a @ b)
-        assert np.array_equal(ring_matmul(a.T, a), a.T @ a)  # a as both operands
-    for n in (1, 2, 64):
-        full = np.full((n, n), MASK, dtype=np.uint64)
+        assert np.array_equal(ring_matmul(a, a), a @ a)  # a as both operands
+    for n in (1, 2, 64, 65, 129):
+        full = np.triu(np.full((n, n), MASK, dtype=np.uint64), 1)
         assert np.array_equal(ring_matmul(full, full), full @ full)
-    # more rows than one block of a, with and without limbs shared with b
-    big = rng.integers(0, RING_MOD, size=(300, 300), dtype=np.uint64)
-    assert np.array_equal(ring_matmul(big, big), big @ big)
-    assert np.array_equal(ring_matmul(big, big[:, :7]), big @ big[:, :7])
+        assert np.array_equal(ring_matmul(full, full.copy()), full @ full)
+
+
+def test_ring_matmul_rejects_operands_outside_its_contract():
+    a = strict_upper(np.random.default_rng(53), 5)
+    diagonal = a.copy()
+    diagonal[2, 2] = 1
+    below = a.copy()
+    below[4, 1] = 1
+    for x, y in [(a[:, :4], a[:4]), (a, a[:4, :4]), (a[:4], a[:4])]:
+        with pytest.raises(ValueError, match="square"):
+            ring_matmul(x, y)
+    for x, y in [(diagonal, a), (a, diagonal), (diagonal, diagonal), (a, below), (below, below)]:
+        with pytest.raises(ValueError, match="diagonal"):
+            ring_matmul(x, y)
 
 
 def test_ring_matmul_refuses_inexact_inner_dimension():
-    # all-ones limbs at the largest admitted inner dimension are still exact
+    # all-ones limbs at the largest admitted inner dimension are still
+    # exact in _limb_product, the code every row block of ring_matmul runs
     ok = np.full((1, MATMUL_MAX_INNER - 1), MASK, dtype=np.uint64)
-    assert np.array_equal(ring_matmul(ok, ok.T), ok @ ok.T)
-    a = np.ones((1, MATMUL_MAX_INNER), dtype=np.uint64)
+    assert np.array_equal(_limb_product(_limbs(ok), _limbs(ok.T)), ok @ ok.T)
+    # zero-stride view: the size check comes before any element is read
+    a = np.broadcast_to(np.uint64(0), (MATMUL_MAX_INNER, MATMUL_MAX_INNER))
     with pytest.raises(ValueError, match="inner dimension"):
-        ring_matmul(a, a.T)
+        ring_matmul(a, a)
