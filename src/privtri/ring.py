@@ -268,12 +268,15 @@ def ring_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape != (n, n) or b.shape != (n, n):
         raise ValueError(f"operands must be square and of one size, got {a.shape} and {b.shape}")
     check_matmul_inner(n)
-    if np.tril(a).any() or (b is not a and np.tril(b).any()):
-        raise ValueError("operand has a nonzero entry on or below the diagonal")
     lb = _limbs(b)
     out = np.zeros((n, n), dtype=np.uint64)
     for r in range(0, n, _ROW_BLOCK):
         rows = slice(r, r + _ROW_BLOCK)
+        # the block's entries on or below the diagonal: columns < r, and the
+        # lower triangle of its square on the diagonal
+        for m in (a,) if b is a else (a, b):
+            if m[rows, :r].any() or np.tril(m[rows, r : r + _ROW_BLOCK]).any():
+                raise ValueError("operand has a nonzero entry on or below the diagonal")
         la = [limb[rows, r + 1 :] for limb in lb] if a is b else _limbs(a[rows, r + 1 :])
         out[rows, r + 1 :] = _limb_product(la, [limb[r + 1 :, r + 1 :] for limb in lb])
     return out

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from privtri import Graph
+from privtri import EdgeListFormatError, Graph
 
 
 def brute_triangles(g: Graph) -> int:
@@ -19,14 +19,94 @@ def brute_triangles(g: Graph) -> int:
     return int(np.einsum("ij,ik,jk->", a, a, a)) // 6
 
 
+def reference_load(path, limit_n: int | None = None) -> tuple[int, np.ndarray]:
+    """Independent edge-list parser: (n, adj) by one Python pass per line.
+
+    The per-line reading rules load_edge_list must reproduce: strip, skip
+    blank and '#' lines, exactly two int() tokens, no negative id, ids
+    admitted in first-appearance order (u before v) while fewer than
+    limit_n are known. Raises EdgeListFormatError with the messages
+    load_edge_list uses, or ValueError when no node is found.
+    """
+    id_map: dict[int, int] = {}
+    edges: set[tuple[int, int]] = set()
+
+    def admit(raw: int) -> int | None:
+        if raw not in id_map and (limit_n is None or len(id_map) < limit_n):
+            id_map[raw] = len(id_map)
+        return id_map.get(raw)
+
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            text = line.strip()
+            if not text or text.startswith("#"):
+                continue
+            parts = text.split()
+            try:
+                if len(parts) != 2:
+                    raise ValueError
+                raw_u, raw_v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise EdgeListFormatError(
+                    f"line {lineno}: expected two node ids, got {text!r}"
+                ) from None
+            if raw_u < 0 or raw_v < 0:
+                raise EdgeListFormatError(f"line {lineno}: negative node id")
+            u, v = admit(raw_u), admit(raw_v)
+            if u is not None and v is not None and u != v:
+                edges.add((min(u, v), max(u, v)))
+    n = len(id_map)
+    if n == 0:
+        raise ValueError(f"no nodes found in {path}")
+    adj = np.zeros((n, n), dtype=np.uint8)
+    for u, v in edges:
+        adj[u, v] = adj[v, u] = 1
+    return n, adj
+
+
 def complete_graph(n: int) -> Graph:
-    adj = np.ones((n, n), dtype=np.uint8)
-    np.fill_diagonal(adj, 0)
-    return Graph(n, adj)
+    return Graph.from_edges(n, np.column_stack(np.triu_indices(n, 1)))
 
 
 def star_graph(n_leaves: int) -> Graph:
     return Graph.from_edges(n_leaves + 1, [(0, i) for i in range(1, n_leaves + 1)])
+
+
+def erdos_renyi(n: int, p: float, rng) -> Graph:
+    """G(n, p): each pair independently an edge with probability p."""
+    return Graph.from_edges(n, np.argwhere(np.triu(rng.random((n, n)) < p, 1)))
+
+
+def planted_hub(
+    n_partners: int = 3, n_leaves: int = 17, partner_degree: int = 19
+) -> Graph:
+    """Hub whose triangles live on a few equal-degree partners.
+
+    Node 0 is the hub, joined to n_partners mutually adjacent partners and
+    to n_leaves pendant leaves. Each partner gets its own pendant leaves
+    until it reaches partner_degree, so partner degrees sit close to the
+    hub's while leaf degrees are far from it. Projection that keeps
+    degree-similar neighbors retains every triangle; uniform deletion
+    rarely keeps all partner edges.
+    """
+    if partner_degree < n_partners:
+        raise ValueError("partner_degree below its forced minimum")
+    edges = []
+    partners = list(range(1, 1 + n_partners))
+    for a_idx, a in enumerate(partners):
+        edges.append((0, a))
+        for b in partners[a_idx + 1 :]:
+            edges.append((a, b))
+    nxt = 1 + n_partners
+    for _ in range(n_leaves):
+        edges.append((0, nxt))
+        nxt += 1
+    boost = partner_degree - n_partners
+    for a in partners:
+        for _ in range(boost):
+            edges.append((a, nxt))
+            nxt += 1
+    return Graph.from_edges(nxt, edges)
 
 
 def write_lines(path: Path, lines) -> Path:
@@ -70,7 +150,7 @@ def proxy_graph_file(tmp_path_factory) -> Path:
 
 @pytest.fixture(scope="session")
 def planted_graph_file(tmp_path_factory) -> Path:
-    from privtri.synth import planted_hub, write_edge_list
+    from privtri.synth import write_edge_list
 
     path = tmp_path_factory.mktemp("data") / "planted.txt"
     write_edge_list(planted_hub(), path)

@@ -37,9 +37,8 @@ from privtri.harness import MAX_CARGO_NODES
 from privtri.projection import effective_theta
 from privtri.ring import MASK
 from privtri.secure_count import count
-from privtri.synth import erdos_renyi
 
-from conftest import facebook_path, write_lines
+from conftest import erdos_renyi, facebook_path, write_lines
 
 # two-sample Kolmogorov-Smirnov critical coefficient at the 1% level
 KS_COEFF_1PCT = 1.62762

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from privtri import central_lap, exact_triangle_count
-from privtri.synth import erdos_renyi
 
-from conftest import complete_graph, star_graph
+from conftest import complete_graph, erdos_renyi, star_graph
 
 
 def rng_for(seed):

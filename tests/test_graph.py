@@ -1,13 +1,20 @@
+import warnings
+from math import comb
+
 import numpy as np
 import pytest
 
-from privtri import EdgeListFormatError, Graph, exact_triangle_count, load_edge_list
-from privtri.synth import erdos_renyi
+from privtri import EdgeListFormatError, Graph, exact_triangle_count, graph, load_edge_list
+from privtri.graph import _GATHER_EDGES
+from privtri.synth import clique_hub_proxy, write_edge_list
 
 from conftest import (
     brute_triangles,
     complete_graph,
+    erdos_renyi,
     facebook_path,
+    planted_hub,
+    reference_load,
     requires_facebook,
     star_graph,
     write_lines,
@@ -48,19 +55,103 @@ def test_load_drops_self_loops(tmp_path):
     assert np.all(np.diagonal(g.adj) == 0)
 
 
-def test_malformed_line_names_line_number(tmp_path):
-    path = write_lines(tmp_path / "bad.txt", ["0 1", "1 2", "1 two"])
-    with pytest.raises(EdgeListFormatError, match="line 3"):
-        load_edge_list(path)
-    path = write_lines(tmp_path / "bad2.txt", ["0 1 2"])
-    with pytest.raises(EdgeListFormatError, match="line 1"):
-        load_edge_list(path)
+def random_edge_file(path, rng, offset: int = 0) -> None:
+    """A seeded edge list with every feature the reader must handle.
+
+    Ids up to 10**12 (plus offset) drawn from a small pool (so duplicates
+    and reversed duplicates recur, besides explicit ones), self-loops, '#'
+    lines with more '#' inside, blank and whitespace-only lines, tab and
+    space separators with padding, and either '\n' or '\r\n' line endings.
+    """
+    pool = [offset + int(x) for x in rng.integers(0, 10**12 + 1, size=12)]
+    pool += [offset + x for x in range(4)]
+    lines, edges = [], []
+    for _ in range(int(rng.integers(1, 60))):
+        kind = rng.random()
+        if kind < 0.08:
+            lines.append("# comment # with more")
+        elif kind < 0.12:
+            lines.append("")
+        elif kind < 0.16:
+            lines.append(" \t ")
+        else:
+            if edges and kind < 0.3:
+                u, v = edges[int(rng.integers(len(edges)))][:: int(rng.choice([1, -1]))]
+            else:
+                u, v = (pool[i] for i in rng.integers(len(pool), size=2))
+            edges.append((u, v))
+            pad, sep = rng.choice(["", " ", "\t"]), rng.choice([" ", "\t", "  ", " \t"])
+            lines.append(f"{pad}{u}{sep}{v}{pad}")
+    if not edges:
+        lines.append(f"{pool[0]} {pool[1]}")
+    newline = "\r\n" if rng.random() < 0.5 else "\n"
+    path.write_bytes((newline.join(lines) + newline).encode())
+
+
+def scan_must_not_run(path):
+    raise AssertionError(f"line scan ran on {path}, which np.loadtxt reads")
+
+
+@pytest.mark.parametrize("block_chars", [graph._BLOCK_CHARS, 40], ids=["one-block", "many-blocks"])
+@pytest.mark.parametrize("offset", [0, 1 << 63], ids=["int64", "beyond-int64"])
+def test_load_matches_reference_parser_on_random_files(tmp_path, monkeypatch, block_chars, offset):
+    # 40 characters split a file into many loadtxt blocks; ids from 2**63
+    # up are beyond int64 and go through the line scan, in blocks of 7 rows
+    monkeypatch.setattr(graph, "_BLOCK_CHARS", block_chars)
+    monkeypatch.setattr(graph, "_SCAN_ROWS", 7)
+    if offset == 0:
+        monkeypatch.setattr(graph, "_scanned_blocks", scan_must_not_run)
+    rng = np.random.default_rng(2024)
+    path = tmp_path / "random.txt"
+    for _ in range(60):
+        random_edge_file(path, rng, offset)
+        n_all = reference_load(path)[0]
+        for limit_n in (None, 1, 3, 10, n_all + 1):
+            n, adj = reference_load(path, limit_n)
+            g = load_edge_list(path, limit_n)
+            assert g.n == n
+            assert np.array_equal(g.adj, adj)
+
+
+def test_malformed_line_names_line_number(tmp_path, monkeypatch):
+    good = [f"{i} {i + 1}" for i in range(40)]
+    cases = [
+        (["0 1", "1 2", "1 two", "-1 2"], 3),
+        (["0 1 2"], 1),
+        (["0 1", "-1 2", "x y"], 2),  # the first bad line, not the first unparsable one
+        (["# header", "0 1 # note", "1 2"], 2),
+        (["# header", "", "5", "0 1"], 3),
+    ]
+    cases += [(["0 1", f"{token} 1"], 2) for token in ("1.5", "1.", "1e3", "0x1", "inf", "\ufeff0")]
+    cases += [(good + [bad] + good, 41) for bad in ("7 x", "-7 1", "7 8 # c")]
+    # 16 characters per block put most bad lines past the first loadtxt call
+    for block_chars in (graph._BLOCK_CHARS, 16):
+        monkeypatch.setattr(graph, "_BLOCK_CHARS", block_chars)
+        for lines, lineno in cases:
+            path = write_lines(tmp_path / "bad.txt", lines)
+            with pytest.raises(EdgeListFormatError, match=f"^line {lineno}:") as got:
+                load_edge_list(path)
+            with pytest.raises(EdgeListFormatError) as want:
+                reference_load(path)
+            assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("token", ["1_0", "\uff15", str(1 << 63), str(1 << 70), "+5", "-0"])
+def test_node_ids_are_what_int_reads(tmp_path, token):
+    # int() reads these; the ones numpy's reader rejects go through the line scan
+    path = write_lines(tmp_path / "ok.txt", ["0 1", f"{token} 1", f"2 {token}"])
+    n, adj = reference_load(path)
+    g = load_edge_list(path)
+    assert g.n == n
+    assert np.array_equal(g.adj, adj)
 
 
 def test_empty_graph_errors(tmp_path):
     path = write_lines(tmp_path / "empty.txt", ["# nothing here"])
-    with pytest.raises(ValueError):
-        load_edge_list(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="no nodes found"):
+            load_edge_list(path)
 
 
 def test_load_is_deterministic(tmp_path):
@@ -92,8 +183,11 @@ def test_limit_n_admits_first_endpoint_of_dropped_edge(tmp_path):
 
 
 def test_triangle_counts_on_known_graphs():
-    assert exact_triangle_count(complete_graph(3)) == 1
-    assert exact_triangle_count(complete_graph(4)) == 4
+    for k in range(3, 71):
+        g = complete_graph(k)
+        assert exact_triangle_count(g) == comb(k, 3) == brute_triangles(g)
+    for k in range(3):
+        assert exact_triangle_count(complete_graph(k)) == 0
     assert exact_triangle_count(star_graph(5)) == 0
     assert exact_triangle_count(Graph.from_edges(2, [(0, 1)])) == 0
 
@@ -111,6 +205,46 @@ def test_oracle_matches_brute_force():
         p = float(rng.uniform(0.05, 0.5))
         g = erdos_renyi(n, p, rng)
         assert exact_triangle_count(g) == brute_triangles(g)
+
+
+def test_oracle_matches_brute_force_over_several_gather_steps():
+    rng = np.random.default_rng(321)
+    for n, p in [(130, 0.55), (150, 0.6), (200, 0.5)]:
+        g = erdos_renyi(n, p, rng)
+        m = len(g.upper_edges())
+        assert m > _GATHER_EDGES and m % _GATHER_EDGES  # the last step is partial
+        assert exact_triangle_count(g) == brute_triangles(g)
+
+
+def test_from_edges_scatters_any_edge_array():
+    want = np.zeros((4, 4), dtype=np.uint8)
+    for u, v in [(0, 1), (1, 3)]:
+        want[u, v] = want[v, u] = 1
+    edges = [(0, 1), (1, 0), (2, 2), (1, 3), (0, 1)]  # duplicate, reversed, self-loop
+    for form in (edges, np.array(edges, dtype=np.int32), tuple(map(list, edges))):
+        assert np.array_equal(Graph.from_edges(4, form).adj, want)
+    assert not Graph.from_edges(3, []).adj.any()
+    for bad in ([0, 1], [(0, 1, 2)], [(0, 4)], [(-1, 2)]):
+        with pytest.raises(ValueError):
+            Graph.from_edges(4, bad)
+
+
+def test_upper_edges_round_trip():
+    rng = np.random.default_rng(7)
+    for g in [erdos_renyi(30, 0.3, rng), planted_hub(), complete_graph(1)]:
+        edges = g.upper_edges()
+        assert np.array_equal(edges, np.argwhere(np.triu(g.adj, 1)))
+        assert np.array_equal(Graph.from_edges(g.n, edges).adj, g.adj)
+
+
+def test_write_edge_list_matches_triu_lines(tmp_path):
+    rng = np.random.default_rng(11)
+    path = tmp_path / "out.txt"
+    graphs = [erdos_renyi(40, 0.3, rng), planted_hub(), clique_hub_proxy(100, 20, 50)]
+    for g in graphs + [Graph.from_edges(3, [])]:
+        write_edge_list(g, path)
+        want = "".join(f"{u} {v}\n" for u, v in np.argwhere(np.triu(g.adj, 1)).tolist())
+        assert path.read_bytes() == want.encode()
 
 
 def test_graph_invariants_enforced():

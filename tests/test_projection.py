@@ -14,9 +14,14 @@ from privtri import (
     project_random,
 )
 from privtri.secure_count import effective_graph
-from privtri.synth import erdos_renyi, planted_hub
 
-from conftest import complete_graph, facebook_path, requires_facebook
+from conftest import (
+    complete_graph,
+    erdos_renyi,
+    facebook_path,
+    planted_hub,
+    requires_facebook,
+)
 
 
 def rng_for(seed):

@@ -143,6 +143,22 @@ def test_ring_matmul_rejects_operands_outside_its_contract():
             ring_matmul(x, y)
 
 
+def test_ring_matmul_rejects_a_low_entry_in_any_row_block():
+    # the check reads each row block's part on or below the diagonal: the
+    # columns left of the block and the lower triangle of its diagonal square
+    rng = np.random.default_rng(59)
+    n = 130
+    a = strict_upper(rng, n)
+    cells = [(64, 0), (n - 1, 0), (n - 1, 127), (n - 1, n - 1), (70, 65), (100, 64)]
+    cells += [tuple(sorted(map(int, rng.integers(0, n, 2)), reverse=True)) for _ in range(10)]
+    for i, j in cells:
+        low = a.copy()
+        low[i, j] = 1
+        for x, y in [(low, a), (a, low), (low, low)]:
+            with pytest.raises(ValueError, match="diagonal"):
+                ring_matmul(x, y)
+
+
 def test_ring_matmul_refuses_inexact_inner_dimension():
     # all-ones limbs at the largest admitted inner dimension are still
     # exact in _limb_product, the code every row block of ring_matmul runs

@@ -20,9 +20,8 @@ from privtri import (
 )
 from privtri.ring import MASK, MATMUL_MAX_INNER
 from privtri.secure_count import effective_bits, effective_graph
-from privtri.synth import erdos_renyi
 
-from conftest import complete_graph
+from conftest import complete_graph, erdos_renyi
 
 
 def as_projected(g: Graph) -> ProjectedGraph:
