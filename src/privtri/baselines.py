@@ -1,17 +1,16 @@
 """Trusted-server comparator: plain Laplace mechanism on the exact count."""
 
-from .graph import Graph, exact_triangle_count
+import math
 
 
-def central_lap(g: Graph, epsilon: float, rng) -> float:
-    """Exact count plus Laplace(d_max / epsilon) noise.
+def central_lap(t_true: int, d_max: int, epsilon: float, rng) -> float:
+    """Exact count t_true plus Laplace(d_max / epsilon) noise.
 
     The trusted server sees the whole graph, so it uses the true maximum
     degree as the sensitivity; no projection, no sharing.
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    t = exact_triangle_count(g)
-    scale = g.d_max / epsilon
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    scale = d_max / epsilon
     noise = float(rng.laplace(0.0, scale)) if scale > 0 else 0.0
-    return t + noise
+    return t_true + noise

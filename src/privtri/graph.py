@@ -16,7 +16,7 @@ adjacency rows for every edge at once, a fixed number of edges per step.
 import io
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -39,26 +39,33 @@ class EdgeListFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Graph:
-    """Symmetric, loop-free adjacency matrix plus per-node degrees.
+    """Undirected graph on nodes 0..n-1, built from an (m, 2) edge array.
 
-    adj is an (n, n) uint8 0/1 matrix; degrees[i] is the popcount of row i.
-    Instances are immutable after construction.
+    edges is any integer array-like of node ids in [0, n); duplicate and
+    reversed-duplicate edges collapse to one undirected edge and self-loops
+    are dropped, so adj, the (n, n) uint8 0/1 matrix, is symmetric with a
+    zero diagonal by construction. degrees[i] is the popcount of row i.
+    adj and degrees are derived and read-only. Raises ValueError unless
+    edges has shape (m, 2) and every id is in [0, n).
     """
 
     n: int
-    adj: np.ndarray
+    edges: InitVar[np.ndarray]
+    adj: np.ndarray = field(init=False)
     degrees: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        adj = np.ascontiguousarray(self.adj, dtype=np.uint8)
-        if adj.ndim != 2 or adj.shape != (self.n, self.n):
-            raise ValueError(f"adjacency must be ({self.n}, {self.n})")
-        if np.any(adj > 1):
-            raise ValueError("adjacency entries must be 0/1")
-        if np.any(np.diagonal(adj)):
-            raise ValueError("self-loops are not allowed")
-        if not np.array_equal(adj, adj.T):
-            raise ValueError("adjacency must be symmetric")
+    def __post_init__(self, edges):
+        e = np.asarray(edges, dtype=np.int64)
+        if e.size == 0:
+            e = e.reshape(0, 2)
+        if e.ndim != 2 or e.shape[1] != 2:
+            raise ValueError(f"edges must be an (m, 2) array, got shape {e.shape}")
+        if e.size and (e.min() < 0 or e.max() >= self.n):
+            raise ValueError(f"node ids must be in [0, {self.n})")
+        adj = np.zeros((self.n, self.n), dtype=np.uint8)
+        adj[e[:, 0], e[:, 1]] = 1
+        adj[e[:, 1], e[:, 0]] = 1
+        np.fill_diagonal(adj, 0)
         adj.flags.writeable = False
         degrees = adj.sum(axis=1, dtype=np.int64)
         degrees.flags.writeable = False
@@ -69,32 +76,16 @@ class Graph:
     def d_max(self) -> int:
         return int(self.degrees.max()) if self.n else 0
 
-    @classmethod
-    def from_edges(cls, n: int, edges) -> "Graph":
-        """Graph on n nodes from an (m, 2) integer array-like of node ids.
 
-        Duplicate and reversed-duplicate edges collapse to one undirected
-        edge and self-loops are dropped. Raises ValueError unless every id
-        is in [0, n).
-        """
-        e = np.asarray(edges, dtype=np.int64)
-        if e.size == 0:
-            e = e.reshape(0, 2)
-        if e.ndim != 2 or e.shape[1] != 2:
-            raise ValueError(f"edges must be an (m, 2) array, got shape {e.shape}")
-        if e.size and (e.min() < 0 or e.max() >= n):
-            raise ValueError(f"node ids must be in [0, {n})")
-        adj = np.zeros((n, n), dtype=np.uint8)
-        adj[e[:, 0], e[:, 1]] = 1
-        adj[e[:, 1], e[:, 0]] = 1
-        np.fill_diagonal(adj, 0)
-        return cls(n, adj)
+def upper_edges(adj: np.ndarray) -> np.ndarray:
+    """The (m, 2) int64 pairs (i, j), i < j, set in a square uint8 0/1 matrix.
 
-    def upper_edges(self) -> np.ndarray:
-        """The (m, 2) int64 edges (i, j) with i < j, in row-major order."""
-        i, j = np.divmod(np.flatnonzero(self.adj.view(bool)), self.n)
-        upper = i < j
-        return np.stack((i[upper], j[upper]), axis=1)
+    Row-major order. flatnonzero runs on the bool view, which is several
+    times faster than on the uint8 matrix itself.
+    """
+    i, j = np.divmod(np.flatnonzero(adj.view(bool)), adj.shape[0])
+    upper = i < j
+    return np.stack((i[upper], j[upper]), axis=1)
 
 
 def load_edge_list(path, limit_n: int | None = None) -> Graph:
@@ -130,7 +121,7 @@ def load_edge_list(path, limit_n: int | None = None) -> Graph:
         n, edges = _rank_blocks(_scanned_blocks(path), limit_n)
     if n == 0:
         raise ValueError(f"no nodes found in {path}")
-    return Graph.from_edges(n, edges)
+    return Graph(n, edges)
 
 
 def _rank_blocks(blocks, limit_n: int | None) -> tuple[int, np.ndarray]:
@@ -232,7 +223,7 @@ def exact_triangle_count(g: Graph) -> int:
     n = g.n
     if n < 3:
         return 0
-    edges = g.upper_edges()
+    edges = upper_edges(g.adj)
     upper = np.zeros((n, n), dtype=np.uint8)
     upper[edges[:, 0], edges[:, 1]] = 1
     packed = _pack_rows(upper)

@@ -73,8 +73,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mechanism not in MECHANISMS:
             raise ValueError(f"unknown mechanism {self.mechanism!r}")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
         if not 0 < self.epsilon_split < 1:
             raise ValueError("epsilon_split must be in (0, 1)")
         if self.trials < 1:
@@ -210,7 +210,7 @@ def run_central(cfg: ExperimentConfig) -> list[TrialRecord]:
     for trial in range(cfg.trials):
         rng = _noise_rng(cfg, trial)
         t0 = time.perf_counter()
-        t_noisy = central_lap(g, cfg.epsilon, rng)
+        t_noisy = central_lap(t_true, g.d_max, cfg.epsilon, rng)
         elapsed = time.perf_counter() - t0
         records.append(_record(cfg, g, trial, t_true, t_noisy, (0.0, elapsed, 0.0)))
     return records
@@ -290,21 +290,7 @@ def emit_csv(records: list[TrialRecord], path) -> None:
     columns = CSV_COLUMNS + (("theta", "method") if sweep else ())
     lines = [",".join(columns)]
     for r in records:
-        row = [
-            _fmt(r.trial),
-            _fmt(r.t_true),
-            _fmt(r.t_noisy),
-            _fmt(r.l2_loss),
-            _fmt(r.relative_error),
-            _fmt(r.d_max_true),
-            _fmt(r.d_max_noisy),
-            _fmt(r.time_project_s),
-            _fmt(r.time_count_s),
-            _fmt(r.time_perturb_s),
-        ]
-        if sweep:
-            row += [_fmt(r.theta), _fmt(r.method)]
-        lines.append(",".join(row))
+        lines.append(",".join(_fmt(getattr(r, col.lower())) for col in columns))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -13,6 +13,7 @@ scale S = 2**20: values are rounded to multiples of 1/S and interpreted as
 two's complement, leaving 43 integer bits of headroom.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,10 +42,12 @@ class NoiseParams:
     n_users: int
 
     def __post_init__(self):
-        if self.epsilon2 <= 0:
-            raise ValueError(f"epsilon2 must be positive, got {self.epsilon2}")
-        if self.sensitivity <= 0:
-            raise ValueError(f"sensitivity must be positive, got {self.sensitivity}")
+        if not 0 < self.epsilon2 < math.inf:
+            raise ValueError(f"epsilon2 must be positive and finite, got {self.epsilon2}")
+        if not 0 < self.sensitivity < math.inf:
+            raise ValueError(
+                f"sensitivity must be positive and finite, got {self.sensitivity}"
+            )
         if not 1 <= self.n_users <= _MAX_USERS:
             raise ValueError(f"n_users out of range: {self.n_users}")
         if self.scale > _MAX_SCALE:

@@ -9,6 +9,7 @@ degrees of a triangle tend to be similar, this preserves far more triangles
 than deleting uniformly at random, which is kept as a baseline.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,9 +40,10 @@ class ProjectedGraph:
     """Per-user projected adjacency rows, bounded by theta.
 
     Rows only lose bits relative to the input graph. The matrix may be
-    asymmetric: each user truncates its own row without coordinating with
-    the other endpoint. A pair is counted only if both endpoints kept it
-    (see secure_count.effective_bits).
+    asymmetric, so it is not a Graph: each user truncates its own row
+    without coordinating with the other endpoint. A pair is counted only
+    if both endpoints kept it (secure_count.effective_bits);
+    secure_count.effective_graph is the Graph of those pairs.
     """
 
     adj: np.ndarray
@@ -63,8 +65,8 @@ def max_private(degree_vector: np.ndarray, epsilon1: float, rng) -> NoisyDegrees
     Sensitivity is 1: the two directions of an edge are separate secrets,
     so one edge changes one degree by one.
     """
-    if epsilon1 <= 0:
-        raise ValueError(f"epsilon1 must be positive, got {epsilon1}")
+    if not 0 < epsilon1 < math.inf:
+        raise ValueError(f"epsilon1 must be positive and finite, got {epsilon1}")
     degree_vector = np.asarray(degree_vector, dtype=np.float64)
     values = degree_vector + rng.laplace(0.0, 1.0 / epsilon1, size=degree_vector.size)
     return NoisyDegrees(values, float(values.max()))

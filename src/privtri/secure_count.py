@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, upper_edges
 from .projection import ProjectedGraph
 from .ring import (
     DealerRng,
@@ -44,9 +44,8 @@ def effective_bits(pg: ProjectedGraph) -> np.ndarray:
 
 
 def effective_graph(pg: ProjectedGraph) -> Graph:
-    """The symmetric graph actually counted."""
-    eff = effective_bits(pg)
-    return Graph(eff.shape[0], eff)
+    """The graph actually counted: the pairs i < j that effective_bits keeps."""
+    return Graph(pg.n, upper_edges(effective_bits(pg)))
 
 
 def _pair_mask(n: int) -> np.ndarray:

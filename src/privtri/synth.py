@@ -8,7 +8,7 @@ isolated, well-separated maximum.
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, upper_edges
 
 
 def clique_hub_proxy(
@@ -29,13 +29,13 @@ def clique_hub_proxy(
     hub = np.arange(clique_size, clique_size + hub_reach)
     u = np.concatenate(((bases + a).ravel(), np.zeros_like(hub)))
     v = np.concatenate(((bases + b).ravel(), hub))
-    return Graph.from_edges(n, np.stack((u, v), axis=1))
+    return Graph(n, np.stack((u, v), axis=1))
 
 
 def write_edge_list(g: Graph, path) -> None:
     """Write g as a SNAP-style edge list: one 'u v' line per edge, u < v,
     in row-major order."""
-    edges = g.upper_edges()
+    edges = upper_edges(g.adj)
     with open(path, "w", encoding="utf-8") as fh:
         # one %-format of the whole file: a write or f-string per line takes
         # more than twice as long

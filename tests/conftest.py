@@ -65,16 +65,16 @@ def reference_load(path, limit_n: int | None = None) -> tuple[int, np.ndarray]:
 
 
 def complete_graph(n: int) -> Graph:
-    return Graph.from_edges(n, np.column_stack(np.triu_indices(n, 1)))
+    return Graph(n, np.column_stack(np.triu_indices(n, 1)))
 
 
 def star_graph(n_leaves: int) -> Graph:
-    return Graph.from_edges(n_leaves + 1, [(0, i) for i in range(1, n_leaves + 1)])
+    return Graph(n_leaves + 1, [(0, i) for i in range(1, n_leaves + 1)])
 
 
 def erdos_renyi(n: int, p: float, rng) -> Graph:
     """G(n, p): each pair independently an edge with probability p."""
-    return Graph.from_edges(n, np.argwhere(np.triu(rng.random((n, n)) < p, 1)))
+    return Graph(n, np.argwhere(np.triu(rng.random((n, n)) < p, 1)))
 
 
 def planted_hub(
@@ -106,7 +106,7 @@ def planted_hub(
         for _ in range(boost):
             edges.append((a, nxt))
             nxt += 1
-    return Graph.from_edges(nxt, edges)
+    return Graph(nxt, edges)
 
 
 def write_lines(path: Path, lines) -> Path:

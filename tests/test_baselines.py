@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,28 +12,39 @@ def rng_for(seed):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
+def central_lap_of(g, epsilon, rng):
+    return central_lap(exact_triangle_count(g), g.d_max, epsilon, rng)
+
+
 def test_central_lap_high_budget_is_exact():
     g = erdos_renyi(30, 0.3, rng_for(0))
-    assert abs(central_lap(g, 1e12, rng_for(1)) - exact_triangle_count(g)) < 1e-6
+    assert abs(central_lap_of(g, 1e12, rng_for(1)) - exact_triangle_count(g)) < 1e-6
 
 
 def test_central_lap_rejects_bad_epsilon():
     with pytest.raises(ValueError):
-        central_lap(complete_graph(3), 0.0, rng_for(0))
+        central_lap_of(complete_graph(3), 0.0, rng_for(0))
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+def test_central_lap_rejects_non_finite_epsilon(epsilon):
+    # a NaN scale would fail `scale > 0` and release the exact count
+    with pytest.raises(ValueError, match="finite"):
+        central_lap(1, 2, epsilon, rng_for(0))
 
 
 def test_central_lap_scale_uses_true_max_degree():
     # d_max 7 at epsilon 2: the noise is the stream's Laplace(3.5) draw
     g = star_graph(7)
     want = exact_triangle_count(g) + rng_for(2).laplace(0.0, 3.5)
-    assert central_lap(g, 2.0, rng_for(2)) == want
+    assert central_lap_of(g, 2.0, rng_for(2)) == want
 
 
 def test_central_lap_variance_k3():
     # K3 at epsilon 1: scale d_max/eps = 2, variance 2 * 2^2 = 8
-    g = complete_graph(3)
+    t_true, d_max = 1, 2
     rng = rng_for(3)
-    draws = np.array([central_lap(g, 1.0, rng) for _ in range(10**5)])
+    draws = np.array([central_lap(t_true, d_max, 1.0, rng) for _ in range(10**5)])
     assert abs(draws.mean() - 1.0) < 3 * np.sqrt(8 / draws.size)
     assert abs(draws.var() - 8.0) < 0.05 * 8.0
 

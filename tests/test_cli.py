@@ -65,6 +65,19 @@ def test_cli_missing_file_fails(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mechanism, epsilon", [("central", "nan"), ("cargo", "inf")])
+def test_cli_rejects_non_finite_epsilon(k4_graph_file, tmp_path, capsys, mechanism, epsilon):
+    # either budget would release the exact count, with no noise added
+    out = tmp_path / "out.csv"
+    code = main([
+        "run", "--graph", str(k4_graph_file), "--mechanism", mechanism,
+        "--epsilon", epsilon, "--output", str(out),
+    ])
+    assert code == 1
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_guard_refuses_large_cargo(tmp_path, capsys):
     path = tmp_path / "big.txt"
     path.write_text("\n".join(f"{i} {i + 1}" for i in range(2000)) + "\n")

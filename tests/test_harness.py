@@ -49,6 +49,12 @@ def test_config_validation(k4_graph_file):
         )
 
 
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+def test_config_rejects_non_finite_epsilon(k4_graph_file, epsilon):
+    with pytest.raises(ValueError, match="finite"):
+        ExperimentConfig(graph_path=k4_graph_file, epsilon=epsilon)
+
+
 def test_cargo_no_noise_limit(k4_graph_file):
     cfg = ExperimentConfig(
         graph_path=k4_graph_file, epsilon=1e9, trials=3, seed=5

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -46,6 +48,15 @@ def test_noise_params_validation():
         NoiseParams(epsilon2=0.001, sensitivity=100.0, n_users=10)
     params = NoiseParams(epsilon2=2.0, sensitivity=10.0, n_users=10)
     assert params.scale == 5.0
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_noise_params_rejects_non_finite(value):
+    # at epsilon inf the cargo budget split leaves epsilon2 = inf - inf = nan
+    with pytest.raises(ValueError, match="epsilon2"):
+        NoiseParams(epsilon2=value, sensitivity=1.0, n_users=10)
+    with pytest.raises(ValueError, match="sensitivity"):
+        NoiseParams(epsilon2=1.0, sensitivity=value, n_users=10)
 
 
 def test_perturb_no_noise_limit():

@@ -1,3 +1,4 @@
+import math
 from itertools import product
 from math import comb
 
@@ -42,6 +43,12 @@ def test_max_private_rejects_bad_epsilon():
         max_private(np.array([1, 2]), -1.0, rng_for(0))
 
 
+@pytest.mark.parametrize("epsilon1", [math.nan, math.inf])
+def test_max_private_rejects_non_finite_epsilon(epsilon1):
+    with pytest.raises(ValueError, match="finite"):
+        max_private(np.array([1, 2]), epsilon1, rng_for(0))
+
+
 def test_max_private_laplace_moments():
     # single user of degree 0 at epsilon1=1: the noisy degree is a raw
     # Laplace(1) draw, mean 0 and variance 2
@@ -70,7 +77,7 @@ def test_project_keeps_most_similar_neighbors():
     # degree-4 user 2 with neighbors 1, 3, 4, 5 of degrees 1, 4, 3, 1 and a
     # bound of 2 keeps 3 and 4, dropping the edges to 1 and 5
     edges = [(2, 1), (2, 3), (2, 4), (2, 5), (3, 4), (3, 6), (3, 7), (4, 6)]
-    g = Graph.from_edges(8, edges)
+    g = Graph(8, edges)
     assert g.degrees[2] == 4 and g.degrees[3] == 4 and g.degrees[4] == 3
     assert g.degrees[1] == 1 and g.degrees[5] == 1
     pg = project(g, NoisyDegrees.exact(g.degrees), theta=2)
@@ -85,7 +92,7 @@ def test_project_tie_break_by_index():
 
 
 def test_project_uses_raw_negative_noisy_degrees():
-    g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    g = Graph(4, [(0, 1), (0, 2), (0, 3)])
     # d_self = 3; DS(3, -2) = 5/3 beats DS(3, 9) = 2; no clamping
     noisy = NoisyDegrees(values=np.array([3.0, 9.0, -2.0, 40.0]), d_max_noisy=40.0)
     pg = project(g, noisy, theta=1)

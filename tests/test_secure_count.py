@@ -18,6 +18,7 @@ from privtri import (
     reconstruct,
     share_adjacency,
 )
+from privtri.graph import upper_edges
 from privtri.ring import MASK, MATMUL_MAX_INNER
 from privtri.secure_count import effective_bits, effective_graph
 
@@ -46,6 +47,25 @@ def test_effective_bits_policies():
         share_adjacency(pg, DealerRng(0), "or")
 
 
+def test_effective_graph_is_effective_bits():
+    # asymmetric rows, diagonal bits set in some, and the smallest sizes
+    rng = np.random.default_rng(53)
+    adjs = [np.zeros((n, n), dtype=np.uint8) for n in (0, 1, 2)]
+    adjs += [np.ones((n, n), dtype=np.uint8) for n in (1, 2)]
+    for _ in range(20):
+        n = int(rng.integers(3, 40))
+        adj = (rng.random((n, n)) < rng.uniform(0.1, 0.9)).astype(np.uint8)
+        if rng.random() < 0.5:
+            np.fill_diagonal(adj, 0)
+        adjs.append(adj)
+    for adj in adjs:
+        pg = ProjectedGraph(adj, theta=max(adj.shape[0], 1))
+        eg = effective_graph(pg)
+        assert eg.n == pg.n
+        assert np.array_equal(eg.adj, effective_bits(pg))
+        assert np.array_equal(eg.degrees, effective_bits(pg).sum(axis=1))
+
+
 def test_share_adjacency_roundtrip_symmetric():
     rng = np.random.default_rng(3)
     g = erdos_renyi(20, 0.3, rng)
@@ -68,7 +88,7 @@ def test_count_small_graphs():
 
 
 def test_count_tiny_graph_returns_zero_shares():
-    g = Graph.from_edges(2, [(0, 1)])
+    g = Graph(2, [(0, 1)])
     sa = share_adjacency(as_projected(g), DealerRng(0, 0))
     assert reconstruct(count(sa, 2, DealerRng(0, 1))) == 0
 
@@ -104,11 +124,8 @@ def test_count_disjoint_union_linearity():
     rng = np.random.default_rng(19)
     g1 = erdos_renyi(20, 0.3, rng)
     g2 = erdos_renyi(25, 0.25, rng)
-    n = g1.n + g2.n
-    adj = np.zeros((n, n), dtype=np.uint8)
-    adj[: g1.n, : g1.n] = g1.adj
-    adj[g1.n :, g1.n :] = g2.adj
-    union = Graph(n, adj)
+    edges = np.concatenate((upper_edges(g1.adj), upper_edges(g2.adj) + g1.n))
+    union = Graph(g1.n + g2.n, edges)
     assert secure_count_of(union) == secure_count_of(g1) + secure_count_of(g2)
 
 
