@@ -193,10 +193,15 @@ def _cargo_trial(g: Graph, t_true: int, cfg: ExperimentConfig, trial: int) -> Tr
 
 def run_cargo(cfg: ExperimentConfig) -> list[TrialRecord]:
     """Full pipeline, cfg.trials times with per-trial derived seeds."""
-    g = load_edge_list(cfg.graph_path, cfg.n_limit)
+    limit_n = cfg.n_limit
+    if not cfg.allow_large:
+        # one node past the limit is enough to refuse, and the dense load
+        # stays desk-sized; a graph within the limit loads unchanged
+        limit_n = min(limit_n or MAX_CARGO_NODES + 1, MAX_CARGO_NODES + 1)
+    g = load_edge_list(cfg.graph_path, limit_n)
     if g.n > MAX_CARGO_NODES and not cfg.allow_large:
         raise ValueError(
-            f"n={g.n} exceeds the desk-scale limit {MAX_CARGO_NODES} for "
+            f"more than {MAX_CARGO_NODES} nodes, the desk-scale limit for "
             "the cargo count; pass allow_large to run anyway"
         )
     t_true = exact_triangle_count(g)

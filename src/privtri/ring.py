@@ -9,10 +9,10 @@ element-wise Beaver triples) comes from a seeded trusted dealer, standing
 in for an oblivious-transfer offline phase. A multiplication group is one
 dealer row (x, y, z and seven share masks) from which one three-way product
 derives shares of (x, y, z, xyz, xy, xz, yz); the scalar product is one row
-of the batched kernel. The secure count instead multiplies whole matrices
-of shares with ring_matmul, the exact product of square strictly
-upper-triangular matrices (the only shape a pair-indexed share matrix
-has), and combines element-wise Beaver triples with beaver_share.
+of the batched kernel. The secure count instead multiplies pair vectors
+of shares with ring_matmul, the exact product of the strictly
+upper-triangular matrices that hold them (pair_mask fixes the row-major
+pair layout), and combines element-wise Beaver triples with beaver_share.
 """
 
 from dataclasses import dataclass
@@ -250,36 +250,46 @@ def _limb_product(la: list[np.ndarray], lb: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def ring_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product a @ b of square, strictly upper-triangular uint64 matrices.
+def pair_mask(n: int) -> np.ndarray:
+    """Strictly upper n x n mask: indexing with it lists the pairs i < j.
 
-    Exact modulo 2**64, and strictly upper-triangular itself. Native uint64
-    matmul does not use BLAS; here each operand is split into four 16-bit
-    limbs held as float64 and multiplied by _limb_product. Rows of a go
-    through in blocks of _ROW_BLOCK, so only b's limbs are held whole. Rows
-    [r, r + _ROW_BLOCK) of a are zero in columns <= r, and rows > r of b
-    are zero in columns <= r + 1, so each block multiplies only
-    a[rows, r+1:] by b[r+1:, r+1:]; the product's columns <= r stay zero.
-    Raises ValueError if n >= MATMUL_MAX_INNER, if the operands are not
-    square of one size, or if one has a nonzero entry on or below the
-    diagonal: the skipped parts would otherwise silently drop terms.
+    They come in row-major order, the order of every pair vector.
     """
-    n = a.shape[0]
-    if a.shape != (n, n) or b.shape != (n, n):
-        raise ValueError(f"operands must be square and of one size, got {a.shape} and {b.shape}")
+    return np.triu(np.ones((n, n), dtype=bool), 1)
+
+
+def ring_matmul(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """The pair vector of U @ V, exact modulo 2**64.
+
+    U and V are the strictly upper n x n matrices that hold pair vectors u
+    and v; they exist only inside this call. Native uint64 matmul does not
+    use BLAS; here each operand is split into four 16-bit limbs held as
+    float64 and multiplied by _limb_product. Rows of U go through in blocks
+    of _ROW_BLOCK, so only V's limbs are held whole. Rows [r, r + _ROW_BLOCK)
+    of U are zero in columns <= r, and rows > r of V are zero in columns
+    <= r + 1, so each block multiplies only U[rows, r+1:] by V[r+1:, r+1:].
+    Raises ValueError if n >= MATMUL_MAX_INNER or if u or v is not of shape
+    (C(n, 2),): a shorter vector would broadcast through the scatter.
+    """
     check_matmul_inner(n)
-    lb = _limbs(b)
+    pairs = (n * (n - 1) // 2,)
+    if u.shape != pairs or v.shape != pairs:
+        raise ValueError(f"operands must have shape {pairs}, got {u.shape} and {v.shape}")
+    mask = pair_mask(n)
+
+    def matrix(w: np.ndarray) -> np.ndarray:
+        mat = np.zeros((n, n), dtype=np.uint64)
+        mat[mask] = w
+        return mat
+
+    a = matrix(u)
+    lb = _limbs(a if v is u else matrix(v))
     out = np.zeros((n, n), dtype=np.uint64)
     for r in range(0, n, _ROW_BLOCK):
         rows = slice(r, r + _ROW_BLOCK)
-        # the block's entries on or below the diagonal: columns < r, and the
-        # lower triangle of its square on the diagonal
-        for m in (a,) if b is a else (a, b):
-            if m[rows, :r].any() or np.tril(m[rows, r : r + _ROW_BLOCK]).any():
-                raise ValueError("operand has a nonzero entry on or below the diagonal")
-        la = [limb[rows, r + 1 :] for limb in lb] if a is b else _limbs(a[rows, r + 1 :])
+        la = [limb[rows, r + 1 :] for limb in lb] if v is u else _limbs(a[rows, r + 1 :])
         out[rows, r + 1 :] = _limb_product(la, [limb[r + 1 :, r + 1 :] for limb in lb])
-    return out
+    return out[mask]
 
 
 def beaver_share(

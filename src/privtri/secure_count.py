@@ -26,8 +26,8 @@ from .ring import (
     SharePair,
     beaver_share,
     check_matmul_inner,
+    pair_mask,
     ring_matmul,
-    share,
 )
 
 def effective_bits(pg: ProjectedGraph) -> np.ndarray:
@@ -48,20 +48,13 @@ def effective_graph(pg: ProjectedGraph) -> Graph:
     return Graph(pg.n, upper_edges(effective_bits(pg)))
 
 
-def _pair_mask(n: int) -> np.ndarray:
-    """Strictly upper n x n mask: indexing with it lists the pairs i < j.
-
-    They come in row-major order, the order of every pair vector here.
-    """
-    return np.triu(np.ones((n, n), dtype=bool), 1)
-
-
 @dataclass(frozen=True)
 class SharedAdjacency:
     """Additive shares of every pair bit, one uint64 vector per server.
 
-    Entry p of each vector is the p-th pair i < j in row-major order;
-    s1[p] + s2[p] wraps to that pair's effective bit.
+    Both are pair vectors: entry p is the p-th pair i < j in the row-major
+    order of ring.pair_mask, and s1[p] + s2[p] wraps to that pair's
+    effective bit.
     """
 
     n: int
@@ -76,7 +69,7 @@ def share_adjacency(
     # only 'and' remains; benchmarks/workloads.py reads this argument from its trace
     if policy != "and":
         raise ValueError(f"unknown bit policy {policy!r}; only 'and' is supported")
-    bits = effective_bits(pg)[_pair_mask(pg.n)].astype(np.uint64)
+    bits = effective_bits(pg)[pair_mask(pg.n)].astype(np.uint64)
     masks = rng.elements(bits.size)
     return SharedAdjacency(n=pg.n, s1=masks, s2=bits - masks)
 
@@ -89,61 +82,40 @@ def count(
 ) -> SharePair:
     """Shares of the triangle count T = sum_{i<k} U[i, k] * (U @ U)[i, k].
 
-    All element-wise data, the shared bits u included, are vectors over the
-    m = C(n, 2) pairs i < k in row-major order. The dealer draws, in this
-    order, m-vectors of server shares x1, x2, z1 (a square triple:
-    X = x1 + x2 strictly upper, and Z = X @ X) and a1, a2, b1, b2, c1 (an
-    element-wise triple c = a * b), 8 * m elements in one call.
+    All data, the shared bits u included, are pair vectors over the
+    m = C(n, 2) pairs i < k (ring.pair_mask), and v @ w below stands for
+    ring_matmul(v, w, n), the pair vector of the matrix product V @ W. The
+    dealer draws, in this order, pair vectors of server shares x1, x2, z1
+    (a square triple: z = x @ x) and a1, a2, b1, b2, c1 (an element-wise
+    triple c = a * b), 8 * m elements in one call.
 
     Round 1 opens e = u - x and f = u - a. Server 1 computes
-    p1 = E @ X1 + X1 @ E + Z1 and server 2 p2 = E @ (E + X2) + X2 @ E + Z2,
-    so p1 + p2 = (E + X) @ (E + X) = U @ U on the pairs. Round 2 opens
-    g = p - b, and each server sums its beaver_share of u * p. That is 2
-    rounds, 3 * m openings and 5 ring_matmul products of strictly upper
-    n x n matrices (one by the dealer). A given dealer seed fixes every
-    share and opened value; the reconstructed count depends only on the
-    shared bits.
+    p1 = e @ x1 + x1 @ e + z1 and server 2 p2 = x2 @ e + e @ (x2 + e) + z2,
+    so p1 + p2 = (e + x) @ (e + x) = u @ u. Round 2 opens g = p - b, and
+    each server sums its beaver_share of u * p. That is 2 rounds, 3 * m
+    openings and 5 ring_matmul products (one by the dealer). A given dealer
+    seed fixes every share and opened value; the reconstructed count
+    depends only on the shared bits.
     """
     if n != sa.n:
         raise ValueError(f"n={n} does not match shared adjacency n={sa.n}")
     check_matmul_inner(n)
-    if n < 3:
-        return share(0, dealer)
     if channel is None:
         channel = OpeningChannel()
 
-    pairs = _pair_mask(n)
-
-    def square(v: np.ndarray) -> np.ndarray:
-        """The strictly upper n x n matrix holding pair vector v."""
-        mat = np.zeros((n, n), dtype=np.uint64)
-        mat[pairs] = v
-        return mat
-
     # dealer: both triples, server 2's product shares derived from the values
-    x1, x2, z1, a1, a2, b1, b2, c1 = dealer.elements((8, int(pairs.sum())))
-    x_mat = square(x1 + x2)
-    z2 = ring_matmul(x_mat, x_mat)[pairs] - z1
-    # each del frees a buffer before the next matmul, which sets peak memory
-    del x_mat
+    x1, x2, z1, a1, a2, b1, b2, c1 = dealer.elements((8, n * (n - 1) // 2))
+    x = x1 + x2
+    z2 = ring_matmul(x, x, n) - z1
     c2 = (a1 + a2) * (b1 + b2) - c1
 
     # round 1
-    e_mat = square(channel.open_array(sa.s1 - x1, sa.s2 - x2))
+    e = channel.open_array(sa.s1 - x1, sa.s2 - x2)
     f = channel.open_array(sa.s1 - a1, sa.s2 - a2)
 
-    # each server's share of U @ U on the pairs, then round 2
-    x1_mat = square(x1)
-    p1 = ring_matmul(e_mat, x1_mat)
-    p1 += ring_matmul(x1_mat, e_mat)
-    p1 = p1[pairs] + z1
-    del x1_mat
-    x2_mat = square(x2)
-    p2 = ring_matmul(x2_mat, e_mat)
-    x2_mat += e_mat
-    p2 += ring_matmul(e_mat, x2_mat)
-    p2 = p2[pairs] + z2
-    del x2_mat, e_mat
+    # each server's share of u @ u, then round 2
+    p1 = ring_matmul(e, x1, n) + ring_matmul(x1, e, n) + z1
+    p2 = ring_matmul(x2, e, n) + ring_matmul(e, x2 + e, n) + z2
     g = channel.open_array(p1 - b1, p2 - b2)
 
     t1 = beaver_share(f, g, a1, b1, c1, public=False).sum(dtype=np.uint64)

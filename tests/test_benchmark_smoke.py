@@ -3,8 +3,9 @@
 benchmarks/tracing.py hooks privtri functions and reads their arguments by
 name (share_adjacency's pg and policy, count's n, effective_graph's pg,
 project's g), so a refactor can break the benchmark while every other test
-passes. One traced round of a small and a sweep workload, with no timed
-rounds, catches that.
+passes. One traced round of each cargo workload and of a sweep workload,
+with no timed rounds, catches that; cargo-n500 runs the count over eight
+row blocks of ring_matmul, cargo-n100 over two.
 """
 
 import json
@@ -17,7 +18,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["cargo-n100", "sweep-n2000"])
+@pytest.mark.parametrize("workload", ["cargo-n100", "cargo-n500", "sweep-n2000"])
 def test_benchmark_traced_round_is_correct(workload):
     proc = subprocess.run(
         [sys.executable, "benchmarks/run.py", "--workload", workload,

@@ -88,19 +88,40 @@ def test_cargo_dealer_seed_moves_masks_not_values(proxy_graph_file):
         assert a.t_noisy == b.t_noisy  # noise stream untouched
 
 
-def test_cargo_desk_scale_guard(tmp_path):
-    path = write_lines(
-        tmp_path / "path2001.txt", [f"{i} {i + 1}" for i in range(2000)]
-    )
+def test_cargo_desk_scale_guard(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "MAX_CARGO_NODES", 10)
+    path = write_lines(tmp_path / "path12.txt", [f"{i} {i + 1}" for i in range(11)])
     with pytest.raises(ValueError, match="allow_large"):
         run_cargo(ExperimentConfig(graph_path=path, trials=1))
     # the guard holds whatever mechanism the config names
     with pytest.raises(ValueError, match="allow_large"):
         run_cargo(ExperimentConfig(graph_path=path, mechanism="exact", trials=1))
-    records = run_cargo(
-        ExperimentConfig(graph_path=path, trials=1, allow_large=True, n_limit=10)
-    )
+    records = run_cargo(ExperimentConfig(graph_path=path, trials=1, allow_large=True))
     assert records[0].t_true == 0
+    assert records[0].d_max_true == 2
+
+
+def test_cargo_guard_refuses_before_the_dense_load(tmp_path, monkeypatch):
+    # the loader stops one node past the limit, so an oversized file never
+    # becomes a dense n x n graph; a graph within the limit loads unchanged
+    monkeypatch.setattr(harness, "MAX_CARGO_NODES", 10)
+    loaded = []
+
+    def spy(path, limit_n=None):
+        g = load_edge_list(path, limit_n)
+        loaded.append(g)
+        return g
+
+    monkeypatch.setattr(harness, "load_edge_list", spy)
+    path = write_lines(tmp_path / "path100.txt", [f"{i} {i + 1}" for i in range(99)])
+    for n_limit in (None, 11, 50):
+        with pytest.raises(ValueError, match="allow_large"):
+            run_cargo(ExperimentConfig(graph_path=path, n_limit=n_limit, trials=1))
+    assert max(g.n for g in loaded) == 11
+    small = write_lines(tmp_path / "k4.txt", ["0 1", "0 2", "0 3", "1 2", "1 3", "2 3"])
+    records = run_cargo(ExperimentConfig(graph_path=small, trials=1))
+    assert records[0].t_true == 4
+    assert np.array_equal(loaded[-1].adj, load_edge_list(small).adj)
 
 
 def test_cargo_bad_noise_scale_fails_before_count(k4_graph_file, monkeypatch):

@@ -20,6 +20,7 @@ from privtri.ring import (
     _limbs,
     decode_signed,
     mul3_batch,
+    pair_mask,
     ring_matmul,
 )
 
@@ -114,49 +115,38 @@ def strict_upper(rng, n):
 
 def test_ring_matmul_matches_native_uint64_matmul():
     # native uint64 @ wraps modulo 2**64 too, but without BLAS; the sizes
-    # cover one partial block, block edges and several blocks of rows
+    # cover no pairs, one partial block, block edges and several blocks
     rng = np.random.default_rng(47)
-    sizes = [1, 2, 3, 63, 64, 65, 129, 300]
+    sizes = [0, 1, 2, 3, 63, 64, 65, 129, 300]
     sizes += [int(n) for n in rng.integers(4, 200, size=5)]
     for n in sizes:
+        m = pair_mask(n)
         a = strict_upper(rng, n)
         b = strict_upper(rng, n)
-        assert np.array_equal(ring_matmul(a, b), a @ b)
-        assert np.array_equal(ring_matmul(a, a), a @ a)  # a as both operands
+        assert np.array_equal(ring_matmul(a[m], b[m], n), (a @ b)[m])
+        u = a[m]
+        assert np.array_equal(ring_matmul(u, u, n), (a @ a)[m])  # u as both operands
     for n in (1, 2, 64, 65, 129):
+        m = pair_mask(n)
         full = np.triu(np.full((n, n), MASK, dtype=np.uint64), 1)
-        assert np.array_equal(ring_matmul(full, full), full @ full)
-        assert np.array_equal(ring_matmul(full, full.copy()), full @ full)
+        all_ones = full[m]
+        assert np.array_equal(ring_matmul(all_ones, all_ones, n), (full @ full)[m])
+        assert np.array_equal(ring_matmul(all_ones, all_ones.copy(), n), (full @ full)[m])
 
 
 def test_ring_matmul_rejects_operands_outside_its_contract():
-    a = strict_upper(np.random.default_rng(53), 5)
-    diagonal = a.copy()
-    diagonal[2, 2] = 1
-    below = a.copy()
-    below[4, 1] = 1
-    for x, y in [(a[:, :4], a[:4]), (a, a[:4, :4]), (a[:4], a[:4])]:
-        with pytest.raises(ValueError, match="square"):
-            ring_matmul(x, y)
-    for x, y in [(diagonal, a), (a, diagonal), (diagonal, diagonal), (a, below), (below, below)]:
-        with pytest.raises(ValueError, match="diagonal"):
-            ring_matmul(x, y)
-
-
-def test_ring_matmul_rejects_a_low_entry_in_any_row_block():
-    # the check reads each row block's part on or below the diagonal: the
-    # columns left of the block and the lower triangle of its diagonal square
-    rng = np.random.default_rng(59)
-    n = 130
-    a = strict_upper(rng, n)
-    cells = [(64, 0), (n - 1, 0), (n - 1, 127), (n - 1, n - 1), (70, 65), (100, 64)]
-    cells += [tuple(sorted(map(int, rng.integers(0, n, 2)), reverse=True)) for _ in range(10)]
-    for i, j in cells:
-        low = a.copy()
-        low[i, j] = 1
-        for x, y in [(low, a), (a, low), (low, low)]:
-            with pytest.raises(ValueError, match="diagonal"):
-                ring_matmul(x, y)
+    # an operand must be a pair vector of length C(n, 2); a length-1 vector
+    # would otherwise broadcast through the scatter to matrix form
+    rng = np.random.default_rng(53)
+    for n in (3, 5, 65):
+        u = strict_upper(rng, n)[pair_mask(n)]
+        bad = [u[:-1], np.append(u, 1), u[:1], u.reshape(1, -1)]
+        for w in bad:
+            for x, y in [(w, u), (u, w), (w, w)]:
+                with pytest.raises(ValueError, match="shape"):
+                    ring_matmul(x, y, n)
+        with pytest.raises(ValueError, match="shape"):
+            ring_matmul(u, u, n + 1)
 
 
 def test_ring_matmul_refuses_inexact_inner_dimension():
@@ -164,7 +154,7 @@ def test_ring_matmul_refuses_inexact_inner_dimension():
     # exact in _limb_product, the code every row block of ring_matmul runs
     ok = np.full((1, MATMUL_MAX_INNER - 1), MASK, dtype=np.uint64)
     assert np.array_equal(_limb_product(_limbs(ok), _limbs(ok.T)), ok @ ok.T)
-    # zero-stride view: the size check comes before any element is read
-    a = np.broadcast_to(np.uint64(0), (MATMUL_MAX_INNER, MATMUL_MAX_INNER))
+    # the size check comes before the length check and before any scatter
+    empty = np.zeros(0, dtype=np.uint64)
     with pytest.raises(ValueError, match="inner dimension"):
-        ring_matmul(a, a)
+        ring_matmul(empty, empty, MATMUL_MAX_INNER)

@@ -88,9 +88,13 @@ def test_count_small_graphs():
 
 
 def test_count_tiny_graph_returns_zero_shares():
-    g = Graph(2, [(0, 1)])
-    sa = share_adjacency(as_projected(g), DealerRng(0, 0))
-    assert reconstruct(count(sa, 2, DealerRng(0, 1))) == 0
+    # below three nodes the general protocol runs on its 0 or 1 pairs
+    for n in (0, 1, 2):
+        g = Graph(n, list(combinations(range(n), 2)))
+        sa = share_adjacency(as_projected(g), DealerRng(0, 0))
+        channel = OpeningChannel()
+        assert reconstruct(count(sa, n, DealerRng(0, 1), channel)) == 0
+        assert channel.openings == 3 * comb(n, 2)
 
 
 def test_count_matches_oracle_on_random_graphs():
