@@ -9,8 +9,9 @@ megabyte; a line-by-line scan runs only when that parse fails or reads a
 line differently, to name the first malformed line.
 
 The triangle oracle here is plain and non-private; it is the ground truth
-the secure counting path is tested against. It intersects packed upper
-adjacency rows for every edge at once, a fixed number of edges per step.
+the secure counting path is tested against. It intersects the packed
+adjacency rows of both endpoints of every edge, a fixed number of edges
+per step, so each triangle is counted at all three of its edges.
 """
 
 import io
@@ -67,7 +68,7 @@ class Graph:
         adj[e[:, 1], e[:, 0]] = 1
         np.fill_diagonal(adj, 0)
         adj.flags.writeable = False
-        degrees = adj.sum(axis=1, dtype=np.int64)
+        degrees = np.bitwise_count(_pack_rows(adj)).sum(axis=1, dtype=np.int64)
         degrees.flags.writeable = False
         object.__setattr__(self, "adj", adj)
         object.__setattr__(self, "degrees", degrees)
@@ -214,21 +215,18 @@ def _pack_rows(rows: np.ndarray) -> np.ndarray:
 def exact_triangle_count(g: Graph) -> int:
     """Number of unordered triples {i, j, k} with all three edges present.
 
-    For every edge (i, j) with i < j, counts common neighbors k > j by
-    intersecting the packed upper-triangle rows of i and j: row j only
-    holds bits k > j, so each triangle is counted once, at its smallest
-    edge. The edges go through in steps of _GATHER_EDGES, each one gather
-    of both endpoints' rows, an AND and a popcount.
+    For every edge (i, j) with i < j, counts the common neighbors of i and
+    j by intersecting their packed adjacency rows. Each triangle is seen
+    once at each of its three edges, so the sum is three times the count.
+    The edges go through in steps of _GATHER_EDGES, each one gather of
+    both endpoints' rows, an AND and a popcount.
     """
-    n = g.n
-    if n < 3:
+    if g.n < 3:
         return 0
     edges = upper_edges(g.adj)
-    upper = np.zeros((n, n), dtype=np.uint8)
-    upper[edges[:, 0], edges[:, 1]] = 1
-    packed = _pack_rows(upper)
+    packed = _pack_rows(g.adj)
     total = 0
     for s in range(0, len(edges), _GATHER_EDGES):
         i, j = edges[s : s + _GATHER_EDGES].T
         total += int(np.bitwise_count(packed[i] & packed[j]).sum())
-    return total
+    return total // 3

@@ -258,6 +258,14 @@ def pair_mask(n: int) -> np.ndarray:
     return np.triu(np.ones((n, n), dtype=bool), 1)
 
 
+def pair_index(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
+    """Position of each pair (i, j), i < j, in the pair_mask order.
+
+    Row i starts after the n - 1 - r pairs of every row r < i.
+    """
+    return i * (2 * n - i - 1) // 2 + j - i - 1
+
+
 def ring_matmul(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     """The pair vector of U @ V, exact modulo 2**64.
 

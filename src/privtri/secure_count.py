@@ -26,26 +26,33 @@ from .ring import (
     SharePair,
     beaver_share,
     check_matmul_inner,
-    pair_mask,
+    pair_index,
     ring_matmul,
 )
 
-def effective_bits(pg: ProjectedGraph) -> np.ndarray:
-    """Resolve the two directed post-projection bits of each pair into one.
+
+def effective_edges(pg: ProjectedGraph) -> np.ndarray:
+    """The (m, 2) pairs i < j actually counted, in row-major order.
 
     Projection is per-row, so A_hat[i, j] and A_hat[j, i] can disagree.
     A pair counts only if both endpoints kept it, so an edge either side
-    dropped is never counted and the count stays below the true one.
-    Returns a symmetric 0/1 matrix.
+    dropped is never counted and the count stays below the true one. The
+    pairs i < j that row i kept are checked against row j's bit in one
+    gather.
     """
-    eff = pg.adj & pg.adj.T
-    np.fill_diagonal(eff, 0)
-    return eff
+    i, j = upper_edges(pg.adj).T
+    both = pg.adj[j, i].view(bool)
+    return np.stack((i[both], j[both]), axis=1)
 
 
 def effective_graph(pg: ProjectedGraph) -> Graph:
-    """The graph actually counted: the pairs i < j that effective_bits keeps."""
-    return Graph(pg.n, upper_edges(effective_bits(pg)))
+    """The graph actually counted: the Graph of effective_edges."""
+    return Graph(pg.n, effective_edges(pg))
+
+
+def effective_bits(pg: ProjectedGraph) -> np.ndarray:
+    """The symmetric 0/1 matrix of the pairs effective_edges keeps."""
+    return effective_graph(pg).adj
 
 
 @dataclass(frozen=True)
@@ -69,7 +76,9 @@ def share_adjacency(
     # only 'and' remains; benchmarks/workloads.py reads this argument from its trace
     if policy != "and":
         raise ValueError(f"unknown bit policy {policy!r}; only 'and' is supported")
-    bits = effective_bits(pg)[pair_mask(pg.n)].astype(np.uint64)
+    i, j = effective_edges(pg).T
+    bits = np.zeros(pg.n * (pg.n - 1) // 2, dtype=np.uint64)
+    bits[pair_index(i, j, pg.n)] = 1
     masks = rng.elements(bits.size)
     return SharedAdjacency(n=pg.n, s1=masks, s2=bits - masks)
 

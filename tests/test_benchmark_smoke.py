@@ -2,10 +2,10 @@
 
 benchmarks/tracing.py hooks privtri functions and reads their arguments by
 name (share_adjacency's pg and policy, count's n, effective_graph's pg,
-project's g), so a refactor can break the benchmark while every other test
-passes. One traced round of each cargo workload and of a sweep workload,
-with no timed rounds, catches that; cargo-n500 runs the count over eight
-row blocks of ring_matmul, cargo-n100 over two.
+project's and project_random's g), so a refactor can break the benchmark
+while every other test passes. One traced round of each cargo workload and
+of a sweep workload, with no timed rounds, catches that; cargo-n500 runs
+the count over eight row blocks of ring_matmul, cargo-n100 over two.
 """
 
 import json

@@ -216,6 +216,23 @@ def test_oracle_matches_brute_force_over_several_gather_steps():
         assert exact_triangle_count(g) == brute_triangles(g)
 
 
+@pytest.mark.parametrize("n", [*range(1, 10), 63, 64, 65, 129])
+def test_degrees_and_oracle_at_packed_padding_sizes(n):
+    # packed rows hold ceil(n/64) words, so the last word carries padding
+    # bits except at n = 64; the fan and the book have triangles that share
+    # edges, the book n - 2 of them on the one edge (0, 1)
+    rng = np.random.default_rng(n)
+    fan = [(0, k) for k in range(1, n)] + [(k, k + 1) for k in range(1, n - 1)]
+    book = [(0, 1)] * (n > 1) + [(v, k) for k in range(2, n) for v in (0, 1)]
+    for g in (Graph(n, []), complete_graph(n), erdos_renyi(n, 0.5, rng),
+              Graph(n, fan), Graph(n, book)):
+        assert g.degrees.dtype == np.int64
+        assert np.array_equal(g.degrees, g.adj.sum(axis=1))
+        assert exact_triangle_count(g) == brute_triangles(g)
+    if n >= 3:
+        assert exact_triangle_count(Graph(n, book)) == n - 2
+
+
 def test_graph_scatters_any_edge_array():
     want = np.zeros((4, 4), dtype=np.uint8)
     for u, v in [(0, 1), (1, 3)]:

@@ -14,6 +14,7 @@ from privtri import (
     project,
     project_random,
 )
+from privtri.graph import upper_edges
 from privtri.secure_count import effective_graph
 
 from conftest import (
@@ -27,6 +28,43 @@ from conftest import (
 
 def rng_for(seed):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+
+
+def loop_project(g, noisy, theta):
+    """Row-by-row reference for project: sort each over-theta row alone."""
+    adj = np.array(g.adj, dtype=np.uint8)
+    for i in np.flatnonzero(g.degrees > theta):
+        nbrs = np.flatnonzero(adj[i])
+        ds = np.abs(g.degrees[i] - noisy.values[nbrs]) / g.degrees[i]
+        keep = nbrs[np.lexsort((nbrs, ds))[:theta]]
+        adj[i] = 0
+        adj[i, keep] = 1
+    return adj
+
+
+def loop_project_random(g, theta, rng):
+    """Row-by-row reference for project_random: one choice over each row's neighbors."""
+    adj = np.array(g.adj, dtype=np.uint8)
+    for i in np.flatnonzero(g.degrees > theta):
+        keep = rng.choice(np.flatnonzero(adj[i]), theta, replace=False)
+        adj[i] = 0
+        adj[i, keep] = 1
+    return adj
+
+
+def random_projection_input(rng):
+    """An Erdos-Renyi graph with isolated nodes appended, and noisy degrees.
+
+    Half the time the noisy degrees are small integers, many tied and some
+    negative; otherwise true degrees plus Laplace noise.
+    """
+    core = erdos_renyi(int(rng.integers(1, 40)), float(rng.uniform(0.05, 0.8)), rng)
+    g = Graph(core.n + int(rng.integers(0, 4)), upper_edges(core.adj))
+    if rng.random() < 0.5:
+        values = rng.integers(-3, g.d_max + 3, size=g.n).astype(np.float64)
+    else:
+        values = g.degrees + rng.laplace(0.0, 2.0, size=g.n)
+    return g, NoisyDegrees(values, float(values.max()))
 
 
 def test_max_private_high_budget_recovers_max():
@@ -97,6 +135,52 @@ def test_project_uses_raw_negative_noisy_degrees():
     noisy = NoisyDegrees(values=np.array([3.0, 9.0, -2.0, 40.0]), d_max_noisy=40.0)
     pg = project(g, noisy, theta=1)
     assert list(np.flatnonzero(pg.adj[0])) == [2]
+
+
+def test_project_matches_row_loop_reference():
+    rng = rng_for(61)
+    seen_exact_theta = seen_isolated = seen_negative = 0
+    for _ in range(50):
+        g, noisy = random_projection_input(rng)
+        seen_isolated += int(np.any(g.degrees == 0))
+        seen_negative += int(np.any(noisy.values < 0))
+        for theta in range(1, g.d_max + 2):
+            seen_exact_theta += int(np.any(g.degrees == theta))
+            pg = project(g, noisy, theta=theta)
+            assert pg.theta == theta
+            assert np.array_equal(pg.adj, loop_project(g, noisy, theta))
+    assert min(seen_exact_theta, seen_isolated, seen_negative) > 0
+
+
+def test_project_random_draws_the_row_loop_stream():
+    rng = rng_for(67)
+    for trial in range(30):
+        g, _ = random_projection_input(rng)
+        for theta in sorted({1, 2, g.d_max // 2 + 1, g.d_max, g.d_max + 1} - {0}):
+            ours, ref = rng_for([67, trial, theta]), rng_for([67, trial, theta])
+            pg = project_random(g, theta, ours)
+            assert np.array_equal(pg.adj, loop_project_random(g, theta, ref))
+            assert ours.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("theta, error", [(2.5, TypeError), (0, ValueError), (-1, ValueError)])
+def test_projections_reject_bad_theta_before_any_work(theta, error):
+    g = complete_graph(5)
+    rng = rng_for(0)
+    state = rng.bit_generator.state
+    with pytest.raises(error):
+        project(g, NoisyDegrees.exact(g.degrees), theta=theta)
+    with pytest.raises(error):
+        project_random(g, theta, rng)
+    assert rng.bit_generator.state == state
+
+
+def test_projections_accept_numpy_integer_theta():
+    g = complete_graph(5)
+    for pg in (project(g, NoisyDegrees.exact(g.degrees), theta=np.int64(2)),
+               project_random(g, np.int32(2), rng_for(0))):
+        assert type(pg.theta) is int and pg.theta == 2
+        assert pg.adj.sum(axis=1).max() == 2
 
 
 def test_planted_hub_projection_preserves_triangles():

@@ -20,6 +20,7 @@ from privtri.ring import (
     _limbs,
     decode_signed,
     mul3_batch,
+    pair_index,
     pair_mask,
     ring_matmul,
 )
@@ -158,3 +159,9 @@ def test_ring_matmul_refuses_inexact_inner_dimension():
     empty = np.zeros(0, dtype=np.uint64)
     with pytest.raises(ValueError, match="inner dimension"):
         ring_matmul(empty, empty, MATMUL_MAX_INNER)
+
+
+def test_pair_index_is_pair_mask_order():
+    for n in (0, 1, 2, 3, 7, 64, 65):
+        i, j = np.nonzero(pair_mask(n))
+        assert np.array_equal(pair_index(i, j, n), np.arange(i.size))

@@ -20,7 +20,7 @@ from privtri import (
 )
 from privtri.graph import upper_edges
 from privtri.ring import MASK, MATMUL_MAX_INNER
-from privtri.secure_count import effective_bits, effective_graph
+from privtri.secure_count import effective_bits, effective_edges, effective_graph
 
 from conftest import complete_graph, erdos_renyi
 
@@ -64,6 +64,21 @@ def test_effective_graph_is_effective_bits():
         assert eg.n == pg.n
         assert np.array_equal(eg.adj, effective_bits(pg))
         assert np.array_equal(eg.degrees, effective_bits(pg).sum(axis=1))
+
+
+def test_effective_edges_and_shares_match_dense_and_rule():
+    # independent of effective_edges: the dense 'and' of the matrix and its
+    # transpose, upper triangle only, so diagonal bits never count
+    rng = np.random.default_rng(59)
+    for trial in range(20):
+        n = int(rng.integers(0, 40))
+        adj = (rng.random((n, n)) < rng.uniform(0.1, 0.9)).astype(np.uint8)
+        pg = ProjectedGraph(adj, theta=max(n, 1))
+        both = np.triu(adj & adj.T, 1)
+        assert np.array_equal(effective_edges(pg), np.argwhere(both))
+        sa = share_adjacency(pg, DealerRng(trial))
+        assert np.array_equal(sa.s1, DealerRng(trial).elements(comb(n, 2)))
+        assert np.array_equal(sa.s1 + sa.s2, both[np.triu_indices(n, 1)])
 
 
 def test_share_adjacency_roundtrip_symmetric():
