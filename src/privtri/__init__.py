@@ -24,19 +24,14 @@ from .projection import (
 )
 from .ring import (
     DealerRng,
-    MGReuseError,
-    MultiplicationGroup,
     OpeningChannel,
     SharePair,
-    deal_mg,
-    mul3,
     reconstruct,
     share,
 )
 from .secure_count import (
     SharedAdjacency,
     count,
-    effective_bits,
     effective_graph,
     share_adjacency,
 )
@@ -46,8 +41,6 @@ __all__ = [
     "EdgeListFormatError",
     "ExperimentConfig",
     "Graph",
-    "MGReuseError",
-    "MultiplicationGroup",
     "NoiseParams",
     "NoisyDegrees",
     "OpeningChannel",
@@ -57,15 +50,12 @@ __all__ = [
     "TrialRecord",
     "central_lap",
     "count",
-    "deal_mg",
-    "effective_bits",
     "effective_graph",
     "effective_theta",
     "emit_csv",
     "exact_triangle_count",
     "load_edge_list",
     "max_private",
-    "mul3",
     "perturb",
     "project",
     "project_random",

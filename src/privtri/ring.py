@@ -4,18 +4,14 @@ Scalar values are plain Python ints in [0, 2**64); bulk values are numpy
 uint64 arrays. All arithmetic wraps modulo 2**64, matching two-server
 additive sharing where a secret x is held as shares (r, x - r).
 
-Correlated randomness (share masks, multiplication groups, matrix and
-element-wise Beaver triples) comes from a seeded trusted dealer, standing
-in for an oblivious-transfer offline phase. A multiplication group is one
-dealer row (x, y, z and seven share masks) from which one three-way product
-derives shares of (x, y, z, xyz, xy, xz, yz); the scalar product is one row
-of the batched kernel. The secure count instead multiplies pair vectors
-of shares with ring_matmul, the exact product of the strictly
-upper-triangular matrices that hold them (pair_mask fixes the row-major
-pair layout), and combines element-wise Beaver triples with beaver_share.
+Correlated randomness (share masks, matrix and element-wise Beaver
+triples) comes from a seeded trusted dealer, standing in for an
+oblivious-transfer offline phase. The share products are two kernels:
+ring_matmul, the exact product of the strictly upper-triangular matrices
+that hold two pair vectors (pair_mask fixes the row-major pair layout),
+and beaver_share, one server's share of an element-wise Beaver product.
 """
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -40,10 +36,6 @@ _ROW_BLOCK = 64
 RingElement = int
 
 
-class MGReuseError(RuntimeError):
-    """A multiplication group was offered to a second multiplication."""
-
-
 def decode_signed(element: RingElement) -> int:
     """Read a ring element as a two's-complement signed integer."""
     element &= MASK
@@ -61,8 +53,8 @@ class DealerRng:
     """Seeded stream of uniform ring elements.
 
     Same (seed, path) always yields the same stream, so share masks and
-    multiplication groups are reproducible run to run; a distinct path gives
-    an independent stream.
+    Beaver triples are reproducible run to run; a distinct path gives an
+    independent stream.
     """
 
     def __init__(self, seed: int, *path: int):
@@ -87,23 +79,6 @@ def reconstruct(pair: SharePair) -> RingElement:
     return (pair.s1 + pair.s2) & MASK
 
 
-@dataclass
-class MultiplicationGroup:
-    """One (1, 10) dealer row, in the layout mul3_batch consumes per triple.
-
-    Single use: reusing a group would open two values masked by the same
-    x/y/z, leaking their difference.
-    """
-
-    draws: np.ndarray
-    consumed: bool = False
-
-
-def deal_mg(rng: DealerRng) -> MultiplicationGroup:
-    """Draw one multiplication group: one row of the batched dealer draw."""
-    return MultiplicationGroup(rng.elements((1, 10)))
-
-
 class OpeningChannel:
     """Exchange point for values the two servers jointly open.
 
@@ -124,98 +99,6 @@ class OpeningChannel:
         if self.record:
             self.values.extend(int(v) for v in value)
         return value
-
-
-def mul3(
-    a: SharePair,
-    b: SharePair,
-    c: SharePair,
-    mg: MultiplicationGroup,
-    channel: OpeningChannel | None = None,
-) -> SharePair:
-    """Product of three shared values, as one row of mul3_batch."""
-    if mg.consumed:
-        raise MGReuseError("multiplication group already used")
-    mg.consumed = True
-
-    def row(v: int) -> np.ndarray:
-        return np.array([v], dtype=np.uint64)
-
-    u1, u2 = mul3_batch(
-        row(a.s1), row(a.s2), row(b.s1), row(b.s2), row(c.s1), row(c.s2),
-        mg.draws,
-        channel,
-    )
-    return SharePair(int(u1[0]), int(u2[0]))
-
-
-def mul3_batch(
-    a1: np.ndarray,
-    a2: np.ndarray,
-    b1: np.ndarray,
-    b2: np.ndarray,
-    c1: np.ndarray,
-    c2: np.ndarray,
-    draws: np.ndarray,
-    channel: OpeningChannel | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Two-round products a*b*c of m independent shared triples.
-
-    ``draws`` is the (m, 10) dealer matrix, one multiplication group per
-    row: columns 0..2 are x, y, z, columns 3..9 server 1's shares of
-    x, y, z, w=xyz, o=xy, p=xz, q=yz; server 2's shares are the rest.
-
-    Round 1: each server blinds its shares with its x, y, z shares and the
-    servers open e = a - x, f = b - y, g = c - z. Round 2: each server
-    evaluates its share of
-
-        d = w + o*g + p*f + q*e + x*f*g + y*e*g + z*e*f + e*f*g
-
-    with the public e*f*g term assigned to server 2 alone. Expanding with
-    e = a - x, f = b - y, g = c - z gives d = a*b*c exactly, in the ring.
-    Returns per-server output share arrays (u1, u2); uint64 arithmetic
-    wraps, which is the ring reduction.
-    """
-    x = draws[:, 0]
-    y = draws[:, 1]
-    z = draws[:, 2]
-    w = x * y * z
-    o = x * y
-    p = x * z
-    q = y * z
-    x1 = draws[:, 3]
-    y1 = draws[:, 4]
-    z1 = draws[:, 5]
-    w1 = draws[:, 6]
-    o1 = draws[:, 7]
-    p1 = draws[:, 8]
-    q1 = draws[:, 9]
-    x2 = x - x1
-    y2 = y - y1
-    z2 = z - z1
-    w2 = w - w1
-    o2 = o - o1
-    p2 = p - p1
-    q2 = q - q1
-
-    e1 = a1 - x1
-    e2 = a2 - x2
-    f1 = b1 - y1
-    f2 = b2 - y2
-    g1 = c1 - z1
-    g2 = c2 - z2
-    if channel is None:
-        channel = OpeningChannel()
-    e = channel.open_array(e1, e2)
-    f = channel.open_array(f1, f2)
-    g = channel.open_array(g1, g2)
-
-    fg = f * g
-    eg = e * g
-    ef = e * f
-    u1 = w1 + o1 * g + p1 * f + q1 * e + x1 * fg + y1 * eg + z1 * ef
-    u2 = w2 + o2 * g + p2 * f + q2 * e + x2 * fg + y2 * eg + z2 * ef + e * fg
-    return u1, u2
 
 
 def check_matmul_inner(n: int) -> None:

@@ -50,11 +50,6 @@ def effective_graph(pg: ProjectedGraph) -> Graph:
     return Graph(pg.n, effective_edges(pg))
 
 
-def effective_bits(pg: ProjectedGraph) -> np.ndarray:
-    """The symmetric 0/1 matrix of the pairs effective_edges keeps."""
-    return effective_graph(pg).adj
-
-
 @dataclass(frozen=True)
 class SharedAdjacency:
     """Additive shares of every pair bit, one uint64 vector per server.

@@ -8,6 +8,7 @@ edge list is present (see conftest.facebook_path).
 
 import time
 from contextlib import contextmanager
+from itertools import product
 
 import numpy as np
 import pytest
@@ -17,13 +18,12 @@ from privtri import (
     DealerRng,
     ExperimentConfig,
     NoiseParams,
+    OpeningChannel,
     ProjectedGraph,
-    deal_mg,
     emit_csv,
     exact_triangle_count,
     load_edge_list,
     max_private,
-    mul3,
     perturb,
     project,
     reconstruct,
@@ -35,7 +35,7 @@ from privtri import (
 )
 from privtri.harness import MAX_CARGO_NODES
 from privtri.projection import effective_theta
-from privtri.ring import MASK
+from privtri.ring import MASK, beaver_share
 from privtri.secure_count import count
 
 from conftest import erdos_renyi, facebook_path, write_lines
@@ -58,22 +58,32 @@ def rng_for(*seed):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(seed))))
 
 
-def test_criterion_1_mul3_oracle():
+def beaver_product(u1, u2, v1, v2, rng, channel):
+    """Each server's share of u * v from one dealt element-wise triple."""
+    a1, a2, b1, b2, c1 = rng.elements((5, u1.size))
+    c2 = (a1 + a2) * (b1 + b2) - c1
+    f = channel.open_array(u1 - a1, u2 - a2)
+    g = channel.open_array(v1 - b1, v2 - b2)
+    return (
+        beaver_share(f, g, a1, b1, c1, public=False),
+        beaver_share(f, g, a2, b2, c2, public=True),
+    )
+
+
+def test_criterion_1_three_way_product_oracle():
     with criterion(1, "three-way share product matches plain products"):
         start = time.perf_counter()
         rng = DealerRng(101)
-        for a in (0, 1):
-            for b in (0, 1):
-                for c in (0, 1):
-                    for _ in range(100):
-                        got = mul3(
-                            share(a, rng), share(b, rng), share(c, rng), deal_mg(rng)
-                        )
-                        assert reconstruct(got) == a * b * c
-        triples = rng.elements((10_000, 3)).tolist()
-        for a, b, c in triples:
-            got = mul3(share(a, rng), share(b, rng), share(c, rng), deal_mg(rng))
-            assert reconstruct(got) == (a * b * c) & MASK
+        bits = np.array(list(product((0, 1), repeat=3)), dtype=np.uint64).T
+        secrets = np.concatenate((np.repeat(bits, 100, axis=1), rng.elements((3, 10_000))), axis=1)
+        masks = rng.elements(secrets.shape)
+        (a1, b1, c1), (a2, b2, c2) = masks, secrets - masks
+        channel = OpeningChannel()
+        ab1, ab2 = beaver_product(a1, a2, b1, b2, rng, channel)
+        abc1, abc2 = beaver_product(ab1, ab2, c1, c2, rng, channel)
+        got = (abc1 + abc2).tolist()
+        for (a, b, c), t in zip(secrets.T.tolist(), got):
+            assert t == (a * b * c) & MASK
         elapsed = time.perf_counter() - start
         assert elapsed < 5.0, f"took {elapsed:.2f}s"
 

@@ -4,13 +4,13 @@ from scipy import stats
 
 from privtri import (
     DealerRng,
-    MGReuseError,
     OpeningChannel,
+    ProjectedGraph,
     SharePair,
-    deal_mg,
-    mul3,
+    count,
     reconstruct,
     share,
+    share_adjacency,
 )
 from privtri.ring import (
     MASK,
@@ -19,11 +19,12 @@ from privtri.ring import (
     _limb_product,
     _limbs,
     decode_signed,
-    mul3_batch,
     pair_index,
     pair_mask,
     ring_matmul,
 )
+
+from conftest import complete_graph
 
 
 def test_share_zero_with_known_mask():
@@ -54,39 +55,6 @@ def test_signed_encoding_roundtrip():
         assert decode_signed(v & MASK) == v
 
 
-def test_mul3_bits():
-    rng = DealerRng(31)
-    assert reconstruct(mul3(share(1, rng), share(1, rng), share(1, rng), deal_mg(rng))) == 1
-    assert reconstruct(mul3(share(1, rng), share(1, rng), share(0, rng), deal_mg(rng))) == 0
-
-
-def test_mul3_all_bit_combinations():
-    rng = DealerRng(37)
-    for a in (0, 1):
-        for b in (0, 1):
-            for c in (0, 1):
-                for _ in range(20):
-                    got = mul3(share(a, rng), share(b, rng), share(c, rng), deal_mg(rng))
-                    assert reconstruct(got) == a * b * c
-
-
-def test_mul3_full_range_random():
-    rng = DealerRng(41)
-    triples = rng.elements((1000, 3)).tolist()
-    for a, b, c in triples:
-        got = mul3(share(a, rng), share(b, rng), share(c, rng), deal_mg(rng))
-        assert reconstruct(got) == (a * b * c) & MASK
-
-
-def test_mg_single_use():
-    rng = DealerRng(43)
-    mg = deal_mg(rng)
-    args = (share(1, rng), share(1, rng), share(1, rng))
-    mul3(*args, mg)
-    with pytest.raises(MGReuseError):
-        mul3(*args, mg)
-
-
 def test_dealer_streams_reproducible_and_independent():
     assert np.array_equal(DealerRng(7, 1).elements(16), DealerRng(7, 1).elements(16))
     assert not np.array_equal(DealerRng(7, 1).elements(16), DealerRng(7, 2).elements(16))
@@ -94,17 +62,18 @@ def test_dealer_streams_reproducible_and_independent():
 
 
 def test_opened_values_uniform_low_bits():
-    # fixed secret a, fresh groups: opened e = a - x must look uniform;
-    # chi-square on the low 16 bits of 2^20 openings
+    # every shared bit of the complete graph is 1, so each opening of count
+    # (e = u - x, f = u - a, g = p - b) is a fixed secret minus a fresh
+    # mask and must look uniform; chi-square on the low 16 bits of the
+    # first 2^20 of its 3 * C(837, 2) openings
     m = 1 << 20
-    a = 1  # an actual adjacency bit
-    zeros = np.zeros(m, dtype=np.uint64)
-    ones = np.full(m, a, dtype=np.uint64)
+    g = complete_graph(837)
+    sa = share_adjacency(ProjectedGraph(g.adj, theta=g.n - 1), DealerRng(2718, 0))
     channel = OpeningChannel(record=True)
-    draws = DealerRng(2718).elements((m, 10))
-    mul3_batch(ones, zeros, ones, zeros, ones, zeros, draws, channel)
-    opened_e = np.array(channel.values[:m], dtype=np.uint64)
-    low = (opened_e & np.uint64(0xFFFF)).astype(np.int64)
+    count(sa, g.n, DealerRng(2718, 1), channel)
+    assert channel.openings >= m
+    opened = np.array(channel.values[:m], dtype=np.uint64)
+    low = (opened & np.uint64(0xFFFF)).astype(np.int64)
     counts = np.bincount(low, minlength=65536)
     chi2 = stats.chisquare(counts)
     assert chi2.pvalue > 0.001

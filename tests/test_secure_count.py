@@ -9,18 +9,15 @@ from privtri import (
     Graph,
     OpeningChannel,
     ProjectedGraph,
-    SharePair,
     SharedAdjacency,
     count,
-    deal_mg,
     exact_triangle_count,
-    mul3,
     reconstruct,
     share_adjacency,
 )
 from privtri.graph import upper_edges
 from privtri.ring import MASK, MATMUL_MAX_INNER
-from privtri.secure_count import effective_bits, effective_edges, effective_graph
+from privtri.secure_count import effective_edges, effective_graph
 
 from conftest import complete_graph, erdos_renyi
 
@@ -34,48 +31,38 @@ def secure_count_of(g: Graph, dealer_seed: int = 0) -> int:
     return reconstruct(count(sa, g.n, DealerRng(dealer_seed, 1)))
 
 
-def test_effective_bits_policies():
+def test_effective_graph_policies():
     adj = np.zeros((3, 3), dtype=np.uint8)
     adj[0, 1] = 1  # row 0 kept the edge, row 1 dropped it
     pg = ProjectedGraph(adj, theta=1)
-    assert effective_bits(pg)[0, 1] == effective_bits(pg)[1, 0] == 0
+    assert effective_graph(pg).adj[0, 1] == effective_graph(pg).adj[1, 0] == 0
     adj2 = np.zeros((3, 3), dtype=np.uint8)
     adj2[1, 0] = 1  # row 1 kept the edge, row 0 dropped it
     pg2 = ProjectedGraph(adj2, theta=1)
-    assert effective_bits(pg2)[0, 1] == effective_bits(pg2)[1, 0] == 0
+    assert effective_graph(pg2).adj[0, 1] == effective_graph(pg2).adj[1, 0] == 0
     with pytest.raises(ValueError):
         share_adjacency(pg, DealerRng(0), "or")
 
 
-def test_effective_graph_is_effective_bits():
-    # asymmetric rows, diagonal bits set in some, and the smallest sizes
-    rng = np.random.default_rng(53)
+def test_effective_edges_and_shares_match_dense_and_rule():
+    # independent of effective_edges: the dense 'and' of the matrix and its
+    # transpose, upper triangle only, so diagonal bits never count; the
+    # smallest sizes, all-one matrices and set diagonals come first
+    rng = np.random.default_rng(59)
     adjs = [np.zeros((n, n), dtype=np.uint8) for n in (0, 1, 2)]
     adjs += [np.ones((n, n), dtype=np.uint8) for n in (1, 2)]
     for _ in range(20):
-        n = int(rng.integers(3, 40))
-        adj = (rng.random((n, n)) < rng.uniform(0.1, 0.9)).astype(np.uint8)
-        if rng.random() < 0.5:
-            np.fill_diagonal(adj, 0)
-        adjs.append(adj)
-    for adj in adjs:
-        pg = ProjectedGraph(adj, theta=max(adj.shape[0], 1))
-        eg = effective_graph(pg)
-        assert eg.n == pg.n
-        assert np.array_equal(eg.adj, effective_bits(pg))
-        assert np.array_equal(eg.degrees, effective_bits(pg).sum(axis=1))
-
-
-def test_effective_edges_and_shares_match_dense_and_rule():
-    # independent of effective_edges: the dense 'and' of the matrix and its
-    # transpose, upper triangle only, so diagonal bits never count
-    rng = np.random.default_rng(59)
-    for trial in range(20):
         n = int(rng.integers(0, 40))
-        adj = (rng.random((n, n)) < rng.uniform(0.1, 0.9)).astype(np.uint8)
+        adjs.append((rng.random((n, n)) < rng.uniform(0.1, 0.9)).astype(np.uint8))
+    for trial, adj in enumerate(adjs):
+        n = adj.shape[0]
         pg = ProjectedGraph(adj, theta=max(n, 1))
         both = np.triu(adj & adj.T, 1)
         assert np.array_equal(effective_edges(pg), np.argwhere(both))
+        eg = effective_graph(pg)
+        assert eg.n == n
+        assert np.array_equal(eg.adj, both | both.T)
+        assert np.array_equal(eg.degrees, (both | both.T).sum(axis=1))
         sa = share_adjacency(pg, DealerRng(trial))
         assert np.array_equal(sa.s1, DealerRng(trial).elements(comb(n, 2)))
         assert np.array_equal(sa.s1 + sa.s2, both[np.triu_indices(n, 1)])
@@ -94,7 +81,7 @@ def test_share_adjacency_roundtrip_asymmetric():
     np.fill_diagonal(adj, 0)
     pg = ProjectedGraph(adj, theta=15)
     sa = share_adjacency(pg, DealerRng(2))
-    assert np.array_equal(sa.s1 + sa.s2, effective_bits(pg)[np.triu_indices(15, 1)])
+    assert np.array_equal(sa.s1 + sa.s2, effective_graph(pg).adj[np.triu_indices(15, 1)])
 
 
 def test_count_small_graphs():
@@ -203,28 +190,20 @@ def test_count_transcript():
     assert np.count_nonzero(opened[0] == opened[1]) == 0
 
 
-def test_count_matches_mul3_loop():
-    # the per-triple reference protocol: one mul3 per triple i < j < k,
-    # each with a fresh deal_mg group, summed in the ring
+def test_count_matches_plain_triple_sum():
+    # independent of ring_matmul and the oracle: the plain sum over every
+    # triple i < j < k of the products of its reconstructed pair bits
     rng = np.random.default_rng(29)
     adj = (rng.random((9, 9)) < 0.6).astype(np.uint8)
     np.fill_diagonal(adj, 0)
     pg = ProjectedGraph(adj, theta=9)
     sa = share_adjacency(pg, DealerRng(41, 0))
-    index = {ab: p for p, ab in enumerate(combinations(range(pg.n), 2))}
-
-    def pair(a, b):
-        p = index[a, b]
-        return SharePair(int(sa.s1[p]), int(sa.s2[p]))
-
-    mg_rng = DealerRng(41, 2)
-    t1 = t2 = 0
+    bit = dict(zip(combinations(range(pg.n), 2), (sa.s1 + sa.s2).tolist()))
+    want = 0
     for i, j, k in combinations(range(pg.n), 3):
-        u = mul3(pair(i, j), pair(i, k), pair(j, k), deal_mg(mg_rng))
-        t1 = (t1 + u.s1) & MASK
-        t2 = (t2 + u.s2) & MASK
+        want += bit[i, j] * bit[i, k] * bit[j, k]
     got = reconstruct(count(sa, pg.n, DealerRng(41, 1)))
-    assert got == reconstruct(SharePair(t1, t2)) > 0
+    assert got == want & MASK > 0
 
 
 def test_count_refuses_inexact_size_before_dealing():
