@@ -17,7 +17,7 @@ per step, so each triangle is counted at all three of its edges.
 import io
 import re
 import warnings
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,34 +44,41 @@ class Graph:
 
     edges is any integer array-like of node ids in [0, n); duplicate and
     reversed-duplicate edges collapse to one undirected edge and self-loops
-    are dropped, so adj, the (n, n) uint8 0/1 matrix, is symmetric with a
-    zero diagonal by construction. degrees[i] is the popcount of row i.
-    adj and degrees are derived and read-only. Raises ValueError unless
+    are dropped. The Graph keeps the result as edges, the (m, 2) int64
+    pairs (i, j), i < j, each once and in row-major order. An int64 array
+    already in that form (effective_edges gives one) is kept as it is,
+    with no copy, and becomes read-only; any other is listed again from
+    adj, the (n, n) uint8 0/1 matrix scattered from it. adj is symmetric
+    with a zero diagonal by construction. degrees[i] is the popcount of
+    row i. edges, adj and degrees are read-only. Raises ValueError unless
     edges has shape (m, 2) and every id is in [0, n).
     """
 
     n: int
-    edges: InitVar[np.ndarray]
+    edges: np.ndarray
     adj: np.ndarray = field(init=False)
     degrees: np.ndarray = field(init=False)
 
-    def __post_init__(self, edges):
-        e = np.asarray(edges, dtype=np.int64)
+    def __post_init__(self):
+        e = np.asarray(self.edges, dtype=np.int64)
         if e.size == 0:
             e = e.reshape(0, 2)
         if e.ndim != 2 or e.shape[1] != 2:
             raise ValueError(f"edges must be an (m, 2) array, got shape {e.shape}")
         if e.size and (e.min() < 0 or e.max() >= self.n):
             raise ValueError(f"node ids must be in [0, {self.n})")
+        i, j = e.T
+        canonical = not (np.any(i >= j) or np.any(np.diff(i * self.n + j) <= 0))
         adj = np.zeros((self.n, self.n), dtype=np.uint8)
-        adj[e[:, 0], e[:, 1]] = 1
-        adj[e[:, 1], e[:, 0]] = 1
+        adj[i, j] = 1
+        adj[j, i] = 1
         np.fill_diagonal(adj, 0)
-        adj.flags.writeable = False
+        if not canonical:
+            e = upper_edges(adj)
         degrees = np.bitwise_count(_pack_rows(adj)).sum(axis=1, dtype=np.int64)
-        degrees.flags.writeable = False
-        object.__setattr__(self, "adj", adj)
-        object.__setattr__(self, "degrees", degrees)
+        for name, value in (("edges", e), ("adj", adj), ("degrees", degrees)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def d_max(self) -> int:
@@ -215,7 +222,7 @@ def _pack_rows(rows: np.ndarray) -> np.ndarray:
 def exact_triangle_count(g: Graph) -> int:
     """Number of unordered triples {i, j, k} with all three edges present.
 
-    For every edge (i, j) with i < j, counts the common neighbors of i and
+    For every edge (i, j) of g.edges, counts the common neighbors of i and
     j by intersecting their packed adjacency rows. Each triangle is seen
     once at each of its three edges, so the sum is three times the count.
     The edges go through in steps of _GATHER_EDGES, each one gather of
@@ -223,7 +230,7 @@ def exact_triangle_count(g: Graph) -> int:
     """
     if g.n < 3:
         return 0
-    edges = upper_edges(g.adj)
+    edges = g.edges
     packed = _pack_rows(g.adj)
     total = 0
     for s in range(0, len(edges), _GATHER_EDGES):

@@ -10,7 +10,12 @@ bound theta.
 
 Real-valued noise lives in the integer ring via fixed-point encoding with
 scale S = 2**20: values are rounded to multiples of 1/S and interpreted as
-two's complement, leaving 43 integer bits of headroom.
+two's complement. The noise is folded in the ring of the count shares,
+Z_2^w. A count over n users runs at w = ring.ring_bits(n), the narrowest
+width that holds (C(n, 3) + 64 * MAX_NOISE_SCALE) * S below the overflow
+guard at 2**(w - 2); 64 * MAX_NOISE_SCALE is a noise tail that Laplace
+noise of any admitted scale exceeds with probability below 2**-92. That
+is 48 bits up to n = 737 and 64 bits up to MAX_USERS = 29,772.
 """
 
 import math
@@ -18,15 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ring import MASK, SharePair, decode_signed
-
-FIXED_POINT_SCALE = 1 << 20
-
-# decoded magnitudes beyond this mean the fixed-point value wrapped
-_OVERFLOW_GUARD = 1 << 62
-
-_MAX_USERS = 10**5
-_MAX_SCALE = 10**4
+from .ring import FIXED_POINT_SCALE, MAX_NOISE_SCALE, MAX_USERS, SharePair, decode_signed
 
 
 @dataclass(frozen=True)
@@ -34,7 +31,9 @@ class NoiseParams:
     """Perturbation configuration: budget, sensitivity, contributors, scale.
 
     The Laplace scale is sensitivity / epsilon2. Supported ranges keep
-    count * S plus all noise far from the ring's sign boundary.
+    count * S plus all noise below the overflow guard of the ring_bits
+    width: n_users above MAX_USERS has no such width, and is refused here,
+    before any count.
     """
 
     epsilon2: float
@@ -48,9 +47,9 @@ class NoiseParams:
             raise ValueError(
                 f"sensitivity must be positive and finite, got {self.sensitivity}"
             )
-        if not 1 <= self.n_users <= _MAX_USERS:
+        if not 1 <= self.n_users <= MAX_USERS:
             raise ValueError(f"n_users out of range: {self.n_users}")
-        if self.scale > _MAX_SCALE:
+        if self.scale > MAX_NOISE_SCALE:
             raise ValueError(f"noise scale {self.scale} exceeds supported range")
 
     @property
@@ -59,9 +58,14 @@ class NoiseParams:
         return self.sensitivity / self.epsilon2
 
 
-def decode_fixed(element: int) -> float:
-    signed = decode_signed(element)
-    if abs(signed) >= _OVERFLOW_GUARD:
+def decode_fixed(element: int, bits: int) -> float:
+    """The fixed-point value of an element of Z_2^bits.
+
+    Decoded magnitudes of 2**(bits - 2) or more mean the fold wrapped or
+    left the ring_bits bound, and raise OverflowError.
+    """
+    signed = decode_signed(element, bits)
+    if abs(signed) >= 1 << (bits - 2):
         raise OverflowError("fixed-point value outside supported range")
     return signed / FIXED_POINT_SCALE
 
@@ -72,8 +76,11 @@ def perturb(t_shares: SharePair, params: NoiseParams, rng) -> float:
     Every one of the n_users users draws a Gamma(1/n, scale) difference,
     rounds it to the 1/S grid and secret-shares it; all draws come in one
     bulk call per quantity. Each server sums its n noise shares, scales its
-    count share by S and adds; the opened total decodes to count + noise,
-    with the noise converging to Laplace(scale) up to 1/S quantization.
+    count share by S and adds, all in the shares' ring Z_2^bits; the opened
+    total decodes to count + noise, with the noise converging to
+    Laplace(scale) up to 1/S quantization. The masks are the same raw
+    64-bit draws at every width, reduced mod 2**bits, so the result does
+    not depend on the width.
     """
     n = params.n_users
     s = FIXED_POINT_SCALE
@@ -82,9 +89,11 @@ def perturb(t_shares: SharePair, params: NoiseParams, rng) -> float:
     gam2 = rng.gamma(shape, params.scale, size=n)
     enc = np.rint((gam1 - gam2) * s).astype(np.int64).astype(np.uint64)
     masks = rng.integers(0, 1 << 64, size=n, dtype=np.uint64)
-    noise1 = int(masks.sum(dtype=np.uint64))
-    noise2 = int((enc - masks).sum(dtype=np.uint64))
+    # sums mod 2**64 reduce to the sums of the reduced shares mod 2**bits
+    low = (1 << t_shares.bits) - 1
+    noise1 = int(masks.sum(dtype=np.uint64)) & low
+    noise2 = int((enc - masks).sum(dtype=np.uint64)) & low
 
-    tp1 = (t_shares.s1 * s + noise1) & MASK
-    tp2 = (t_shares.s2 * s + noise2) & MASK
-    return decode_fixed((tp1 + tp2) & MASK)
+    tp1 = (t_shares.s1 * s + noise1) & low
+    tp2 = (t_shares.s2 * s + noise2) & low
+    return decode_fixed((tp1 + tp2) & low, t_shares.bits)

@@ -1,8 +1,14 @@
-"""Additive secret sharing over the 64-bit ring Z_2^64.
+"""Additive secret sharing over the ring Z_2^w, w a multiple of 16 up to 64.
 
-Scalar values are plain Python ints in [0, 2**64); bulk values are numpy
-uint64 arrays. All arithmetic wraps modulo 2**64, matching two-server
-additive sharing where a secret x is held as shares (r, x - r).
+Scalar values are plain Python ints in [0, 2**w); bulk values are numpy
+uint64 arrays. A secret x is held as shares (r, x - r) mod 2**w. Arithmetic
+on uint64 wraps modulo 2**64, which 2**w divides, so it is exact mod 2**w
+as long as every value that leaves a server (an opening, a dealer share,
+an output share) is reduced mod 2**w first; bits at or above w would carry
+information about the shares. ring_bits gives the width of a count over n
+users: the narrowest one that holds the count bound C(n, 3), plus a noise
+tail, in the fixed-point noise fold of perturbation. Shares made by share
+and by the dealer's raw stream are 64-bit.
 
 Correlated randomness (share masks, matrix and element-wise Beaver
 triples) comes from a seeded trusted dealer, standing in for an
@@ -12,6 +18,7 @@ that hold two pair vectors (pair_mask fixes the row-major pair layout),
 and beaver_share, one server's share of an element-wise Beaver product.
 """
 
+from math import comb
 from typing import NamedTuple
 
 import numpy as np
@@ -19,15 +26,22 @@ import numpy as np
 RING_BITS = 64
 RING_MOD = 1 << RING_BITS
 MASK = RING_MOD - 1
-_SIGN = 1 << (RING_BITS - 1)
 
-# ring_matmul splits each element into four 16-bit limbs, so a limb
+# The noise fold of perturbation opens count * FIXED_POINT_SCALE + noise
+# in the count's ring, with Laplace noise of scale at most MAX_NOISE_SCALE.
+# Laplace(lambda) exceeds 64 * lambda in magnitude with probability
+# exp(-64) < 2**-92, so NOISE_TAIL bounds the noise but for that chance.
+FIXED_POINT_SCALE = 1 << 20
+MAX_NOISE_SCALE = 10**4
+NOISE_TAIL = 64 * MAX_NOISE_SCALE
+
+# ring_matmul splits each element into L <= 4 16-bit limbs, so a limb
 # product is at most (2**16 - 1)**2 < 2**32. The shift-k term adds the at
-# most four limb matmuls with l + m = k, so with inner dimension n every
-# partial sum of one of its entries is a non-negative integer below
-# 4 * n * (2**16 - 1)**2 < n * 2**34. float64 holds every integer up to
-# 2**53 exactly, so n < 2**19 keeps the sum exact in whatever order BLAS
-# adds.
+# most four limb matmuls with l + m = k < L, so with inner dimension n
+# every partial sum of one of its entries is a non-negative integer below
+# 4 * n * (2**16 - 1)**2 < n * 2**34, whatever L is. float64 holds every
+# integer up to 2**53 exactly, so n < 2**19 keeps the sum exact in
+# whatever order BLAS adds.
 _LIMB_BITS = 16
 _LIMBS = RING_BITS // _LIMB_BITS
 MATMUL_MAX_INNER = 1 << 19
@@ -36,17 +50,53 @@ _ROW_BLOCK = 64
 RingElement = int
 
 
-def decode_signed(element: RingElement) -> int:
-    """Read a ring element as a two's-complement signed integer."""
-    element &= MASK
-    return element - RING_MOD if element >= _SIGN else element
+def _fold_bound(n: int) -> int:
+    """Largest magnitude the noise fold opens for a count over n users."""
+    return (comb(n, 3) + NOISE_TAIL) * FIXED_POINT_SCALE
+
+
+def ring_bits(n: int) -> int:
+    """Width of the ring a count over n users runs in.
+
+    The smallest multiple of 16, at most 64, with _fold_bound(n) below
+    2**(w - 2): the count, the folded noise and perturbation's overflow
+    guard at 2**(w - 2) all fit the signed range of Z_2^w. Raises
+    ValueError when no width does, that is for n > MAX_USERS.
+    """
+    bound = _fold_bound(n)
+    for bits in range(_LIMB_BITS, RING_BITS + 1, _LIMB_BITS):
+        if bound < 1 << (bits - 2):
+            return bits
+    raise ValueError(f"a count over {n} users does not fit the {RING_BITS}-bit ring")
+
+
+def _max_users() -> int:
+    """The largest n that ring_bits admits, by bisection."""
+    lo, hi = 0, 1 << 20  # the bound fits at lo and not at hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _fold_bound(mid) < 1 << (RING_BITS - 2):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+MAX_USERS = _max_users()
+
+
+def decode_signed(element: RingElement, bits: int = RING_BITS) -> int:
+    """Read an element of Z_2^bits as a two's-complement signed integer."""
+    element &= (1 << bits) - 1
+    return element - (1 << bits) if element >> (bits - 1) else element
 
 
 class SharePair(NamedTuple):
-    """Additive shares of one ring element: server 1 holds s1, server 2 s2."""
+    """Additive shares of one element of Z_2^bits: server 1 holds s1, server 2 s2."""
 
     s1: RingElement
     s2: RingElement
+    bits: int = RING_BITS
 
 
 class DealerRng:
@@ -76,7 +126,7 @@ def share(secret: int, rng: DealerRng) -> SharePair:
 
 
 def reconstruct(pair: SharePair) -> RingElement:
-    return (pair.s1 + pair.s2) & MASK
+    return (pair.s1 + pair.s2) & ((1 << pair.bits) - 1)
 
 
 class OpeningChannel:
@@ -93,8 +143,9 @@ class OpeningChannel:
         self.record = record
         self.values: list[int] = []
 
-    def open_array(self, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
-        value = s1 + s2
+    def open_array(self, s1: np.ndarray, s2: np.ndarray, bits: int = RING_BITS) -> np.ndarray:
+        """The opened s1 + s2, reduced mod 2**bits."""
+        value = (s1 + s2) & np.uint64((1 << bits) - 1)
         self.openings += int(value.size)
         if self.record:
             self.values.extend(int(v) for v in value)
@@ -110,22 +161,22 @@ def check_matmul_inner(n: int) -> None:
         )
 
 
-def _limbs(a: np.ndarray) -> list[np.ndarray]:
-    """The four 16-bit limbs of a 2-D uint64 array, least significant first."""
+def _limbs(a: np.ndarray, limbs: int = _LIMBS) -> list[np.ndarray]:
+    """The low 16-bit limbs of a 2-D uint64 array, least significant first."""
     words = np.ascontiguousarray(a, dtype="<u8").view("<u2")
-    return [words[:, l::_LIMBS].astype(np.float64) for l in range(_LIMBS)]
+    return [words[:, l::_LIMBS].astype(np.float64) for l in range(limbs)]
 
 
 def _limb_product(la: list[np.ndarray], lb: list[np.ndarray]) -> np.ndarray:
-    """The uint64 product of two matrices given as limbs, exact mod 2**64.
+    """The product of two matrices given as L limbs each, exact mod 2**(16 L).
 
-    For each shift k the limb products with l + m = k are summed by float64
-    BLAS, exact below MATMUL_MAX_INNER (see its derivation), and the sum is
-    shifted left by 16 * k in uint64, which drops exactly the bits above
-    2**64.
+    For each shift k < L the limb products with l + m = k are summed by
+    float64 BLAS, exact below MATMUL_MAX_INNER (see its derivation), and
+    the sum is shifted left by 16 * k in uint64. Bits at or above 16 L are
+    left as they fall.
     """
     out = np.zeros((la[0].shape[0], lb[0].shape[1]), dtype=np.uint64)
-    for k in range(_LIMBS):
+    for k in range(len(la)):
         acc = la[0] @ lb[k]
         for l in range(1, k + 1):
             acc += la[l] @ lb[k - l]
@@ -149,13 +200,14 @@ def pair_index(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
     return i * (2 * n - i - 1) // 2 + j - i - 1
 
 
-def ring_matmul(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
-    """The pair vector of U @ V, exact modulo 2**64.
+def ring_matmul(u: np.ndarray, v: np.ndarray, n: int, bits: int = RING_BITS) -> np.ndarray:
+    """The pair vector of U @ V mod 2**bits, reduced.
 
     U and V are the strictly upper n x n matrices that hold pair vectors u
     and v; they exist only inside this call. Native uint64 matmul does not
-    use BLAS; here each operand is split into four 16-bit limbs held as
-    float64 and multiplied by _limb_product. Rows of U go through in blocks
+    use BLAS; here each operand is split into its low bits // 16 limbs held
+    as float64 and multiplied by _limb_product, so bits of u and v at or
+    above bits are never read. Rows of U go through in blocks
     of _ROW_BLOCK, so only V's limbs are held whole. Rows [r, r + _ROW_BLOCK)
     of U are zero in columns <= r, and rows > r of V are zero in columns
     <= r + 1, so each block multiplies only U[rows, r+1:] by V[r+1:, r+1:].
@@ -173,14 +225,15 @@ def ring_matmul(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
         mat[mask] = w
         return mat
 
+    limbs = bits // _LIMB_BITS
     a = matrix(u)
-    lb = _limbs(a if v is u else matrix(v))
+    lb = _limbs(a if v is u else matrix(v), limbs)
     out = np.zeros((n, n), dtype=np.uint64)
     for r in range(0, n, _ROW_BLOCK):
         rows = slice(r, r + _ROW_BLOCK)
-        la = [limb[rows, r + 1 :] for limb in lb] if v is u else _limbs(a[rows, r + 1 :])
+        la = [limb[rows, r + 1 :] for limb in lb] if v is u else _limbs(a[rows, r + 1 :], limbs)
         out[rows, r + 1 :] = _limb_product(la, [limb[r + 1 :, r + 1 :] for limb in lb])
-    return out[mask]
+    return out[mask] & np.uint64((1 << bits) - 1)
 
 
 def beaver_share(

@@ -3,8 +3,10 @@
 Users secret-share the bit of every unordered pair to two semi-honest,
 non-colluding servers. With U the strictly upper-triangular matrix of the
 effective bits, (U @ U)[i, k] counts the paths i < j < k, so the triangle
-count is exactly T = sum over i < k of U[i, k] * (U @ U)[i, k] in Z_2^64.
-The servers compute it on shares in two rounds of Beaver-masked openings:
+count is exactly T = sum over i < k of U[i, k] * (U @ U)[i, k] in Z_2^w,
+w = ring.ring_bits(n) the width that holds the public bound C(n, 3) and
+the noise later folded into it. The servers compute it on shares in two
+rounds of Beaver-masked openings:
 one matrix triple for U @ U and one element-wise triple per pair for the
 final product. Neither server sees a bit in the clear: the only
 cross-server traffic is the masked openings, routed through an
@@ -27,6 +29,7 @@ from .ring import (
     beaver_share,
     check_matmul_inner,
     pair_index,
+    ring_bits,
     ring_matmul,
 )
 
@@ -88,10 +91,10 @@ def count(
 
     All data, the shared bits u included, are pair vectors over the
     m = C(n, 2) pairs i < k (ring.pair_mask), and v @ w below stands for
-    ring_matmul(v, w, n), the pair vector of the matrix product V @ W. The
-    dealer draws, in this order, pair vectors of server shares x1, x2, z1
-    (a square triple: z = x @ x) and a1, a2, b1, b2, c1 (an element-wise
-    triple c = a * b), 8 * m elements in one call.
+    ring_matmul(v, w, n, bits), the pair vector of the matrix product
+    V @ W. The dealer draws, in this order, pair vectors of server shares
+    x1, x2, z1 (a square triple: z = x @ x) and a1, a2, b1, b2, c1 (an
+    element-wise triple c = a * b), 8 * m elements in one call.
 
     Round 1 opens e = u - x and f = u - a. Server 1 computes
     p1 = e @ x1 + x1 @ e + z1 and server 2 p2 = x2 @ e + e @ (x2 + e) + z2,
@@ -100,28 +103,39 @@ def count(
     openings and 5 ring_matmul products (one by the dealer). A given dealer
     seed fixes every share and opened value; the reconstructed count
     depends only on the shared bits.
+
+    Everything runs in Z_2^bits, bits = ring_bits(n). The dealer draws the
+    same raw 64-bit stream at every width, so the dealer values, openings
+    and output shares are the 64-bit ones mod 2**bits. uint64 arithmetic is
+    exact mod 2**bits, so a server's local values may carry higher bits;
+    each value is reduced before it leaves the dealer or a server, as a
+    dealer share, an opening or an output share.
     """
     if n != sa.n:
         raise ValueError(f"n={n} does not match shared adjacency n={sa.n}")
     check_matmul_inner(n)
+    bits = ring_bits(n)
     if channel is None:
         channel = OpeningChannel()
+    low = np.uint64((1 << bits) - 1)
 
     # dealer: both triples, server 2's product shares derived from the values
-    x1, x2, z1, a1, a2, b1, b2, c1 = dealer.elements((8, n * (n - 1) // 2))
+    draws = dealer.elements((8, n * (n - 1) // 2))
+    draws &= low
+    x1, x2, z1, a1, a2, b1, b2, c1 = draws
     x = x1 + x2
-    z2 = ring_matmul(x, x, n) - z1
-    c2 = (a1 + a2) * (b1 + b2) - c1
+    z2 = (ring_matmul(x, x, n, bits) - z1) & low
+    c2 = ((a1 + a2) * (b1 + b2) - c1) & low
 
     # round 1
-    e = channel.open_array(sa.s1 - x1, sa.s2 - x2)
-    f = channel.open_array(sa.s1 - a1, sa.s2 - a2)
+    e = channel.open_array(sa.s1 - x1, sa.s2 - x2, bits)
+    f = channel.open_array(sa.s1 - a1, sa.s2 - a2, bits)
 
     # each server's share of u @ u, then round 2
-    p1 = ring_matmul(e, x1, n) + ring_matmul(x1, e, n) + z1
-    p2 = ring_matmul(x2, e, n) + ring_matmul(e, x2 + e, n) + z2
-    g = channel.open_array(p1 - b1, p2 - b2)
+    p1 = ring_matmul(e, x1, n, bits) + ring_matmul(x1, e, n, bits) + z1
+    p2 = ring_matmul(x2, e, n, bits) + ring_matmul(e, x2 + e, n, bits) + z2
+    g = channel.open_array(p1 - b1, p2 - b2, bits)
 
-    t1 = beaver_share(f, g, a1, b1, c1, public=False).sum(dtype=np.uint64)
-    t2 = beaver_share(f, g, a2, b2, c2, public=True).sum(dtype=np.uint64)
-    return SharePair(int(t1), int(t2))
+    t1 = beaver_share(f, g, a1, b1, c1, public=False).sum(dtype=np.uint64) & low
+    t2 = beaver_share(f, g, a2, b2, c2, public=True).sum(dtype=np.uint64) & low
+    return SharePair(int(t1), int(t2), bits)

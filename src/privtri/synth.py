@@ -8,7 +8,7 @@ isolated, well-separated maximum.
 
 import numpy as np
 
-from .graph import Graph, upper_edges
+from .graph import Graph
 
 
 def clique_hub_proxy(
@@ -18,7 +18,8 @@ def clique_hub_proxy(
 
     Nodes [c*clique_size, (c+1)*clique_size) form a clique; node 0
     additionally links to nodes clique_size .. clique_size + hub_reach - 1.
-    Deterministic, so prefix subgraphs are reproducible.
+    Deterministic, so prefix subgraphs are reproducible. The edges are
+    built in row-major order, the form Graph keeps as it is.
     """
     if n % clique_size:
         raise ValueError("n must be a multiple of clique_size")
@@ -26,16 +27,19 @@ def clique_hub_proxy(
         raise ValueError("hub_reach exceeds nodes outside the hub's clique")
     bases = np.arange(0, n, clique_size)[:, None]
     a, b = np.triu_indices(clique_size, 1)
+    u, v = (bases + a).ravel(), (bases + b).ravel()
+    # node 0's hub edges follow its clique_size - 1 clique edges in row 0
     hub = np.arange(clique_size, clique_size + hub_reach)
-    u = np.concatenate(((bases + a).ravel(), np.zeros_like(hub)))
-    v = np.concatenate(((bases + b).ravel(), hub))
+    k = clique_size - 1
+    u = np.concatenate((u[:k], np.zeros_like(hub), u[k:]))
+    v = np.concatenate((v[:k], hub, v[k:]))
     return Graph(n, np.stack((u, v), axis=1))
 
 
 def write_edge_list(g: Graph, path) -> None:
     """Write g as a SNAP-style edge list: one 'u v' line per edge, u < v,
     in row-major order."""
-    edges = upper_edges(g.adj)
+    edges = g.edges
     with open(path, "w", encoding="utf-8") as fh:
         # one %-format of the whole file: a write or f-string per line takes
         # more than twice as long

@@ -279,3 +279,24 @@ def test_facebook_reference_stats():
     assert g.n == 4039
     assert int(g.degrees.sum()) // 2 == 88234
     assert g.d_max == 1045
+
+
+def test_graph_keeps_its_canonical_edge_list():
+    # edges is upper_edges(adj): each pair once, i < j, row-major, whether
+    # the input needed the sort (duplicates, reversals, self-loops, any
+    # order) or was already in that form
+    rng = np.random.default_rng(13)
+    messy = [(3, 1), (0, 1), (1, 0), (2, 2), (1, 3), (0, 1), (2, 0)]
+    assert Graph(4, messy).edges.tolist() == [[0, 1], [0, 2], [1, 3]]
+    for g in [erdos_renyi(40, 0.3, rng), planted_hub(), clique_hub_proxy(100, 20, 50),
+              Graph(0, []), Graph(3, []), complete_graph(1)]:
+        assert g.edges.dtype == np.int64 and g.edges.shape[1] == 2
+        assert np.array_equal(g.edges, upper_edges(g.adj))
+        shuffled = rng.permutation(g.edges)[:, :: int(rng.choice([1, -1]))]
+        for form in (g.edges, shuffled, np.concatenate((shuffled, g.edges))):
+            assert np.array_equal(Graph(g.n, form).edges, g.edges)
+    canonical = upper_edges(complete_graph(5).adj)
+    assert Graph(5, canonical).edges is canonical  # kept, not copied
+    assert not canonical.flags.writeable
+    with pytest.raises(ValueError):
+        complete_graph(3).edges[0, 0] = 1

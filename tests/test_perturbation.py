@@ -6,7 +6,9 @@ from scipy import stats
 
 from privtri import NoiseParams, SharePair, perturb
 from privtri.perturbation import FIXED_POINT_SCALE
-from privtri.ring import MASK
+from privtri.ring import MASK, MAX_USERS, ring_bits
+
+LOW48 = (1 << 48) - 1
 
 
 def rng_for(seed):
@@ -95,3 +97,42 @@ def test_perturb_overflow_guard():
     huge = shares_of((1 << 42) + (1 << 41))  # count * 2^20 lands past the guard
     with pytest.raises(OverflowError):
         perturb(huge, params, rng_for(10))
+
+
+def reduced48(t: SharePair) -> SharePair:
+    return SharePair(t.s1 & LOW48, t.s2 & LOW48, 48)
+
+
+def test_perturb_at_48_bits_matches_64_bits():
+    # the same count shares reduced mod 2**48 fold the same noise from the
+    # same seed, including negative totals and the largest n=500 count
+    params = NoiseParams(epsilon2=0.5, sensitivity=50.0, n_users=500)
+    counts = [0, 1000, math.comb(500, 3)]
+    for seed in range(200):
+        t = shares_of(counts[seed % 3], seed)
+        got = perturb(reduced48(t), params, rng_for(seed))
+        assert got == perturb(t, params, rng_for(seed))
+
+
+def test_perturb_overflow_guard_at_48_bits():
+    # the guard sits at 2**46 for 48-bit shares: just below it decodes
+    params = NoiseParams(epsilon2=1.0, sensitivity=1.0, n_users=5)
+    below = reduced48(shares_of((1 << 26) - 1000))
+    assert abs(perturb(below, params, rng_for(10)) - ((1 << 26) - 1000)) < 100
+    huge = reduced48(shares_of((1 << 26) + (1 << 25)))  # count * 2^20 lands past 2^46
+    with pytest.raises(OverflowError):
+        perturb(huge, params, rng_for(10))
+
+
+def test_max_users_is_the_largest_n_with_a_64_bit_width():
+    # the bound (C(n, 3) + 64 * 10**4) * 2**20 below the 2**62 guard, in plain ints
+    def fits(n):
+        return (math.comb(n, 3) + 64 * 10**4) * 2**20 < 2**62
+
+    assert fits(MAX_USERS) and not fits(MAX_USERS + 1)
+    assert ring_bits(MAX_USERS) == 64
+    with pytest.raises(ValueError):
+        ring_bits(MAX_USERS + 1)
+    NoiseParams(epsilon2=1.0, sensitivity=1.0, n_users=MAX_USERS)
+    with pytest.raises(ValueError, match="n_users"):
+        NoiseParams(epsilon2=1.0, sensitivity=1.0, n_users=MAX_USERS + 1)

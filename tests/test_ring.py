@@ -26,6 +26,8 @@ from privtri.ring import (
 
 from conftest import complete_graph
 
+WIDTHS = (16, 32, 48, 64)
+
 
 def test_share_zero_with_known_mask():
     pair = share(0, DealerRng(3))
@@ -134,3 +136,61 @@ def test_pair_index_is_pair_mask_order():
     for n in (0, 1, 2, 3, 7, 64, 65):
         i, j = np.nonzero(pair_mask(n))
         assert np.array_equal(pair_index(i, j, n), np.arange(i.size))
+
+
+def test_reconstruct_and_decode_at_every_width():
+    for bits in WIDTHS:
+        mod = 1 << bits
+        assert reconstruct(SharePair(mod - 1, 2, bits)) == 1  # wraps mod 2**bits
+        assert reconstruct(SharePair(mod + 3, 4, bits)) == 7  # bits above are dropped
+        for v in [0, 1, -1, 12345, -12345, (1 << (bits - 2)), -(1 << (bits - 1))]:
+            assert decode_signed(v & (mod - 1), bits) == v
+            assert decode_signed(v & MASK, bits) == v  # the 64-bit element, reduced
+
+
+@pytest.mark.parametrize("bits", WIDTHS)
+def test_ring_matmul_at_every_width(bits):
+    # bits // 16 limbs give U @ V mod 2**bits: the native uint64 product
+    # reduced, and the 64-bit kernel's result reduced; operand bits at or
+    # above the width (junk a server's local uint64 arithmetic leaves) are
+    # never read
+    rng = np.random.default_rng(61 + bits)
+    low = np.uint64((1 << bits) - 1)
+    sizes = [0, 1, 2, 63, 64, 65, 129, 300]
+    sizes += [int(n) for n in rng.integers(4, 200, size=3)]
+    for n in sizes:
+        m = pair_mask(n)
+        a = strict_upper(rng, n)
+        b = strict_upper(rng, n)
+        want = (a @ b)[m] & low
+        got = ring_matmul(a[m] & low, b[m] & low, n, bits)
+        assert np.array_equal(got, want)
+        assert np.array_equal(got, ring_matmul(a[m], b[m], n) & low)
+        assert np.array_equal(ring_matmul(a[m], b[m], n, bits), want)
+        u = a[m]
+        assert np.array_equal(ring_matmul(u, u, n, bits), (a @ a)[m] & low)
+    for n in (1, 2, 64, 65, 129):
+        m = pair_mask(n)
+        full = np.triu(np.full((n, n), low, dtype=np.uint64), 1)
+        assert np.array_equal(ring_matmul(full[m], full[m], n, bits), (full @ full)[m] & low)
+
+
+@pytest.mark.parametrize("bits", WIDTHS)
+def test_limb_product_exact_at_largest_inner_dimension_at_every_width(bits):
+    # with L <= 4 limbs each shift still sums at most 4 limb products, so
+    # MATMUL_MAX_INNER holds at every width
+    limbs, low = bits // 16, np.uint64((1 << bits) - 1)
+    ok = np.full((1, MATMUL_MAX_INNER - 1), MASK, dtype=np.uint64)
+    got = _limb_product(_limbs(ok, limbs), _limbs(ok.T, limbs))
+    assert np.array_equal(got & low, (ok @ ok.T) & low)
+
+
+def test_open_array_reduces_to_the_width():
+    rng = np.random.default_rng(67)
+    s1, s2 = rng.integers(0, RING_MOD, size=(2, 500), dtype=np.uint64)
+    for bits in WIDTHS:
+        channel = OpeningChannel(record=True)
+        got = channel.open_array(s1, s2, bits)
+        assert np.array_equal(got, (s1 + s2) & np.uint64((1 << bits) - 1))
+        assert channel.values == got.tolist()
+        assert max(channel.values) < 1 << bits

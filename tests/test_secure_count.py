@@ -15,6 +15,7 @@ from privtri import (
     reconstruct,
     share_adjacency,
 )
+from privtri import secure_count
 from privtri.graph import upper_edges
 from privtri.ring import MASK, MATMUL_MAX_INNER
 from privtri.secure_count import effective_edges, effective_graph
@@ -169,9 +170,9 @@ class CallCountingChannel(OpeningChannel):
         super().__init__(record=True)
         self.calls = 0
 
-    def open_array(self, s1, s2):
+    def open_array(self, s1, s2, bits):
         self.calls += 1
-        return super().open_array(s1, s2)
+        return super().open_array(s1, s2, bits)
 
 
 def test_count_transcript():
@@ -213,3 +214,46 @@ def test_count_refuses_inexact_size_before_dealing():
     with pytest.raises(ValueError, match="inner dimension"):
         count(SharedAdjacency(n, tiny, tiny), n, dealer)
     assert np.array_equal(dealer.elements(4), DealerRng(3).elements(4))
+
+
+def stated_width(n: int) -> int:
+    """The ring width rule in plain ints: the smallest multiple of 16 whose
+    signed range holds (C(n, 3) + 64 * 10**4) * 2**20 below the 2**(w - 2)
+    overflow guard."""
+    bound = (comb(n, 3) + 64 * 10**4) * 2**20
+    return next(w for w in (16, 32, 48, 64) if bound < 2 ** (w - 2))
+
+
+def test_count_width_at_the_48_to_64_bit_boundary():
+    last48 = max(n for n in range(3, 2000) if stated_width(n) == 48)
+    assert stated_width(last48 + 1) == 64
+    rng = np.random.default_rng(71)
+    for n, bits in ((last48, 48), (last48 + 1, 64)):
+        g = erdos_renyi(n, 0.02, rng)
+        sa = share_adjacency(as_projected(g), DealerRng(n, 0))
+        t = count(sa, n, DealerRng(n, 1))
+        assert t.bits == stated_width(n) == bits
+        assert max(t.s1, t.s2) < 1 << bits
+        assert reconstruct(t) == exact_triangle_count(g) > 0
+
+
+def test_count_shares_and_openings_are_the_64_bit_ones_reduced(monkeypatch):
+    # the dealer draws one raw 64-bit stream at every width, so a 48-bit
+    # count opens the 64-bit count's values mod 2**48, and no opened value
+    # or output share carries a bit at or above the width
+    g = erdos_renyi(30, 0.4, np.random.default_rng(73))
+    runs = {}
+    for forced in (None, 64):
+        if forced:
+            monkeypatch.setattr(secure_count, "ring_bits", lambda n: forced)
+        sa = share_adjacency(as_projected(g), DealerRng(5, 0))
+        channel = OpeningChannel(record=True)
+        runs[forced] = count(sa, g.n, DealerRng(5, 1), channel), channel.values
+    (t48, opened48), (t64, opened64) = runs[None], runs[64]
+    low = (1 << 48) - 1
+    assert t48.bits == 48 and t64.bits == 64
+    assert max(opened48) <= low < max(opened64)
+    assert max(t48.s1, t48.s2) <= low
+    assert opened48 == [v & low for v in opened64]
+    assert (t48.s1, t48.s2) == (t64.s1 & low, t64.s2 & low)
+    assert reconstruct(t48) == reconstruct(t64) == exact_triangle_count(g) > 0
