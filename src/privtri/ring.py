@@ -201,14 +201,14 @@ def pair_index(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
 
 
 def ring_matmul(u: np.ndarray, v: np.ndarray, n: int, bits: int = RING_BITS) -> np.ndarray:
-    """The pair vector of U @ V mod 2**bits, reduced.
+    """The pair vector of U @ V mod 2**bits, reduced; bits is 16, 32, 48 or 64.
 
     U and V are the strictly upper n x n matrices that hold pair vectors u
     and v; they exist only inside this call. Native uint64 matmul does not
     use BLAS; here each operand is split into its low bits // 16 limbs held
     as float64 and multiplied by _limb_product, so bits of u and v at or
-    above bits are never read. Rows of U go through in blocks
-    of _ROW_BLOCK, so only V's limbs are held whole. Rows [r, r + _ROW_BLOCK)
+    above bits are never read. Rows of U go through in blocks of
+    _ROW_BLOCK, so only V's limbs are held whole. Rows [r, r + _ROW_BLOCK)
     of U are zero in columns <= r, and rows > r of V are zero in columns
     <= r + 1, so each block multiplies only U[rows, r+1:] by V[r+1:, r+1:].
     Raises ValueError if n >= MATMUL_MAX_INNER or if u or v is not of shape
