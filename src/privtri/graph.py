@@ -38,7 +38,7 @@ class EdgeListFormatError(ValueError):
     """Edge-list line that is not two non-negative integers."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Undirected graph on nodes 0..n-1, built from an (m, 2) edge array.
 

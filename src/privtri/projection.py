@@ -25,7 +25,7 @@ import numpy as np
 from .graph import Graph
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoisyDegrees:
     """Per-user noisy degrees d'_i = d_i + Lap(1/epsilon1), and their max.
 
@@ -43,7 +43,7 @@ class NoisyDegrees:
         return cls(values, float(values.max()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectedGraph:
     """Per-user projected adjacency rows, bounded by theta.
 

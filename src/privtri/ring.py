@@ -5,10 +5,12 @@ uint64 arrays. A secret x is held as shares (r, x - r) mod 2**w. Arithmetic
 on uint64 wraps modulo 2**64, which 2**w divides, so it is exact mod 2**w
 as long as every value that leaves a server (an opening, a dealer share,
 an output share) is reduced mod 2**w first; bits at or above w would carry
-information about the shares. ring_bits gives the width of a count over n
-users: the narrowest one that holds the count bound C(n, 3), plus a noise
-tail, in the fixed-point noise fold of perturbation. Shares made by share
-and by the dealer's raw stream are 64-bit.
+information about the shares. ring_bits gives the width w of a count over
+n users: the narrowest one that holds the count bound C(n, 3). The
+fixed-point noise fold of perturbation lifts the count shares by its
+scale 2**20 into the wider ring Z_2^fold_bits(w), which has to hold the
+scaled count plus a noise tail. Shares made by share and by the dealer's
+raw stream are 64-bit.
 
 Correlated randomness (share masks, matrix and element-wise Beaver
 triples) comes from a seeded trusted dealer, standing in for an
@@ -28,7 +30,8 @@ RING_MOD = 1 << RING_BITS
 MASK = RING_MOD - 1
 
 # The noise fold of perturbation opens count * FIXED_POINT_SCALE + noise
-# in the count's ring, with Laplace noise of scale at most MAX_NOISE_SCALE.
+# in the fold ring Z_2^fold_bits(w) of a count run in Z_2^w, with Laplace
+# noise of scale at most MAX_NOISE_SCALE.
 # Laplace(lambda) exceeds 64 * lambda in magnitude with probability
 # exp(-64) < 2**-92, so NOISE_TAIL bounds the noise but for that chance.
 FIXED_POINT_SCALE = 1 << 20
@@ -55,17 +58,30 @@ def _fold_bound(n: int) -> int:
     return (comb(n, 3) + NOISE_TAIL) * FIXED_POINT_SCALE
 
 
+def fold_bits(bits: int) -> int:
+    """Width of the ring perturbation folds the noise of a bits-wide count in.
+
+    Scaling both shares of t by 2**20 in Z_2^(bits + 20) gives shares of
+    t * 2**20 there exactly, so the lift needs no opening; 64-bit shares
+    stay in Z_2^64.
+    """
+    return min(bits + 20, RING_BITS)
+
+
 def ring_bits(n: int) -> int:
     """Width of the ring a count over n users runs in.
 
-    The smallest multiple of 16, at most 64, with _fold_bound(n) below
-    2**(w - 2): the count, the folded noise and perturbation's overflow
-    guard at 2**(w - 2) all fit the signed range of Z_2^w. Raises
-    ValueError when no width does, that is for n > MAX_USERS.
+    The smallest multiple of 16 with _fold_bound(n) below 2**(f - 2),
+    f = fold_bits(w): the count, the folded noise and perturbation's
+    overflow guard at 2**(f - 2) all fit the signed range of the fold
+    ring, and the count, below 2**(f - 22) <= 2**(w - 2), fits Z_2^w.
+    That is 32 bits up to n = 1861 and 48 up to MAX_USERS; since
+    fold_bits(48) is already 64, 64 is never chosen. Raises ValueError
+    when no width does, that is for n > MAX_USERS.
     """
     bound = _fold_bound(n)
     for bits in range(_LIMB_BITS, RING_BITS + 1, _LIMB_BITS):
-        if bound < 1 << (bits - 2):
+        if bound < 1 << (fold_bits(bits) - 2):
             return bits
     raise ValueError(f"a count over {n} users does not fit the {RING_BITS}-bit ring")
 

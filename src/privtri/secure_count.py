@@ -4,9 +4,11 @@ Users secret-share the bit of every unordered pair to two semi-honest,
 non-colluding servers. With U the strictly upper-triangular matrix of the
 effective bits, (U @ U)[i, k] counts the paths i < j < k, so the triangle
 count is exactly T = sum over i < k of U[i, k] * (U @ U)[i, k] in Z_2^w,
-w = ring.ring_bits(n) the width that holds the public bound C(n, 3) and
-the noise later folded into it. The servers compute it on shares in two
-rounds of Beaver-masked openings:
+w = ring.ring_bits(n) the width that holds the public bound C(n, 3);
+Beaver-masked arithmetic is exact in any Z_2^w, so the ring need hold only
+the count. perturbation later lifts the count shares by the fixed-point
+scale into the wider ring it folds the noise in. The servers compute the
+count on shares in two rounds of Beaver-masked openings:
 one matrix triple for U @ U and one element-wise triple per pair for the
 final product. Neither server sees a bit in the clear: the only
 cross-server traffic is the masked openings, routed through an
@@ -53,7 +55,7 @@ def effective_graph(pg: ProjectedGraph) -> Graph:
     return Graph(pg.n, effective_edges(pg))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SharedAdjacency:
     """Additive shares of every pair bit, one uint64 vector per server.
 

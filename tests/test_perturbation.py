@@ -8,6 +8,7 @@ from privtri import NoiseParams, SharePair, perturb
 from privtri.perturbation import FIXED_POINT_SCALE
 from privtri.ring import MASK, MAX_USERS, ring_bits
 
+LOW32 = (1 << 32) - 1
 LOW48 = (1 << 48) - 1
 
 
@@ -114,23 +115,42 @@ def test_perturb_at_48_bits_matches_64_bits():
         assert got == perturb(t, params, rng_for(seed))
 
 
-def test_perturb_overflow_guard_at_48_bits():
-    # the guard sits at 2**46 for 48-bit shares: just below it decodes
+def reduced32(t: SharePair) -> SharePair:
+    return SharePair(t.s1 & LOW32, t.s2 & LOW32, 32)
+
+
+def test_perturb_lifts_32_bit_shares_to_the_64_bit_result():
+    # 32-bit count shares fold in the 52-bit ring: each server scales its
+    # share by 2**20 there, which is exact mod 2**52, so the same seed gives
+    # the 64-bit result; the counts include negative totals and
+    # C(1861, 3), the largest count ring_bits runs in 32 bits
+    params = NoiseParams(epsilon2=0.5, sensitivity=50.0, n_users=1861)
+    counts = [0, -1000, -math.comb(500, 3), 1000, math.comb(1861, 3)]
+    for seed in range(200):
+        t = shares_of(counts[seed % len(counts)], seed)
+        got = perturb(reduced32(t), params, rng_for(seed))
+        assert got == perturb(t, params, rng_for(seed))
+
+
+def test_perturb_overflow_guard_at_32_bits():
+    # 32-bit shares fold in 52 bits, whose guard sits at 2**50: a count just
+    # below 2**30 decodes, one past it raises
     params = NoiseParams(epsilon2=1.0, sensitivity=1.0, n_users=5)
-    below = reduced48(shares_of((1 << 26) - 1000))
-    assert abs(perturb(below, params, rng_for(10)) - ((1 << 26) - 1000)) < 100
-    huge = reduced48(shares_of((1 << 26) + (1 << 25)))  # count * 2^20 lands past 2^46
+    below = reduced32(shares_of((1 << 30) - 1000))
+    assert abs(perturb(below, params, rng_for(10)) - ((1 << 30) - 1000)) < 100
+    huge = reduced32(shares_of((1 << 30) + (1 << 29)))  # count * 2^20 lands past 2^50
     with pytest.raises(OverflowError):
         perturb(huge, params, rng_for(10))
 
 
-def test_max_users_is_the_largest_n_with_a_64_bit_width():
+def test_max_users_is_the_largest_n_with_a_64_bit_fold():
     # the bound (C(n, 3) + 64 * 10**4) * 2**20 below the 2**62 guard, in plain ints
     def fits(n):
         return (math.comb(n, 3) + 64 * 10**4) * 2**20 < 2**62
 
     assert fits(MAX_USERS) and not fits(MAX_USERS + 1)
-    assert ring_bits(MAX_USERS) == 64
+    assert MAX_USERS == 29772
+    assert ring_bits(MAX_USERS) == 48
     with pytest.raises(ValueError):
         ring_bits(MAX_USERS + 1)
     NoiseParams(epsilon2=1.0, sensitivity=1.0, n_users=MAX_USERS)
