@@ -6,13 +6,15 @@ effective bits, (U @ U)[i, k] counts the paths i < j < k, so the triangle
 count is exactly T = sum over i < k of U[i, k] * (U @ U)[i, k] in Z_2^w,
 w = ring.ring_bits(n) the width that holds the public bound C(n, 3);
 Beaver-masked arithmetic is exact in any Z_2^w, so the ring need hold only
-the count. perturbation later lifts the count shares by the fixed-point
-scale into the wider ring it folds the noise in. The servers compute the
-count on shares in two rounds of Beaver-masked openings:
-one matrix triple for U @ U and one element-wise triple per pair for the
-final product. Neither server sees a bit in the clear: the only
-cross-server traffic is the masked openings, routed through an
-OpeningChannel so the exchange is auditable.
+the count. Every pair vector is held at that width, as ring.ring_dtype(w):
+uint32 for n <= 1861, 4 bytes per share, opening and dealer element.
+perturbation later lifts the count shares by the fixed-point scale into
+the wider ring it folds the noise in. The servers compute the count on
+shares in two rounds of Beaver-masked openings: one matrix triple for
+U @ U, whose products each server sums in one ring.ring_matmul call, and
+one element-wise triple per pair for the final product. Neither server
+sees a bit in the clear: the only cross-server traffic is the masked
+openings, routed through an OpeningChannel so the exchange is auditable.
 
 The simulation runs both servers in one process. Each server's values are
 computed only from its own shares, its dealer shares, and opened values.
@@ -31,7 +33,9 @@ from .ring import (
     beaver_share,
     check_matmul_inner,
     pair_index,
+    reduce_bits,
     ring_bits,
+    ring_dtype,
     ring_matmul,
 )
 
@@ -57,11 +61,12 @@ def effective_graph(pg: ProjectedGraph) -> Graph:
 
 @dataclass(frozen=True, eq=False)
 class SharedAdjacency:
-    """Additive shares of every pair bit, one uint64 vector per server.
+    """Additive shares of every pair bit, one vector per server.
 
-    Both are pair vectors: entry p is the p-th pair i < j in the row-major
-    order of ring.pair_mask, and s1[p] + s2[p] wraps to that pair's
-    effective bit.
+    Both are pair vectors in Z_2^w, w = ring.ring_bits(n), of dtype
+    ring.ring_dtype(w) (uint32 for n <= 1861): entry p is the p-th pair
+    i < j in the row-major order of ring.pair_mask, and s1[p] + s2[p]
+    wraps to that pair's effective bit mod 2**w.
     """
 
     n: int
@@ -76,11 +81,12 @@ def share_adjacency(
     # only 'and' remains; benchmarks/workloads.py reads this argument from its trace
     if policy != "and":
         raise ValueError(f"unknown bit policy {policy!r}; only 'and' is supported")
+    width = ring_bits(pg.n)
     i, j = effective_edges(pg).T
-    bits = np.zeros(pg.n * (pg.n - 1) // 2, dtype=np.uint64)
+    bits = np.zeros(pg.n * (pg.n - 1) // 2, dtype=ring_dtype(width))
     bits[pair_index(i, j, pg.n)] = 1
-    masks = rng.elements(bits.size)
-    return SharedAdjacency(n=pg.n, s1=masks, s2=bits - masks)
+    masks = rng.elements(bits.size, width)
+    return SharedAdjacency(n=pg.n, s1=masks, s2=reduce_bits(bits - masks, width))
 
 
 def count(
@@ -93,51 +99,53 @@ def count(
 
     All data, the shared bits u included, are pair vectors over the
     m = C(n, 2) pairs i < k (ring.pair_mask), and v @ w below stands for
-    ring_matmul(v, w, n, bits), the pair vector of the matrix product
-    V @ W. The dealer draws, in this order, pair vectors of server shares
-    x1, x2, z1 (a square triple: z = x @ x) and a1, a2, b1, b2, c1 (an
-    element-wise triple c = a * b), 8 * m elements in one call.
+    the pair vector of the matrix product V @ W. The dealer draws, in this
+    order, pair vectors of server shares x1, x2, z1 (a square triple:
+    z = x @ x) and a1, a2, b1, b2, c1 (an element-wise triple c = a * b),
+    8 * m elements in one call.
 
     Round 1 opens e = u - x and f = u - a. Server 1 computes
     p1 = e @ x1 + x1 @ e + z1 and server 2 p2 = x2 @ e + e @ (x2 + e) + z2,
-    so p1 + p2 = (e + x) @ (e + x) = u @ u. Round 2 opens g = p - b, and
-    each server sums its beaver_share of u * p. That is 2 rounds, 3 * m
-    openings and 5 ring_matmul products (one by the dealer). A given dealer
-    seed fixes every share and opened value; the reconstructed count
-    depends only on the shared bits.
+    so p1 + p2 = (e + x) @ (e + x) = u @ u. Each server sums its two
+    products in one ring_matmul call, and the dealer makes z = x @ x in a
+    third. Round 2 opens g = p - b, and each server sums its beaver_share
+    of u * p. That is 2 rounds and 3 * m openings. A given dealer seed
+    fixes every share and opened value; the reconstructed count depends
+    only on the shared bits.
 
-    Everything runs in Z_2^bits, bits = ring_bits(n). The dealer draws the
-    same raw 64-bit stream at every width, so the dealer values, openings
-    and output shares are the 64-bit ones mod 2**bits. uint64 arithmetic is
-    exact mod 2**bits, so a server's local values may carry higher bits;
-    each value is reduced before it leaves the dealer or a server, as a
-    dealer share, an opening or an output share.
+    Everything runs in Z_2^bits, bits = ring_bits(n), on pair vectors of
+    dtype ring_dtype(bits): uint32 at 32 bits, which wraps mod 2**32 by
+    itself, and uint64 at 48 or 64 bits, which may carry higher bits in a
+    server's local values, so each value is reduced before it leaves the
+    dealer or a server, as a dealer share, an opening or an output share.
+    The dealer draws the same raw 64-bit stream at every width, so the
+    dealer values, openings and output shares are the 64-bit ones mod
+    2**bits. The servers' calls sum two products, so n is checked against
+    the exact size of ring_matmul at inner dimension 2 * n before dealing.
     """
     if n != sa.n:
         raise ValueError(f"n={n} does not match shared adjacency n={sa.n}")
-    check_matmul_inner(n)
+    check_matmul_inner(2 * n)
     bits = ring_bits(n)
     if channel is None:
         channel = OpeningChannel()
-    low = np.uint64((1 << bits) - 1)
 
     # dealer: both triples, server 2's product shares derived from the values
-    draws = dealer.elements((8, n * (n - 1) // 2))
-    draws &= low
-    x1, x2, z1, a1, a2, b1, b2, c1 = draws
+    x1, x2, z1, a1, a2, b1, b2, c1 = dealer.elements((8, n * (n - 1) // 2), bits)
     x = x1 + x2
-    z2 = (ring_matmul(x, x, n, bits) - z1) & low
-    c2 = ((a1 + a2) * (b1 + b2) - c1) & low
+    z2 = reduce_bits(ring_matmul([(x, x)], n, bits) - z1, bits)
+    c2 = reduce_bits((a1 + a2) * (b1 + b2) - c1, bits)
 
     # round 1
     e = channel.open_array(sa.s1 - x1, sa.s2 - x2, bits)
     f = channel.open_array(sa.s1 - a1, sa.s2 - a2, bits)
 
-    # each server's share of u @ u, then round 2
-    p1 = ring_matmul(e, x1, n, bits) + ring_matmul(x1, e, n, bits) + z1
-    p2 = ring_matmul(x2, e, n, bits) + ring_matmul(e, x2 + e, n, bits) + z2
+    # each server's share of u @ u in one call, then round 2
+    p1 = ring_matmul([(e, x1), (x1, e)], n, bits) + z1
+    p2 = ring_matmul([(x2, e), (e, x2 + e)], n, bits) + z2
     g = channel.open_array(p1 - b1, p2 - b2, bits)
 
+    low = np.uint64((1 << bits) - 1)
     t1 = beaver_share(f, g, a1, b1, c1, public=False).sum(dtype=np.uint64) & low
     t2 = beaver_share(f, g, a2, b2, c2, public=True).sum(dtype=np.uint64) & low
     return SharePair(int(t1), int(t2), bits)

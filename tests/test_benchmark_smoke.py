@@ -4,8 +4,8 @@ benchmarks/tracing.py hooks privtri functions and reads their arguments by
 name (share_adjacency's pg and policy, count's n, effective_graph's pg,
 project's and project_random's g), so a refactor can break the benchmark
 while every other test passes. One traced round of every workload, with no
-timed rounds, catches that; cargo-n500 runs the count over eight row
-blocks of ring_matmul, cargo-n100 over two, and noise-n2000 is the only
+timed rounds, catches that; cargo-n500 runs each ring_matmul call of the
+count over ten 2-D tiles, cargo-n100 over one, and noise-n2000 is the only
 workload that reaches ring.share and DealerRng.element.
 """
 

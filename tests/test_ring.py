@@ -16,17 +16,19 @@ from privtri.ring import (
     MASK,
     MATMUL_MAX_INNER,
     RING_MOD,
-    _limb_product,
-    _limbs,
+    _block_product,
     decode_signed,
     pair_index,
     pair_mask,
+    ring_dtype,
     ring_matmul,
 )
 
 from conftest import complete_graph
 
 WIDTHS = (16, 32, 48, 64)
+# sizes at the edges of ring_matmul's 2-D tiles of 128
+TILE_EDGES = [127, 128, 129, 255, 256, 257]
 
 
 def test_share_zero_with_known_mask():
@@ -87,23 +89,23 @@ def strict_upper(rng, n):
 
 def test_ring_matmul_matches_native_uint64_matmul():
     # native uint64 @ wraps modulo 2**64 too, but without BLAS; the sizes
-    # cover no pairs, one partial block, block edges and several blocks
+    # cover no pairs, one partial tile, tile edges and several tiles
     rng = np.random.default_rng(47)
-    sizes = [0, 1, 2, 3, 63, 64, 65, 129, 300]
+    sizes = [0, 1, 2, 3, 63, 64, 65, 129, 300] + TILE_EDGES
     sizes += [int(n) for n in rng.integers(4, 200, size=5)]
     for n in sizes:
         m = pair_mask(n)
         a = strict_upper(rng, n)
         b = strict_upper(rng, n)
-        assert np.array_equal(ring_matmul(a[m], b[m], n), (a @ b)[m])
+        assert np.array_equal(ring_matmul([(a[m], b[m])], n), (a @ b)[m])
         u = a[m]
-        assert np.array_equal(ring_matmul(u, u, n), (a @ a)[m])  # u as both operands
+        assert np.array_equal(ring_matmul([(u, u)], n), (a @ a)[m])  # u as both operands
     for n in (1, 2, 64, 65, 129):
         m = pair_mask(n)
         full = np.triu(np.full((n, n), MASK, dtype=np.uint64), 1)
         all_ones = full[m]
-        assert np.array_equal(ring_matmul(all_ones, all_ones, n), (full @ full)[m])
-        assert np.array_equal(ring_matmul(all_ones, all_ones.copy(), n), (full @ full)[m])
+        assert np.array_equal(ring_matmul([(all_ones, all_ones)], n), (full @ full)[m])
+        assert np.array_equal(ring_matmul([(all_ones, all_ones.copy())], n), (full @ full)[m])
 
 
 def test_ring_matmul_rejects_operands_outside_its_contract():
@@ -116,20 +118,34 @@ def test_ring_matmul_rejects_operands_outside_its_contract():
         for w in bad:
             for x, y in [(w, u), (u, w), (w, w)]:
                 with pytest.raises(ValueError, match="shape"):
-                    ring_matmul(x, y, n)
+                    ring_matmul([(x, y)], n)
+                with pytest.raises(ValueError, match="shape"):
+                    ring_matmul([(u, u), (x, y)], n)  # in a later pair too
         with pytest.raises(ValueError, match="shape"):
-            ring_matmul(u, u, n + 1)
+            ring_matmul([(u, u)], n + 1)
 
 
 def test_ring_matmul_refuses_inexact_inner_dimension():
     # all-ones limbs at the largest admitted inner dimension are still
-    # exact in _limb_product, the code every row block of ring_matmul runs
+    # exact in _block_product, the code every tile of ring_matmul runs
     ok = np.full((1, MATMUL_MAX_INNER - 1), MASK, dtype=np.uint64)
-    assert np.array_equal(_limb_product(_limbs(ok), _limbs(ok.T)), ok @ ok.T)
-    # the size check comes before the length check and before any scatter
+    assert np.array_equal(block_product_of([(ok, ok.T)], 4), ok @ ok.T)
+    # the size check comes before the length check and before any scatter;
+    # a sum of P products needs P * n below the bound
     empty = np.zeros(0, dtype=np.uint64)
     with pytest.raises(ValueError, match="inner dimension"):
-        ring_matmul(empty, empty, MATMUL_MAX_INNER)
+        ring_matmul([(empty, empty)], MATMUL_MAX_INNER)
+    with pytest.raises(ValueError, match="inner dimension"):
+        ring_matmul([(empty, empty)] * 2, MATMUL_MAX_INNER // 2)
+
+
+def block_product_of(pairs, limbs):
+    """_block_product over whole matrices given as uint64, split into limbs."""
+    def split(a):
+        return [((a >> np.uint64(16 * l)) & np.uint64(0xFFFF)).astype(float) for l in range(limbs)]
+
+    whole = slice(None)
+    return _block_product([(split(a), split(b)) for a, b in pairs], whole, whole, whole)
 
 
 def test_pair_index_is_pair_mask_order():
@@ -156,33 +172,67 @@ def test_ring_matmul_at_every_width(bits):
     # never read
     rng = np.random.default_rng(61 + bits)
     low = np.uint64((1 << bits) - 1)
-    sizes = [0, 1, 2, 63, 64, 65, 129, 300]
+    sizes = [0, 1, 2, 63, 64, 65, 129, 300] + TILE_EDGES
     sizes += [int(n) for n in rng.integers(4, 200, size=3)]
     for n in sizes:
         m = pair_mask(n)
         a = strict_upper(rng, n)
         b = strict_upper(rng, n)
         want = (a @ b)[m] & low
-        got = ring_matmul(a[m] & low, b[m] & low, n, bits)
+        got = ring_matmul([(a[m] & low, b[m] & low)], n, bits)
+        assert got.dtype == ring_dtype(bits)
         assert np.array_equal(got, want)
-        assert np.array_equal(got, ring_matmul(a[m], b[m], n) & low)
-        assert np.array_equal(ring_matmul(a[m], b[m], n, bits), want)
+        assert np.array_equal(got, ring_matmul([(a[m], b[m])], n) & low)
+        assert np.array_equal(ring_matmul([(a[m], b[m])], n, bits), want)
         u = a[m]
-        assert np.array_equal(ring_matmul(u, u, n, bits), (a @ a)[m] & low)
+        assert np.array_equal(ring_matmul([(u, u)], n, bits), (a @ a)[m] & low)
     for n in (1, 2, 64, 65, 129):
         m = pair_mask(n)
         full = np.triu(np.full((n, n), low, dtype=np.uint64), 1)
-        assert np.array_equal(ring_matmul(full[m], full[m], n, bits), (full @ full)[m] & low)
+        assert np.array_equal(ring_matmul([(full[m], full[m])], n, bits), (full @ full)[m] & low)
+
+
+@pytest.mark.parametrize("bits", WIDTHS)
+def test_ring_matmul_sums_products_at_every_width(bits):
+    # one call over several pairs is the native (A @ B + C @ D)[mask]
+    # reduced, with operands shared between pairs (the count's server
+    # calls), an operand as both sides of a pair, and junk above the width
+    rng = np.random.default_rng(79 + bits)
+    low = np.uint64((1 << bits) - 1)
+    for n in [0, 1, 2, 3, 65] + TILE_EDGES:
+        m = pair_mask(n)
+        a, b, c, d = (strict_upper(rng, n) for _ in range(4))
+        ua, ub, uc, ud = a[m], b[m], c[m], d[m]
+        got = ring_matmul([(ua, ub), (uc, ud)], n, bits)
+        assert got.dtype == ring_dtype(bits)
+        assert np.array_equal(got, (a @ b + c @ d)[m] & low)
+        s = a + b
+        us = ua + ub
+        got = ring_matmul([(ub, ua), (ua, us)], n, bits)
+        assert np.array_equal(got, (b @ a + a @ s)[m] & low)
+        got = ring_matmul([(ua, ua), (ua, ub), (ub, ua)], n, bits)
+        assert np.array_equal(got, (a @ a + a @ b + b @ a)[m] & low)
+    for n in (1, 129, 257):
+        m = pair_mask(n)
+        full = np.triu(np.full((n, n), MASK, dtype=np.uint64), 1)
+        ones = full[m]
+        got = ring_matmul([(ones, ones), (ones, ones.copy())], n, bits)
+        assert np.array_equal(got, (full @ full + full @ full)[m] & low)
 
 
 @pytest.mark.parametrize("bits", WIDTHS)
 def test_limb_product_exact_at_largest_inner_dimension_at_every_width(bits):
-    # with L <= 4 limbs each shift still sums at most 4 limb products, so
-    # MATMUL_MAX_INNER holds at every width
+    # with L <= 4 limbs each shift still sums at most 4 limb products per
+    # pair, so MATMUL_MAX_INNER holds at every width, for one pair at inner
+    # dimension MATMUL_MAX_INNER - 1 and for a sum of two pairs whose inner
+    # dimensions add up to it
     limbs, low = bits // 16, np.uint64((1 << bits) - 1)
     ok = np.full((1, MATMUL_MAX_INNER - 1), MASK, dtype=np.uint64)
-    got = _limb_product(_limbs(ok, limbs), _limbs(ok.T, limbs))
+    got = block_product_of([(ok, ok.T)], limbs)
     assert np.array_equal(got & low, (ok @ ok.T) & low)
+    half = ok[:, : (MATMUL_MAX_INNER - 1) // 2]
+    got = block_product_of([(half, half.T), (half, half.T)], limbs)
+    assert np.array_equal(got & low, (half @ half.T + half @ half.T) & low)
 
 
 def test_open_array_reduces_to_the_width():
@@ -194,3 +244,34 @@ def test_open_array_reduces_to_the_width():
         assert np.array_equal(got, (s1 + s2) & np.uint64((1 << bits) - 1))
         assert channel.values == got.tolist()
         assert max(channel.values) < 1 << bits
+
+
+def test_open_array_keeps_its_operands_dtype():
+    # uint32 & np.uint64(mask) would promote the opening to uint64
+    rng = np.random.default_rng(83)
+    s1, s2 = rng.integers(0, RING_MOD, size=(2, 500), dtype=np.uint64)
+    for dtype in (np.uint32, np.uint64):
+        t1, t2 = s1.astype(dtype), s2.astype(dtype)
+        for bits in (16, 32):
+            got = OpeningChannel().open_array(t1, t2, bits)
+            assert got.dtype == dtype
+            assert np.array_equal(got, (s1 + s2) & np.uint64((1 << bits) - 1))
+
+
+def test_dealer_draws_at_a_width_are_the_64_bit_stream_reduced():
+    for bits in WIDTHS:
+        got = DealerRng(89, bits).elements((3, 100), bits)
+        raw = DealerRng(89, bits).elements((3, 100))
+        assert got.dtype == ring_dtype(bits) and got.shape == (3, 100)
+        assert np.array_equal(got, raw & np.uint64((1 << bits) - 1))
+    assert ring_dtype(32) == np.uint32 and ring_dtype(48) == ring_dtype(64) == np.uint64
+
+
+def test_pair_mask_is_cached_and_read_only():
+    mask = pair_mask(5)
+    assert pair_mask(5) is mask
+    with pytest.raises(ValueError, match="read-only"):
+        mask[0, 1] = False
+    with pytest.raises(ValueError, match="read-only"):
+        mask[:] = True
+    assert np.array_equal(mask, np.triu(np.ones((5, 5), dtype=bool), 1))

@@ -18,7 +18,7 @@ from privtri import (
 )
 from privtri import secure_count
 from privtri.graph import upper_edges
-from privtri.ring import MASK, MATMUL_MAX_INNER, ring_bits
+from privtri.ring import MASK, MATMUL_MAX_INNER, ring_bits, ring_dtype
 from privtri.secure_count import effective_edges, effective_graph
 
 from conftest import complete_graph, erdos_renyi
@@ -84,8 +84,9 @@ def test_effective_edges_and_shares_match_dense_and_rule():
         assert np.array_equal(eg.adj, both | both.T)
         assert np.array_equal(eg.degrees, (both | both.T).sum(axis=1))
         sa = share_adjacency(pg, DealerRng(trial))
-        assert np.array_equal(sa.s1, DealerRng(trial).elements(comb(n, 2)))
-        assert np.array_equal(sa.s1 + sa.s2, both[np.triu_indices(n, 1)])
+        assert sa.s1.dtype == sa.s2.dtype == ring_dtype(ring_bits(n))
+        assert np.array_equal(sa.s1, DealerRng(trial).elements(comb(n, 2), ring_bits(n)))
+        assert np.array_equal(sa.s1 + sa.s2, both[np.triu_indices(n, 1)])  # wraps in the dtype
 
 
 def test_share_adjacency_roundtrip_symmetric():
@@ -166,8 +167,9 @@ def test_count_asymmetric_projection_respects_policy():
 
 
 def test_count_spans_several_row_blocks():
-    # n = 150 and 193 run 3 and 4 row blocks of ring_matmul, the last partial
-    for n, seed in ((150, 43), (193, 47)):
+    # n = 150 and 193 run 3 tiles of ring_matmul in 2 tile rows, the last
+    # partial; n = 257 runs 6 in 3, the last one row tall
+    for n, seed in ((150, 43), (193, 47), (257, 53)):
         rng = np.random.default_rng(seed)
         adj = (rng.random((n, n)) < 0.3).astype(np.uint8)
         np.fill_diagonal(adj, 0)
@@ -188,10 +190,13 @@ class CallCountingChannel(OpeningChannel):
     def __init__(self):
         super().__init__(record=True)
         self.calls = 0
+        self.dtypes = []
 
     def open_array(self, s1, s2, bits):
         self.calls += 1
-        return super().open_array(s1, s2, bits)
+        value = super().open_array(s1, s2, bits)
+        self.dtypes.append(value.dtype)
+        return value
 
 
 def test_count_transcript():
@@ -233,6 +238,39 @@ def test_count_refuses_inexact_size_before_dealing():
     with pytest.raises(ValueError, match="inner dimension"):
         count(SharedAdjacency(n, tiny, tiny), n, dealer)
     assert np.array_equal(dealer.elements(4), DealerRng(3).elements(4))
+
+
+class RecordingDealer(DealerRng):
+    def __init__(self, *seed):
+        super().__init__(*seed)
+        self.draws = []
+
+    def elements(self, shape, bits=64):
+        self.draws.append(super().elements(shape, bits))
+        return self.draws[-1]
+
+
+def test_count_pair_vectors_are_uint32_in_the_32_bit_ring():
+    # up to n = 1861 the shares, the dealer draws and the openings are
+    # uint32, 4 bytes each, and equal the 64-bit stream mod 2**32; a count
+    # at n = 1861 would take seconds, so only its shares are checked
+    low = np.uint64((1 << 32) - 1)
+    for n in (3, 30, 1861):
+        g = erdos_renyi(n, 0.4, np.random.default_rng(n)) if n < 100 else Graph(n, [(0, 1)])
+        sa = share_adjacency(as_projected(g), DealerRng(7, 0))
+        assert ring_bits(n) == 32
+        assert sa.s1.dtype == sa.s2.dtype == np.uint32
+        assert np.array_equal(sa.s1, DealerRng(7, 0).elements(comb(n, 2)) & low)
+    for n in (3, 30):
+        g = erdos_renyi(n, 0.4, np.random.default_rng(n))
+        sa = share_adjacency(as_projected(g), DealerRng(7, 0))
+        dealer, channel = RecordingDealer(7, 1), CallCountingChannel()
+        t = count(sa, n, dealer, channel)
+        (draws,) = dealer.draws
+        assert draws.dtype == np.uint32
+        assert np.array_equal(draws, DealerRng(7, 1).elements((8, comb(n, 2))) & low)
+        assert channel.dtypes == [np.uint32] * 3
+        assert reconstruct(t) == exact_triangle_count(g)
 
 
 def stated_width(n: int) -> int:
