@@ -21,13 +21,18 @@ oblivious-transfer offline phase. The share products are two kernels:
 ring_matmul, the exact sum of products of the strictly upper-triangular
 matrices that hold pairs of pair vectors (pair_mask fixes the row-major
 pair layout), and beaver_share, one server's share of an element-wise
-Beaver product. ring_matmul splits each operand into L = w / 16 16-bit
-limbs held as float64, so each pair costs L (L + 1) / 2 BLAS limb products
-(3 at 32 bits, 6 at 48). Each limb product runs over 2-D tiles of the
-upper triangle and skips the zero triangles: with T = ceil(n / 128) tiles
-a side it is about (T + 1)(T + 2) / (6 T**2) n**3 multiply-adds, 0.31 n**3
+Beaver product. ring_matmul sums pairs that are each added or
+subtracted, and splits each operand into L = w / 16 16-bit limbs held as
+float64, so each pair costs L (L + 1) / 2 BLAS limb products (3 at 32
+bits, 6 at 48). Each limb product runs over 2-D tiles of the upper
+triangle and skips the zero triangles: with T = ceil(n / 128) tiles a
+side it is about (T + 1)(T + 2) / (6 T**2) n**3 multiply-adds, 0.31 n**3
 at n = 500 and 0.20 n**3 at n = 2000, towards n**3 / 6 as n grows. At
-n <= 128 it is one tile, n**3.
+n <= 128 it is one tile, n**3. The limb matrices and the n x n product
+stay resident between calls of one n and w, in one workspace that holds
+L matrices per distinct operand of a call; the count's calls have at most
+two, so 10 MB stay resident after a count at n = 500 and 224 MB after
+one at n = 2000, in the 48-bit ring.
 """
 
 from functools import lru_cache
@@ -54,12 +59,15 @@ NOISE_TAIL = 64 * MAX_NOISE_SCALE
 # adds the at most four limb matmuls with l + m = k < L, so with inner
 # dimension n every partial sum of one of its entries is a non-negative
 # integer below 4 * n * (2**16 - 1)**2 < n * 2**34, whatever L is; a sum
-# over P pairs is one product with inner dimension P * n. float64 holds
-# every integer up to 2**53 exactly, so P * n < 2**19 keeps the sum exact
-# in whatever order BLAS adds.
+# over P pairs, each added or subtracted, is one product with inner
+# dimension P * n, whose partial sums stay below P * n * 2**34 in
+# magnitude. float64 holds every integer up to 2**53 exactly, so
+# P * n < 2**19 keeps the sum exact in whatever order BLAS adds.
 _LIMB_BITS = 16
 MATMUL_MAX_INNER = 1 << 19
 _TILE = 128
+# raw 64-bit dealer draws narrowed at a time: 256 KB, cache-sized
+_DEALER_CHUNK = 1 << 15
 
 RingElement = int
 
@@ -158,10 +166,18 @@ class DealerRng:
 
         Consumes one raw 64-bit draw per element at every width and
         returns it reduced mod 2**bits, so the draws of any width are the
-        64-bit ones reduced.
+        64-bit ones reduced. The draws are narrowed into the result
+        _DEALER_CHUNK at a time: the stream is the same in chunks, and no
+        64-bit copy of a narrower result is ever held whole.
         """
-        raw = self._gen.integers(0, RING_MOD, size=shape, dtype=np.uint64)
-        return reduce_bits(raw.astype(ring_dtype(bits), copy=False), bits)
+        out = np.empty(shape, dtype=ring_dtype(bits))
+        flat = out.reshape(-1)
+        for start in range(0, flat.size, _DEALER_CHUNK):
+            part = flat[start : start + _DEALER_CHUNK]
+            draw = self._gen.integers(0, RING_MOD, size=part.size, dtype=np.uint64)
+            np.copyto(part, draw, casting="unsafe")
+            del draw  # freed before the next chunk is drawn
+        return reduce_bits(out, bits)
 
 
 def share(secret: int, rng: DealerRng) -> SharePair:
@@ -231,78 +247,116 @@ def pair_index(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
 
 
 def _block_product(
-    pairs: list[tuple[list[np.ndarray], list[np.ndarray]]], rows: slice, inner: slice, cols: slice
+    terms: list[tuple[int, np.ndarray, np.ndarray]], rows: slice, inner: slice, cols: slice
 ) -> np.ndarray:
-    """The sum of U[rows, inner] @ V[inner, cols] over pairs, exact mod 2**(16 L).
+    """The sum of sign * U[rows, inner] @ V[inner, cols] over terms, exact mod 2**(16 L).
 
-    Each pair holds the L float64 limb matrices of U and of V, least
-    significant first. For each shift k < L the limb products with
-    l + m = k of every pair are summed by float64 BLAS, exact below
-    MATMUL_MAX_INNER / P for P pairs (see its derivation), and the sum is
-    converted to uint64 once and shifted left by 16 * k. Bits at or above
-    16 L are left as they fall.
+    Each term is a sign, 1 or -1, and the L float64 limb matrices of U and
+    of V, least significant first. For each shift k < L the limb products
+    with l + m = k of every term are added to or subtracted from one
+    float64 tile in place, exact below MATMUL_MAX_INNER / P for P terms
+    (see its derivation); the signed sum is converted through int64 to
+    uint64 once and shifted left by 16 * k. Bits at or above 16 L are left
+    as they fall.
     """
-    out = 0
-    for k in range(len(pairs[0][0])):
-        acc = sum(
-            lu[l][rows, inner] @ lv[k - l][inner, cols] for lu, lv in pairs for l in range(k + 1)
-        )
-        out = out + (acc.astype(np.uint64) << np.uint64(_LIMB_BITS * k))
+    _, lu0, lv0 = terms[0]
+    tile = (lu0[0][rows, inner].shape[0], lv0[0][inner, cols].shape[1])
+    acc, product = np.empty(tile), np.empty(tile)
+    out = np.zeros(tile, dtype=np.uint64)
+    for k in range(len(lu0)):
+        acc.fill(0)
+        for sign, lu, lv in terms:
+            for l in range(k + 1):
+                np.matmul(lu[l][rows, inner], lv[k - l][inner, cols], out=product)
+                if sign > 0:
+                    acc += product
+                else:
+                    acc -= product
+        shifted = acc.astype(np.int64).view(np.uint64)
+        shifted <<= np.uint64(_LIMB_BITS * k)
+        out += shifted
     return out
 
 
-def ring_matmul(
-    pairs: list[tuple[np.ndarray, np.ndarray]], n: int, bits: int = RING_BITS
-) -> np.ndarray:
-    """The pair vector of sum(U @ V for (u, v) in pairs) in Z_2^bits.
+# ring_matmul's float64 limb matrices and uint64 product, kept between
+# calls: {(n, bits): (limbs, out)}, one entry at most
+_workspace: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
-    bits is 16, 32, 48 or 64, and the result is reduced and of dtype
-    ring_dtype(bits). U and V are the strictly upper n x n matrices that
-    hold pair vectors u and v; they exist only inside this call. Native
-    uint64 matmul does not use BLAS; here each distinct operand (by
-    identity) is scattered once, through pair_mask, into its low bits // 16
-    limbs held as float64 n x n matrices, so bits of an operand at or above
-    bits are never read, and a call holds bits // 16 such matrices per
-    distinct operand. The products run over 2-D tiles of _TILE rows by _TILE
-    columns of the upper triangle. U[i, j] V[j, k] is nonzero only for
-    i < j < k, so the tile at rows [i0, i0 + _TILE) and columns
-    [k0, k0 + _TILE), k0 >= i0, needs only the inner range
-    [i0 + 1, k0 + _TILE), and tiles below the diagonal are skipped. Each
-    tile sums the products of every pair in _block_product.
-    Raises ValueError if len(pairs) * n >= MATMUL_MAX_INNER or if an
-    operand is not of shape (C(n, 2),): a shorter vector would broadcast
-    through the scatter.
+
+def _limb_workspace(n: int, bits: int, operands: int) -> tuple[np.ndarray, np.ndarray]:
+    """ring_matmul's float64 limbs, (P, bits // 16, n, n) with P >= operands,
+    and its (n, n) uint64 product.
+
+    Both are allocated zeroed and kept for the next call of the same n and
+    bits. Only pair_mask entries of the limbs are ever written, so their
+    lower triangles stay zero, and only pair_mask entries of the product
+    are read. A call with more operands replaces the limbs and keeps the
+    product; another n or bits drops both before allocating. The cache is
+    not guarded against calls from several threads at once.
+    """
+    key = (n, bits)
+    entry = _workspace.get(key)
+    if entry is None or entry[0].shape[0] < operands:
+        out = np.zeros((n, n), dtype=np.uint64) if entry is None else entry[1]
+        entry = None  # the old limbs are freed before their replacement is allocated
+        _workspace.clear()
+        _workspace[key] = np.zeros((operands, bits // _LIMB_BITS, n, n)), out
+    return _workspace[key]
+
+
+def ring_matmul(pairs: list[tuple], n: int, bits: int = RING_BITS) -> np.ndarray:
+    """The pair vector of sum(sign * U @ V for (u, v[, sign]) in pairs) in Z_2^bits.
+
+    Each pair is (u, v) or (u, v, sign), sign 1 (the default) or -1. bits
+    is 16, 32, 48 or 64, and the result is a fresh array, reduced and of
+    dtype ring_dtype(bits). U and V are the strictly upper n x n matrices
+    that hold pair vectors u and v. Native uint64 matmul does not use BLAS;
+    here each distinct operand (by identity) is scattered once, through
+    pair_mask, into its low bits // 16 limbs held as float64 n x n
+    matrices, so bits of an operand at or above bits are never read. The
+    limb matrices and the uint64 n x n product live in one workspace that
+    is kept for the next call of the same n and bits (_limb_workspace).
+    The products run over 2-D tiles of _TILE rows by _TILE columns of the
+    upper triangle. U[i, j] V[j, k] is nonzero only for i < j < k, so the
+    tile at rows [i0, i0 + _TILE) and columns [k0, k0 + _TILE), k0 >= i0,
+    needs only the inner range [i0 + 1, k0 + _TILE), and tiles below the
+    diagonal are skipped. Each tile sums the signed products of every pair
+    in _block_product. Raises ValueError if len(pairs) * n >=
+    MATMUL_MAX_INNER, if a sign is neither 1 nor -1, or if an operand is
+    not of shape (C(n, 2),): a shorter vector would broadcast through the
+    scatter.
     """
     check_matmul_inner(len(pairs) * n)
     shape = (n * (n - 1) // 2,)
-    for u, v in pairs:
+    signed = []
+    slots: dict[int, int] = {}  # id of each distinct operand -> its workspace slot
+    distinct = []
+    for pair in pairs:
+        u, v, sign = pair if len(pair) == 3 else (*pair, 1)
+        if sign not in (1, -1):
+            raise ValueError(f"a sign must be 1 or -1, got {sign!r}")
         if u.shape != shape or v.shape != shape:
             raise ValueError(f"operands must have shape {shape}, got {u.shape} and {v.shape}")
+        signed.append((sign, u, v))
+        for w in (u, v):
+            if id(w) not in slots:
+                slots[id(w)] = len(distinct)
+                distinct.append(w)
+    limbs, out = _limb_workspace(n, bits, len(distinct))
     mask = pair_mask(n)
     dtype = ring_dtype(bits)
-    limbs = bits // _LIMB_BITS
     words = np.dtype(dtype).itemsize // 2
-    scattered = {}
-
-    def limb_matrices(w: np.ndarray) -> list[np.ndarray]:
-        if id(w) not in scattered:
-            w16 = np.ascontiguousarray(w, dtype=np.dtype(dtype).newbyteorder("<"))
-            w16 = w16.view("<u2").reshape(shape[0], words)
-            mats = []
-            for l in range(limbs):
-                mat = np.zeros((n, n))
-                mat[mask] = w16[:, l]
-                mats.append(mat)
-            scattered[id(w)] = mats
-        return scattered[id(w)]
-
-    limb_pairs = [(limb_matrices(u), limb_matrices(v)) for u, v in pairs]
-    out = np.zeros((n, n), dtype=np.uint64)
+    for w, mats in zip(distinct, limbs):
+        w16 = np.ascontiguousarray(w, dtype=np.dtype(dtype).newbyteorder("<"))
+        w16 = w16.view("<u2").reshape(shape[0], words)
+        for l, mat in enumerate(mats):
+            mat[mask] = w16[:, l]
+    terms = [(sign, limbs[slots[id(u)]], limbs[slots[id(v)]]) for sign, u, v in signed]
     for i0 in range(0, n, _TILE):
         rows = slice(i0, i0 + _TILE)
         for k0 in range(i0, n, _TILE):
             cols = slice(k0, k0 + _TILE)
-            out[rows, cols] = _block_product(limb_pairs, rows, slice(i0 + 1, k0 + _TILE), cols)
+            out[rows, cols] = _block_product(terms, rows, slice(i0 + 1, k0 + _TILE), cols)
     return reduce_bits(out[mask].astype(dtype, copy=False), bits)
 
 

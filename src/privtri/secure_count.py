@@ -11,10 +11,11 @@ uint32 for n <= 1861, 4 bytes per share, opening and dealer element.
 perturbation later lifts the count shares by the fixed-point scale into
 the wider ring it folds the noise in. The servers compute the count on
 shares in two rounds of Beaver-masked openings: one matrix triple for
-U @ U, whose products each server sums in one ring.ring_matmul call, and
-one element-wise triple per pair for the final product. Neither server
-sees a bit in the clear: the only cross-server traffic is the masked
-openings, routed through an OpeningChannel so the exchange is auditable.
+U @ U, whose products each server sums in one ring.ring_matmul call on
+two operands, and one element-wise triple per pair for the final
+product. Neither server sees a bit in the clear: the only cross-server
+traffic is the masked openings, routed through an OpeningChannel so the
+exchange is auditable.
 
 The simulation runs both servers in one process. Each server's values are
 computed only from its own shares, its dealer shares, and opened values.
@@ -105,13 +106,15 @@ def count(
     8 * m elements in one call.
 
     Round 1 opens e = u - x and f = u - a. Server 1 computes
-    p1 = e @ x1 + x1 @ e + z1 and server 2 p2 = x2 @ e + e @ (x2 + e) + z2,
+    p1 = e @ x1 + x1 @ e + z1 and server 2
+    p2 = (x2 + e) @ (x2 + e) - x2 @ x2 + z2, from x2 and the opened e only,
     so p1 + p2 = (e + x) @ (e + x) = u @ u. Each server sums its two
-    products in one ring_matmul call, and the dealer makes z = x @ x in a
-    third. Round 2 opens g = p - b, and each server sums its beaver_share
-    of u * p. That is 2 rounds and 3 * m openings. A given dealer seed
-    fixes every share and opened value; the reconstructed count depends
-    only on the shared bits.
+    signed products in one ring_matmul call on two distinct operands, and
+    the dealer makes z = x @ x in a third call on one; the three calls
+    share ring_matmul's resident workspace. Round 2 opens g = p - b, and
+    each server sums its beaver_share of u * p. That is 2 rounds and
+    3 * m openings. A given dealer seed fixes every share and opened value;
+    the reconstructed count depends only on the shared bits.
 
     Everything runs in Z_2^bits, bits = ring_bits(n), on pair vectors of
     dtype ring_dtype(bits): uint32 at 32 bits, which wraps mod 2**32 by
@@ -142,7 +145,8 @@ def count(
 
     # each server's share of u @ u in one call, then round 2
     p1 = ring_matmul([(e, x1), (x1, e)], n, bits) + z1
-    p2 = ring_matmul([(x2, e), (e, x2 + e)], n, bits) + z2
+    x2e = x2 + e
+    p2 = ring_matmul([(x2e, x2e), (x2, x2, -1)], n, bits) + z2
     g = channel.open_array(p1 - b1, p2 - b2, bits)
 
     low = np.uint64((1 << bits) - 1)

@@ -1,3 +1,6 @@
+import tracemalloc
+from math import comb
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -12,7 +15,9 @@ from privtri import (
     share,
     share_adjacency,
 )
+from privtri import ring
 from privtri.ring import (
+    _DEALER_CHUNK,
     MASK,
     MATMUL_MAX_INNER,
     RING_MOD,
@@ -145,7 +150,7 @@ def block_product_of(pairs, limbs):
         return [((a >> np.uint64(16 * l)) & np.uint64(0xFFFF)).astype(float) for l in range(limbs)]
 
     whole = slice(None)
-    return _block_product([(split(a), split(b)) for a, b in pairs], whole, whole, whole)
+    return _block_product([(1, split(a), split(b)) for a, b in pairs], whole, whole, whole)
 
 
 def test_pair_index_is_pair_mask_order():
@@ -221,6 +226,70 @@ def test_ring_matmul_sums_products_at_every_width(bits):
 
 
 @pytest.mark.parametrize("bits", WIDTHS)
+def test_ring_matmul_signed_sums_at_every_width(bits):
+    # a pair (u, v, -1) is subtracted: the native (A @ B - C @ D)[mask]
+    # reduced, with the negative pair first or last, and the count's server
+    # 2 form (s @ s - a @ a) with s = a + b, whose sum is a @ b + b @ a + b @ b
+    rng = np.random.default_rng(97 + bits)
+    low = np.uint64((1 << bits) - 1)
+    for n in [0, 1, 2, 3, 65] + TILE_EDGES:
+        m = pair_mask(n)
+        a, b, c, d = (strict_upper(rng, n) for _ in range(4))
+        ua, ub, uc, ud = a[m], b[m], c[m], d[m]
+        got = ring_matmul([(ua, ub), (uc, ud, -1)], n, bits)
+        assert got.dtype == ring_dtype(bits)
+        assert np.array_equal(got, (a @ b - c @ d)[m] & low)
+        got = ring_matmul([(ua, ua, -1), (ub, uc, 1)], n, bits)
+        assert np.array_equal(got, (b @ c - a @ a)[m] & low)
+        s = a + b
+        us = s[m]
+        got = ring_matmul([(us, us), (ua, ua, -1)], n, bits)
+        assert np.array_equal(got, (s @ s - a @ a)[m] & low)
+        assert np.array_equal(got, (a @ b + b @ a + b @ b)[m] & low)
+
+
+def test_ring_matmul_rejects_a_malformed_sign():
+    u = np.zeros(comb(5, 2), dtype=np.uint64)
+    for sign in (0, 2, -2, 0.5, "-", None):
+        with pytest.raises(ValueError, match="sign"):
+            ring_matmul([(u, u, sign)], 5)
+        with pytest.raises(ValueError, match="sign"):
+            ring_matmul([(u, u), (u, u, sign)], 5)
+
+
+def test_ring_matmul_reuses_one_workspace():
+    # interleaved sizes, widths and operand counts through the one cached
+    # workspace: the second and third calls find another n and width, the
+    # fourth grows the limbs, and the last reuses them with fewer operands
+    # and junk above the width; each result is the native signed sum
+    # reduced, is a fresh array, and the cached limbs stay zero off the
+    # pair_mask entries. a, b, c cycle through the call's distinct operands.
+    rng = np.random.default_rng(101)
+    calls = [
+        (129, 32, 3, False),
+        (257, 48, 2, False),
+        (129, 32, 1, False),
+        (129, 32, 3, False),
+        (129, 32, 2, True),
+    ]
+    for n, bits, operands, junk in calls:
+        m = pair_mask(n)
+        low = np.uint64((1 << bits) - 1)
+        mats = [strict_upper(rng, n) for _ in range(operands)]
+        if not junk:
+            mats = [a & low for a in mats]
+        vecs = [a[m] for a in mats]
+        a, b, c = (mats * 3)[:3]
+        ua, ub, uc = (vecs * 3)[:3]
+        got = ring_matmul([(ua, ub), (uc, ua, -1), (ub, uc)], n, bits)
+        assert np.array_equal(got, (a @ b - c @ a + b @ c)[m] & low)
+        limbs, out = ring._workspace[n, bits]
+        assert len(ring._workspace) == 1 and limbs.shape[0] >= operands
+        assert not np.shares_memory(got, limbs) and not np.shares_memory(got, out)
+        assert not limbs[:, :, ~m].any()
+
+
+@pytest.mark.parametrize("bits", WIDTHS)
 def test_limb_product_exact_at_largest_inner_dimension_at_every_width(bits):
     # with L <= 4 limbs each shift still sums at most 4 limb products per
     # pair, so MATMUL_MAX_INNER holds at every width, for one pair at inner
@@ -233,6 +302,26 @@ def test_limb_product_exact_at_largest_inner_dimension_at_every_width(bits):
     half = ok[:, : (MATMUL_MAX_INNER - 1) // 2]
     got = block_product_of([(half, half.T), (half, half.T)], limbs)
     assert np.array_equal(got & low, (half @ half.T + half @ half.T) & low)
+
+
+@pytest.mark.parametrize("bits", WIDTHS)
+def test_limb_product_exact_at_largest_inner_dimension_with_mixed_signs(bits):
+    # a subtracted term alone at inner dimension MATMUL_MAX_INNER - 1 sums
+    # to the most negative tile, and terms of both signs whose inner
+    # dimensions add up to it leave a negative sum; both go through int64
+    limbs, low = bits // 16, np.uint64((1 << bits) - 1)
+
+    def split(a):
+        return [((a >> np.uint64(16 * l)) & np.uint64(0xFFFF)).astype(float) for l in range(limbs)]
+
+    whole = slice(None)
+    ok = np.full((1, MATMUL_MAX_INNER - 1), MASK, dtype=np.uint64)
+    got = _block_product([(-1, split(ok), split(ok.T))], whole, whole, whole)
+    assert np.array_equal(got & low, (-(ok @ ok.T)) & low)
+    third = (MATMUL_MAX_INNER - 1) // 3
+    a, b = ok[:, :third], ok[:, third:]
+    got = _block_product([(1, split(a), split(a.T)), (-1, split(b), split(b.T))], whole, whole, whole)
+    assert np.array_equal(got & low, (a @ a.T - b @ b.T) & low)
 
 
 def test_open_array_reduces_to_the_width():
@@ -265,6 +354,32 @@ def test_dealer_draws_at_a_width_are_the_64_bit_stream_reduced():
         assert got.dtype == ring_dtype(bits) and got.shape == (3, 100)
         assert np.array_equal(got, raw & np.uint64((1 << bits) - 1))
     assert ring_dtype(32) == np.uint32 and ring_dtype(48) == ring_dtype(64) == np.uint64
+
+
+def test_dealer_draws_are_one_stream_across_chunks():
+    # draws cut at other points than the narrowing chunks read the same
+    # 64-bit stream as one draw, at every width
+    size = 2 * _DEALER_CHUNK + 5
+    for bits in WIDTHS:
+        whole = DealerRng(103, bits).elements(size, bits)
+        rng = DealerRng(103, bits)
+        parts = [rng.elements(k, bits) for k in (1, _DEALER_CHUNK - 1, _DEALER_CHUNK + 5)]
+        assert np.array_equal(whole, np.concatenate(parts))
+        assert np.array_equal(whole, DealerRng(103, bits).elements(size) & np.uint64((1 << bits) - 1))
+
+
+@pytest.mark.parametrize("bits", (32, 48))
+def test_dealer_draw_holds_its_result_and_one_chunk(bits):
+    # the count's 8 * C(500, 2) draw never holds a 64-bit copy of the whole
+    # draw: the peak is the result, one raw chunk and a few array headers
+    dealer = DealerRng(107)
+    tracemalloc.start()
+    try:
+        out = dealer.elements((8, comb(500, 2)), bits)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.nbytes < peak < out.nbytes + 8 * _DEALER_CHUNK + 4096
 
 
 def test_pair_mask_is_cached_and_read_only():

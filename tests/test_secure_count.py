@@ -16,7 +16,7 @@ from privtri import (
     reconstruct,
     share_adjacency,
 )
-from privtri import secure_count
+from privtri import ring, secure_count
 from privtri.graph import upper_edges
 from privtri.ring import MASK, MATMUL_MAX_INNER, ring_bits, ring_dtype
 from privtri.secure_count import effective_edges, effective_graph
@@ -145,6 +145,29 @@ def test_count_deterministic_for_fixed_dealer():
         return count(sa, g.n, DealerRng(9, 1))
 
     assert one_run() == one_run()
+
+
+def test_count_with_a_warm_workspace_matches_a_cleared_one(monkeypatch):
+    # ring_matmul keeps its workspace between calls; a count run right after
+    # another count of the same n gives the same shares and openings as one
+    # run after the cache is cleared, in the 32-bit ring and the 48-bit one
+    rng = np.random.default_rng(43)
+    g, other = erdos_renyi(150, 0.3, rng), erdos_renyi(150, 0.6, rng)
+
+    def one_run(graph, seed):
+        sa = share_adjacency(as_projected(graph), DealerRng(seed, 0))
+        channel = OpeningChannel(record=True)
+        return count(sa, graph.n, DealerRng(seed, 1), channel), channel.values
+
+    for forced in (None, 48):
+        if forced:
+            monkeypatch.setattr(secure_count, "ring_bits", lambda n: forced)
+        ring._workspace.clear()
+        cold = one_run(g, 1)
+        one_run(other, 2)
+        warm = one_run(g, 1)
+        assert warm == cold
+        assert reconstruct(cold[0]) == exact_triangle_count(g) > 0
 
 
 def test_count_disjoint_union_linearity():
