@@ -15,24 +15,17 @@ which has to hold the scaled count plus a noise tail. Shares made by share
 are 64-bit; the dealer draws one raw 64-bit stream and narrows it to w
 bits, so a w-bit draw is the 64-bit one mod 2**w.
 
-Correlated randomness (share masks, matrix and element-wise Beaver
-triples) comes from a seeded trusted dealer, standing in for an
-oblivious-transfer offline phase. The share products are two kernels:
-ring_matmul, the exact sum of products of the strictly upper-triangular
-matrices that hold pairs of pair vectors (pair_mask fixes the row-major
-pair layout), and beaver_share, one server's share of an element-wise
-Beaver product. ring_matmul sums pairs that are each added or
-subtracted, and splits each operand into L = w / 16 16-bit limbs held as
-float64, so each pair costs L (L + 1) / 2 BLAS limb products (3 at 32
-bits, 6 at 48). Each limb product runs over 2-D tiles of the upper
-triangle and skips the zero triangles: with T = ceil(n / 128) tiles a
-side it is about (T + 1)(T + 2) / (6 T**2) n**3 multiply-adds, 0.31 n**3
-at n = 500 and 0.20 n**3 at n = 2000, towards n**3 / 6 as n grows. At
-n <= 128 it is one tile, n**3. The limb matrices and the n x n product
-stay resident between calls of one n and w, in one workspace that holds
-L matrices per distinct operand of a call; the count's calls have at most
-two, so 10 MB stay resident after a count at n = 500 and 224 MB after
-one at n = 2000, in the 48-bit ring.
+Correlated randomness (share masks and the count's dealer correlation)
+comes from a seeded trusted dealer, standing in for an oblivious-transfer
+offline phase. The share products rest on one kernel, ring_square: the
+pair vector of V_s @ V_s, with V_s = V + V.T the symmetric zero-diagonal
+matrix of a pair vector v (pair_mask fixes the row-major pair layout).
+It splits V_s into L = w / 16 16-bit limbs held as float64, and the
+shift sums of their products take one BLAS product of n x n matrices per
+limb pair l <= r with l + r < L: 2 at 32 bits and 4 at 48. The L limb
+matrices and one n x n scratch matrix stay resident between calls of one
+n and w: 6 MB after a square at n = 500 in the 32-bit ring, 128 MB after
+one at n = 2000 in the 48-bit ring.
 """
 
 from functools import lru_cache
@@ -54,18 +47,15 @@ FIXED_POINT_SCALE = 1 << 20
 MAX_NOISE_SCALE = 10**4
 NOISE_TAIL = 64 * MAX_NOISE_SCALE
 
-# ring_matmul splits each element into L <= 4 16-bit limbs, so a limb
-# product is at most (2**16 - 1)**2 < 2**32. The shift-k term of one pair
-# adds the at most four limb matmuls with l + m = k < L, so with inner
-# dimension n every partial sum of one of its entries is a non-negative
-# integer below 4 * n * (2**16 - 1)**2 < n * 2**34, whatever L is; a sum
-# over P pairs, each added or subtracted, is one product with inner
-# dimension P * n, whose partial sums stay below P * n * 2**34 in
-# magnitude. float64 holds every integer up to 2**53 exactly, so
-# P * n < 2**19 keeps the sum exact in whatever order BLAS adds.
+# ring_square splits each element into L <= 4 16-bit limbs, so a limb
+# product is at most (2**16 - 1)**2 < 2**32. The shift-k term adds the
+# at most four limb products with l + r = k < L, so with inner dimension n
+# every partial sum of one of its entries is a non-negative integer below
+# 4 * n * (2**16 - 1)**2 < n * 2**34, whatever L is. float64 holds every
+# integer up to 2**53 exactly, so n < 2**19 keeps the sum exact in
+# whatever order BLAS adds.
 _LIMB_BITS = 16
 MATMUL_MAX_INNER = 1 << 19
-_TILE = 128
 # raw 64-bit dealer draws narrowed at a time: 256 KB, cache-sized
 _DEALER_CHUNK = 1 << 15
 
@@ -193,10 +183,10 @@ def reconstruct(pair: SharePair) -> RingElement:
 class OpeningChannel:
     """Exchange point for values the two servers jointly open.
 
-    Every cross-server opening during a multiplication goes through here, so
-    a transcript of what each server learns (its own shares plus the opened
-    e, f, g) can be audited. Recording is off by default; the opened arrays
-    for a full count would dwarf the inputs.
+    Every cross-server opening of the count goes through here, so a
+    transcript of what each server learns (its own shares plus the opened
+    e = u - x) can be audited. Recording is off by default; the opened
+    arrays for a full count would dwarf the inputs.
     """
 
     def __init__(self, record: bool = False):
@@ -209,16 +199,12 @@ class OpeningChannel:
         value = reduce_bits(s1 + s2, bits)
         self.openings += int(value.size)
         if self.record:
-            self.values.extend(int(v) for v in value)
+            self.values.extend(value.tolist())
         return value
 
 
 def check_matmul_inner(n: int) -> None:
-    """Raise ValueError unless ring_matmul is exact at inner dimension n.
-
-    A sum of P products of n x n matrices is one product with inner
-    dimension P * n, so a call of ring_matmul on P pairs needs P * n here.
-    """
+    """Raise ValueError unless ring_square is exact at inner dimension n."""
     if n >= MATMUL_MAX_INNER:
         raise ValueError(
             f"inner dimension {n} >= {MATMUL_MAX_INNER}: float64 limb sums "
@@ -246,141 +232,81 @@ def pair_index(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
     return i * (2 * n - i - 1) // 2 + j - i - 1
 
 
-def _block_product(
-    terms: list[tuple[int, np.ndarray, np.ndarray]], rows: slice, inner: slice, cols: slice
-) -> np.ndarray:
-    """The sum of sign * U[rows, inner] @ V[inner, cols] over terms, exact mod 2**(16 L).
+def _square_pairs(limbs: np.ndarray, acc: np.ndarray, bits: int) -> np.ndarray:
+    """Pair entries of A @ A.T, reduced mod 2**bits, of dtype ring_dtype(bits).
 
-    Each term is a sign, 1 or -1, and the L float64 limb matrices of U and
-    of V, least significant first. For each shift k < L the limb products
-    with l + m = k of every term are added to or subtracted from one
-    float64 tile in place, exact below MATMUL_MAX_INNER / P for P terms
-    (see its derivation); the signed sum is converted through int64 to
-    uint64 once and shifted left by 16 * k. Bits at or above 16 L are left
-    as they fall.
+    limbs holds the bits // 16 16-bit limbs of A as float64 (a, N)
+    matrices, least significant first, and acc is a float64 (a, a)
+    scratch matrix; the pairs are those of pair_mask(a). The shift-k term
+    of A @ A.T sums S_l @ S_r.T over l + r = k, and (S_l @ S_r.T).T is
+    S_r @ S_l.T, so each unordered limb pair costs one BLAS product M,
+    whose pair entries are added once when l = r (numpy runs S_l @ S_l.T
+    as a symmetric rank-k update, at half the work) and with those of M.T
+    otherwise. The float64 sum of one shift is exact (see
+    MATMUL_MAX_INNER); it is converted through int64 once and shifted by
+    16 * k, and shifts at or above bits are never computed.
     """
-    _, lu0, lv0 = terms[0]
-    tile = (lu0[0][rows, inner].shape[0], lv0[0][inner, cols].shape[1])
-    acc, product = np.empty(tile), np.empty(tile)
-    out = np.zeros(tile, dtype=np.uint64)
-    for k in range(len(lu0)):
-        acc.fill(0)
-        for sign, lu, lv in terms:
-            for l in range(k + 1):
-                np.matmul(lu[l][rows, inner], lv[k - l][inner, cols], out=product)
-                if sign > 0:
-                    acc += product
-                else:
-                    acc -= product
-        shifted = acc.astype(np.int64).view(np.uint64)
-        shifted <<= np.uint64(_LIMB_BITS * k)
-        out += shifted
-    return out
+    a = acc.shape[0]
+    mask = pair_mask(a)
+    out = np.zeros(a * (a - 1) // 2, dtype=np.uint64)
+    shift_sum = np.empty(out.size)
+    for k in range(len(limbs)):
+        shift_sum.fill(0)
+        for l in range(k // 2 + 1):
+            np.matmul(limbs[l], limbs[k - l].T, out=acc)
+            shift_sum += acc[mask]
+            if 2 * l < k:
+                shift_sum += acc.T[mask]
+        term = shift_sum.astype(np.int64).view(np.uint64)
+        term <<= np.uint64(_LIMB_BITS * k)
+        out += term
+    return reduce_bits(out.astype(ring_dtype(bits), copy=False), bits)
 
 
-# ring_matmul's float64 limb matrices and uint64 product, kept between
-# calls: {(n, bits): (limbs, out)}, one entry at most
+# ring_square's float64 limb matrices and product scratch, kept between
+# calls: {(n, bits): (limbs, acc)}, one entry at most
 _workspace: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _limb_workspace(n: int, bits: int, operands: int) -> tuple[np.ndarray, np.ndarray]:
-    """ring_matmul's float64 limbs, (P, bits // 16, n, n) with P >= operands,
-    and its (n, n) uint64 product.
+def _limb_workspace(n: int, bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """ring_square's float64 limbs, (bits // 16, n, n), and its (n, n) scratch.
 
-    Both are allocated zeroed and kept for the next call of the same n and
-    bits. Only pair_mask entries of the limbs are ever written, so their
-    lower triangles stay zero, and only pair_mask entries of the product
-    are read. A call with more operands replaces the limbs and keeps the
-    product; another n or bits drops both before allocating. The cache is
-    not guarded against calls from several threads at once.
+    Both are kept for the next call of the same n and bits; another n or
+    bits drops them before allocating. The limbs are allocated zeroed and
+    only off-diagonal entries are ever written, so their diagonals stay
+    zero. The cache is not guarded against calls from several threads at
+    once.
     """
     key = (n, bits)
-    entry = _workspace.get(key)
-    if entry is None or entry[0].shape[0] < operands:
-        out = np.zeros((n, n), dtype=np.uint64) if entry is None else entry[1]
-        entry = None  # the old limbs are freed before their replacement is allocated
+    if key not in _workspace:
         _workspace.clear()
-        _workspace[key] = np.zeros((operands, bits // _LIMB_BITS, n, n)), out
+        _workspace[key] = np.zeros((bits // _LIMB_BITS, n, n)), np.empty((n, n))
     return _workspace[key]
 
 
-def ring_matmul(pairs: list[tuple], n: int, bits: int = RING_BITS) -> np.ndarray:
-    """The pair vector of sum(sign * U @ V for (u, v[, sign]) in pairs) in Z_2^bits.
+def ring_square(v: np.ndarray, n: int, bits: int = RING_BITS) -> np.ndarray:
+    """The pair vector of V_s @ V_s in Z_2^bits, V_s = V + V.T.
 
-    Each pair is (u, v) or (u, v, sign), sign 1 (the default) or -1. bits
-    is 16, 32, 48 or 64, and the result is a fresh array, reduced and of
-    dtype ring_dtype(bits). U and V are the strictly upper n x n matrices
-    that hold pair vectors u and v. Native uint64 matmul does not use BLAS;
-    here each distinct operand (by identity) is scattered once, through
-    pair_mask, into its low bits // 16 limbs held as float64 n x n
-    matrices, so bits of an operand at or above bits are never read. The
-    limb matrices and the uint64 n x n product live in one workspace that
-    is kept for the next call of the same n and bits (_limb_workspace).
-    The products run over 2-D tiles of _TILE rows by _TILE columns of the
-    upper triangle. U[i, j] V[j, k] is nonzero only for i < j < k, so the
-    tile at rows [i0, i0 + _TILE) and columns [k0, k0 + _TILE), k0 >= i0,
-    needs only the inner range [i0 + 1, k0 + _TILE), and tiles below the
-    diagonal are skipped. Each tile sums the signed products of every pair
-    in _block_product. Raises ValueError if len(pairs) * n >=
-    MATMUL_MAX_INNER, if a sign is neither 1 nor -1, or if an operand is
-    not of shape (C(n, 2),): a shorter vector would broadcast through the
-    scatter.
+    V is the strictly upper n x n matrix that holds pair vector v, so V_s
+    is symmetric with a zero diagonal. bits is 16, 32, 48 or 64, and the
+    result is a fresh array, reduced and of dtype ring_dtype(bits). Native
+    uint64 matmul does not use BLAS; here v is scattered, through
+    pair_mask and its transpose, into the low bits // 16 limbs of V_s held
+    as float64 n x n matrices in the resident workspace of _limb_workspace,
+    so bits of v at or above bits are never read, and _square_pairs sums
+    the limb products (V_s is symmetric, so V_s @ V_s = V_s @ V_s.T).
+    Raises ValueError if n >= MATMUL_MAX_INNER or if v is not of shape
+    (C(n, 2),): a shorter vector would broadcast through the scatter.
     """
-    check_matmul_inner(len(pairs) * n)
+    check_matmul_inner(n)
     shape = (n * (n - 1) // 2,)
-    signed = []
-    slots: dict[int, int] = {}  # id of each distinct operand -> its workspace slot
-    distinct = []
-    for pair in pairs:
-        u, v, sign = pair if len(pair) == 3 else (*pair, 1)
-        if sign not in (1, -1):
-            raise ValueError(f"a sign must be 1 or -1, got {sign!r}")
-        if u.shape != shape or v.shape != shape:
-            raise ValueError(f"operands must have shape {shape}, got {u.shape} and {v.shape}")
-        signed.append((sign, u, v))
-        for w in (u, v):
-            if id(w) not in slots:
-                slots[id(w)] = len(distinct)
-                distinct.append(w)
-    limbs, out = _limb_workspace(n, bits, len(distinct))
+    if v.shape != shape:
+        raise ValueError(f"the operand must have shape {shape}, got {v.shape}")
+    limbs, acc = _limb_workspace(n, bits)
     mask = pair_mask(n)
-    dtype = ring_dtype(bits)
-    words = np.dtype(dtype).itemsize // 2
-    for w, mats in zip(distinct, limbs):
-        w16 = np.ascontiguousarray(w, dtype=np.dtype(dtype).newbyteorder("<"))
-        w16 = w16.view("<u2").reshape(shape[0], words)
-        for l, mat in enumerate(mats):
-            mat[mask] = w16[:, l]
-    terms = [(sign, limbs[slots[id(u)]], limbs[slots[id(v)]]) for sign, u, v in signed]
-    for i0 in range(0, n, _TILE):
-        rows = slice(i0, i0 + _TILE)
-        for k0 in range(i0, n, _TILE):
-            cols = slice(k0, k0 + _TILE)
-            out[rows, cols] = _block_product(terms, rows, slice(i0 + 1, k0 + _TILE), cols)
-    return reduce_bits(out[mask].astype(dtype, copy=False), bits)
-
-
-def beaver_share(
-    f: np.ndarray,
-    g: np.ndarray,
-    a: np.ndarray,
-    b: np.ndarray,
-    c: np.ndarray,
-    public: bool,
-) -> np.ndarray:
-    """One server's share of the element-wise product u * v.
-
-    The dealer gave each server shares a, b, c of a triple with c = a * b
-    element-wise, and the servers opened f = u - a and g = v - b. Since
-
-        u * v = f * g + f * b + a * g + c,
-
-    each server adds its f * b + a * g + c, and exactly one of them (public)
-    also adds the opened f * g.
-    """
-    w = f * b
-    w += a * g
-    w += c
-    if public:
-        w += f * g
-    return w
+    dtype = np.dtype(ring_dtype(bits)).newbyteorder("<")
+    v16 = np.ascontiguousarray(v, dtype=dtype).view("<u2").reshape(shape[0], dtype.itemsize // 2)
+    for l, mat in enumerate(limbs):
+        mat[mask] = v16[:, l]
+        mat.T[mask] = v16[:, l]
+    return _square_pairs(limbs, acc, bits)

@@ -1,20 +1,28 @@
 """Two-server triangle counting over secret-shared adjacency bits.
 
 Users secret-share the bit of every unordered pair to two semi-honest,
-non-colluding servers. With U the strictly upper-triangular matrix of the
-effective bits, (U @ U)[i, k] counts the paths i < j < k, so the triangle
-count is exactly T = sum over i < k of U[i, k] * (U @ U)[i, k] in Z_2^w,
-w = ring.ring_bits(n) the width that holds the public bound C(n, 3);
-Beaver-masked arithmetic is exact in any Z_2^w, so the ring need hold only
-the count. Every pair vector is held at that width, as ring.ring_dtype(w):
-uint32 for n <= 1861, 4 bytes per share, opening and dealer element.
-perturbation later lifts the count shares by the fixed-point scale into
-the wider ring it folds the noise in. The servers compute the count on
-shares in two rounds of Beaver-masked openings: one matrix triple for
-U @ U, whose products each server sums in one ring.ring_matmul call on
-two operands, and one element-wise triple per pair for the final
-product. Neither server sees a bit in the clear: the only cross-server
-traffic is the masked openings, routed through an OpeningChannel so the
+non-colluding servers. For a pair vector v, with V_s the symmetric
+zero-diagonal matrix that holds it, P_v = V_s @ V_s on the pairs counts
+the paths through a third node, and each triangle closes three of them,
+so the triangle count is T(v) = 3^-1 <v, P_v> in Z_2^w, w =
+ring.ring_bits(n) the width that holds the public bound C(n, 3) (3 is odd,
+so it is invertible mod 2**w). Every pair vector is held at that width, as
+ring.ring_dtype(w): uint32 for n <= 1861, 4 bytes per share, opening and
+dealer element. perturbation later lifts the count shares by the
+fixed-point scale into the wider ring it folds the noise in.
+
+The servers count in one round, from a dealer correlation fitted to T:
+the function-dependent preprocessing of ABY2.0 (Patra et al., USENIX
+Security 2021) on a matrix correlation as in SecureML (Mohassel & Zhang,
+S&P 2017). With the shared bits u = e + x for a dealt mask x, T is cubic,
+so
+
+    T(u) = T(e) + <x, P_e> + <e, P_x> + T(x),
+
+and the dealer shares P_x and T(x). The servers open e = u - x once and
+finish from the public P_e, each with ring.ring_square, the one product
+kernel. Neither server sees a bit in the clear: the only cross-server
+traffic is the masked opening, routed through an OpeningChannel so the
 exchange is auditable.
 
 The simulation runs both servers in one process. Each server's values are
@@ -31,13 +39,12 @@ from .ring import (
     DealerRng,
     OpeningChannel,
     SharePair,
-    beaver_share,
     check_matmul_inner,
     pair_index,
     reduce_bits,
     ring_bits,
     ring_dtype,
-    ring_matmul,
+    ring_square,
 )
 
 
@@ -96,25 +103,23 @@ def count(
     dealer: DealerRng,
     channel: OpeningChannel | None = None,
 ) -> SharePair:
-    """Shares of the triangle count T = sum_{i<k} U[i, k] * (U @ U)[i, k].
+    """Shares of the triangle count T(u) = 3^-1 <u, P_u>, in one round.
 
     All data, the shared bits u included, are pair vectors over the
-    m = C(n, 2) pairs i < k (ring.pair_mask), and v @ w below stands for
-    the pair vector of the matrix product V @ W. The dealer draws, in this
-    order, pair vectors of server shares x1, x2, z1 (a square triple:
-    z = x @ x) and a1, a2, b1, b2, c1 (an element-wise triple c = a * b),
-    8 * m elements in one call.
+    m = C(n, 2) pairs i < k (ring.pair_mask), and P_v = ring_square(v) is
+    the pair vector of V_s @ V_s, V_s = V + V.T. The dealer draws pair
+    vectors x1, x2 and w1 (3 * m elements in one call), then a scalar
+    tx1, and gives server 2 the shares w2 = W - w1 of W = P_x and
+    tx2 = T(x) - tx1 of T(x) = 3^-1 <x, W>, x = x1 + x2.
 
-    Round 1 opens e = u - x and f = u - a. Server 1 computes
-    p1 = e @ x1 + x1 @ e + z1 and server 2
-    p2 = (x2 + e) @ (x2 + e) - x2 @ x2 + z2, from x2 and the opened e only,
-    so p1 + p2 = (e + x) @ (e + x) = u @ u. Each server sums its two
-    signed products in one ring_matmul call on two distinct operands, and
-    the dealer makes z = x @ x in a third call on one; the three calls
-    share ring_matmul's resident workspace. Round 2 opens g = p - b, and
-    each server sums its beaver_share of u * p. That is 2 rounds and
-    3 * m openings. A given dealer seed fixes every share and opened value;
-    the reconstructed count depends only on the shared bits.
+    The one round opens e = u - x (m openings). P_e is a function of the
+    opened e alone, so like e itself the simulation computes it once for
+    both servers. Since T(u) = T(e) + <x, P_e> + <e, P_x> + T(x), server 1
+    outputs 3^-1 <e, P_e> + <x1, P_e> + <e, w1> + tx1 and server 2
+    <x2, P_e> + <e, w2> + tx2. The dealer's square and the public one
+    share ring_square's resident workspace. A given dealer seed fixes
+    every share and opened value; the reconstructed count depends only on
+    the shared bits.
 
     Everything runs in Z_2^bits, bits = ring_bits(n), on pair vectors of
     dtype ring_dtype(bits): uint32 at 32 bits, which wraps mod 2**32 by
@@ -123,33 +128,31 @@ def count(
     dealer or a server, as a dealer share, an opening or an output share.
     The dealer draws the same raw 64-bit stream at every width, so the
     dealer values, openings and output shares are the 64-bit ones mod
-    2**bits. The servers' calls sum two products, so n is checked against
-    the exact size of ring_matmul at inner dimension 2 * n before dealing.
+    2**bits. n is checked against the exact size of ring_square before
+    dealing.
     """
     if n != sa.n:
         raise ValueError(f"n={n} does not match shared adjacency n={sa.n}")
-    check_matmul_inner(2 * n)
+    check_matmul_inner(n)
     bits = ring_bits(n)
     if channel is None:
         channel = OpeningChannel()
+    low = (1 << bits) - 1
+    third = pow(3, -1, 1 << bits)
 
-    # dealer: both triples, server 2's product shares derived from the values
-    x1, x2, z1, a1, a2, b1, b2, c1 = dealer.elements((8, n * (n - 1) // 2), bits)
-    x = x1 + x2
-    z2 = reduce_bits(ring_matmul([(x, x)], n, bits) - z1, bits)
-    c2 = reduce_bits((a1 + a2) * (b1 + b2) - c1, bits)
+    # dealer: server 2's shares of W = P_x and T(x) follow from x = x1 + x2
+    x1, x2, w1 = dealer.elements((3, n * (n - 1) // 2), bits)
+    tx1 = dealer.element() & low
+    x = reduce_bits(x1 + x2, bits)
+    w2 = ring_square(x, n, bits)
+    tx2 = (third * int(np.dot(x, w2)) - tx1) & low
+    del x
+    w2 -= w1
+    reduce_bits(w2, bits)
 
-    # round 1
+    # the one round; np.dot wraps in the dtype, exact mod 2**bits
     e = channel.open_array(sa.s1 - x1, sa.s2 - x2, bits)
-    f = channel.open_array(sa.s1 - a1, sa.s2 - a2, bits)
-
-    # each server's share of u @ u in one call, then round 2
-    p1 = ring_matmul([(e, x1), (x1, e)], n, bits) + z1
-    x2e = x2 + e
-    p2 = ring_matmul([(x2e, x2e), (x2, x2, -1)], n, bits) + z2
-    g = channel.open_array(p1 - b1, p2 - b2, bits)
-
-    low = np.uint64((1 << bits) - 1)
-    t1 = beaver_share(f, g, a1, b1, c1, public=False).sum(dtype=np.uint64) & low
-    t2 = beaver_share(f, g, a2, b2, c2, public=True).sum(dtype=np.uint64) & low
-    return SharePair(int(t1), int(t2), bits)
+    pe = ring_square(e, n, bits)
+    t1 = third * int(np.dot(e, pe)) + int(np.dot(x1, pe)) + int(np.dot(e, w1)) + tx1
+    t2 = int(np.dot(x2, pe)) + int(np.dot(e, w2)) + tx2
+    return SharePair(t1 & low, t2 & low, bits)

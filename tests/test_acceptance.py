@@ -35,8 +35,7 @@ from privtri import (
 )
 from privtri.harness import MAX_CARGO_NODES
 from privtri.projection import effective_theta
-from privtri.ring import MASK, beaver_share
-from privtri.secure_count import count
+from privtri.secure_count import SharedAdjacency, count
 
 from conftest import erdos_renyi, facebook_path, write_lines
 
@@ -58,32 +57,23 @@ def rng_for(*seed):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(seed))))
 
 
-def beaver_product(u1, u2, v1, v2, rng, channel):
-    """Each server's share of u * v from one dealt element-wise triple."""
-    a1, a2, b1, b2, c1 = rng.elements((5, u1.size))
-    c2 = (a1 + a2) * (b1 + b2) - c1
-    f = channel.open_array(u1 - a1, u2 - a2)
-    g = channel.open_array(v1 - b1, v2 - b2)
-    return (
-        beaver_share(f, g, a1, b1, c1, public=False),
-        beaver_share(f, g, a2, b2, c2, public=True),
-    )
-
-
 def test_criterion_1_three_way_product_oracle():
     with criterion(1, "three-way share product matches plain products"):
+        # at n = 3 the count is the product of the three pair values
+        # u01 * u02 * u12, so the secrets ride in as shared pair vectors
         start = time.perf_counter()
         rng = DealerRng(101)
-        bits = np.array(list(product((0, 1), repeat=3)), dtype=np.uint64).T
-        secrets = np.concatenate((np.repeat(bits, 100, axis=1), rng.elements((3, 10_000))), axis=1)
-        masks = rng.elements(secrets.shape)
-        (a1, b1, c1), (a2, b2, c2) = masks, secrets - masks
+        bits = np.array(list(product((0, 1), repeat=3)), dtype=np.uint32).T
+        uniform = rng.elements((3, 10_000), 32)
+        secrets = np.concatenate((np.repeat(bits, 100, axis=1), uniform), axis=1)
+        masks = rng.elements(secrets.shape, 32)
+        shares = secrets - masks
         channel = OpeningChannel()
-        ab1, ab2 = beaver_product(a1, a2, b1, b2, rng, channel)
-        abc1, abc2 = beaver_product(ab1, ab2, c1, c2, rng, channel)
-        got = (abc1 + abc2).tolist()
-        for (a, b, c), t in zip(secrets.T.tolist(), got):
-            assert t == (a * b * c) & MASK
+        for col, (a, b, c) in enumerate(secrets.T.tolist()):
+            sa = SharedAdjacency(3, masks[:, col], shares[:, col])
+            t = count(sa, 3, rng, channel)
+            assert t.bits == 32
+            assert reconstruct(t) == (a * b * c) & 0xFFFFFFFF
         elapsed = time.perf_counter() - start
         assert elapsed < 5.0, f"took {elapsed:.2f}s"
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 from math import comb
 
@@ -117,7 +118,7 @@ def test_count_tiny_graph_returns_zero_shares():
         sa = share_adjacency(as_projected(g), DealerRng(0, 0))
         channel = OpeningChannel()
         assert reconstruct(count(sa, n, DealerRng(0, 1), channel)) == 0
-        assert channel.openings == 3 * comb(n, 2)
+        assert channel.openings == comb(n, 2)
 
 
 def test_count_matches_oracle_on_random_graphs():
@@ -148,7 +149,7 @@ def test_count_deterministic_for_fixed_dealer():
 
 
 def test_count_with_a_warm_workspace_matches_a_cleared_one(monkeypatch):
-    # ring_matmul keeps its workspace between calls; a count run right after
+    # ring_square keeps its workspace between calls; a count run right after
     # another count of the same n gives the same shares and openings as one
     # run after the cache is cleared, in the 32-bit ring and the 48-bit one
     rng = np.random.default_rng(43)
@@ -190,8 +191,8 @@ def test_count_asymmetric_projection_respects_policy():
 
 
 def test_count_spans_several_row_blocks():
-    # n = 150 and 193 run 3 tiles of ring_matmul in 2 tile rows, the last
-    # partial; n = 257 runs 6 in 3, the last one row tall
+    # sizes past 128 and 256 rows, where BLAS splits its products into
+    # blocks; the last is one row beyond
     for n, seed in ((150, 43), (193, 47), (257, 53)):
         rng = np.random.default_rng(seed)
         adj = (rng.random((n, n)) < 0.3).astype(np.uint8)
@@ -200,6 +201,30 @@ def test_count_spans_several_row_blocks():
         sa = share_adjacency(pg, DealerRng(seed, 0))
         got = reconstruct(count(sa, n, DealerRng(seed, 1)))
         assert got == exact_triangle_count(effective_graph(pg)) > 0
+
+
+@pytest.mark.parametrize("bits", (32, 48))
+def test_count_peak_is_the_draw_a_few_pair_vectors_and_the_workspace(bits, monkeypatch):
+    # from a cleared workspace, count's traced peak at n = 300 is at most the
+    # dealer's (3, m) draw, the workspace it allocates (bits // 16 limb
+    # matrices and one scratch matrix, n x n float64 each) and 7 pair
+    # vectors of 8 bytes; one more n x n matrix, the size of 16 such
+    # vectors, would pass it
+    monkeypatch.setattr(secure_count, "ring_bits", lambda n: bits)
+    n, m = 300, comb(300, 2)
+    g = erdos_renyi(n, 0.1, np.random.default_rng(113))
+    sa = share_adjacency(as_projected(g), DealerRng(13, 0))
+    ring._workspace.clear()
+    tracemalloc.start()
+    try:
+        t = count(sa, n, DealerRng(13, 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    draw = 3 * m * np.dtype(ring_dtype(bits)).itemsize
+    workspace = (bits // 16 + 1) * n * n * 8
+    assert peak < draw + workspace + 7 * 8 * m + 65536
+    assert reconstruct(t) == exact_triangle_count(g) > 0
 
 
 def test_count_mismatched_n_rejected():
@@ -223,15 +248,15 @@ class CallCountingChannel(OpeningChannel):
 
 
 def test_count_transcript():
-    # two rounds: e and f, then g, each one opened value per pair i < k
+    # one round: e, one opened value per pair i < k
     g = erdos_renyi(12, 0.5, np.random.default_rng(37))
     opened = []
     for seed in (1, 2):
         sa = share_adjacency(as_projected(g), DealerRng(seed, 0))
         channel = CallCountingChannel()
         t = count(sa, g.n, DealerRng(seed, 1), channel=channel)
-        assert channel.calls == 3
-        assert channel.openings == len(channel.values) == 3 * comb(g.n, 2)
+        assert channel.calls == 1
+        assert channel.openings == len(channel.values) == comb(g.n, 2)
         assert reconstruct(t) == exact_triangle_count(g) > 0
         opened.append(np.array(channel.values, dtype=np.uint64))
     # same graph, different masks: the opened values move
@@ -239,7 +264,7 @@ def test_count_transcript():
 
 
 def test_count_matches_plain_triple_sum():
-    # independent of ring_matmul and the oracle: the plain sum over every
+    # independent of ring_square and the oracle: the plain sum over every
     # triple i < j < k of the products of its reconstructed pair bits
     rng = np.random.default_rng(29)
     adj = (rng.random((9, 9)) < 0.6).astype(np.uint8)
@@ -291,8 +316,8 @@ def test_count_pair_vectors_are_uint32_in_the_32_bit_ring():
         t = count(sa, n, dealer, channel)
         (draws,) = dealer.draws
         assert draws.dtype == np.uint32
-        assert np.array_equal(draws, DealerRng(7, 1).elements((8, comb(n, 2))) & low)
-        assert channel.dtypes == [np.uint32] * 3
+        assert np.array_equal(draws, DealerRng(7, 1).elements((3, comb(n, 2))) & low)
+        assert channel.dtypes == [np.uint32]
         assert reconstruct(t) == exact_triangle_count(g)
 
 
@@ -321,6 +346,26 @@ def test_count_width_at_the_32_to_48_bit_boundary(monkeypatch):
         assert t.bits == (forced or 32)
         assert max(t.s1, t.s2) < 1 << t.bits
         assert reconstruct(t) == exact_triangle_count(g) > 0
+
+
+@pytest.mark.parametrize("bits", (16, 32, 48, 64))
+def test_count_at_every_width(bits, monkeypatch):
+    # a count forced to any width reconstructs the count mod 2**bits (3 is
+    # odd at every width), with the 64-bit count's openings and output
+    # shares reduced; 16 bits holds this graph's 1176 triangles
+    g = erdos_renyi(40, 0.5, np.random.default_rng(137))
+    runs = {}
+    for forced in (64, bits):
+        monkeypatch.setattr(secure_count, "ring_bits", lambda n: forced)
+        sa = share_adjacency(as_projected(g), DealerRng(17, 0))
+        channel = OpeningChannel(record=True)
+        runs[forced] = count(sa, g.n, DealerRng(17, 1), channel), channel.values
+    (t, opened), (t64, opened64) = runs[bits], runs[64]
+    low = (1 << bits) - 1
+    assert t.bits == bits
+    assert opened == [v & low for v in opened64]
+    assert (t.s1, t.s2) == (t64.s1 & low, t64.s2 & low)
+    assert reconstruct(t) == exact_triangle_count(g) < 1 << 16
 
 
 def test_count_shares_and_openings_are_the_64_bit_ones_reduced(monkeypatch):
