@@ -102,7 +102,7 @@ class ExperimentConfig:
         return self.epsilon - self.epsilon1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrialRecord:
     trial: int
     t_true: int

@@ -10,6 +10,10 @@ import numpy as np
 
 from .graph import Graph
 
+# Edges per %-format in write_edge_list: the ids of one block are held as
+# Python ints at a time, about 0.3 MB, not those of the whole file.
+_WRITE_EDGES = 4096
+
 
 def clique_hub_proxy(
     n: int = 2000, clique_size: int = 20, hub_reach: int = 1881
@@ -41,6 +45,8 @@ def write_edge_list(g: Graph, path) -> None:
     in row-major order."""
     edges = g.edges
     with open(path, "w", encoding="utf-8") as fh:
-        # one %-format of the whole file: a write or f-string per line takes
-        # more than twice as long
-        fh.write(("%d %d\n" * len(edges)) % tuple(edges.ravel().tolist()))
+        # one %-format per block of _WRITE_EDGES lines: a write or f-string
+        # per line takes more than twice as long
+        for start in range(0, len(edges), _WRITE_EDGES):
+            block = edges[start : start + _WRITE_EDGES]
+            fh.write(("%d %d\n" * len(block)) % tuple(block.ravel().tolist()))

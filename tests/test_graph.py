@@ -259,6 +259,9 @@ def test_write_edge_list_matches_triu_lines(tmp_path):
     rng = np.random.default_rng(11)
     path = tmp_path / "out.txt"
     graphs = [erdos_renyi(40, 0.3, rng), planted_hub(), clique_hub_proxy(100, 20, 50)]
+    # several blocks of the writer's 4096 lines, the last partial, and one full
+    proxy = clique_hub_proxy()
+    graphs += [proxy, Graph(proxy.n, proxy.edges[:4096])]
     for g in graphs + [Graph(3, [])]:
         write_edge_list(g, path)
         want = "".join(f"{u} {v}\n" for u, v in np.argwhere(np.triu(g.adj, 1)).tolist())
