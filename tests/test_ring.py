@@ -110,6 +110,10 @@ def strict_upper(rng, n):
     return np.triu(rng.integers(0, RING_MOD, size=(n, n), dtype=np.uint64), 1)
 
 
+# ring_square is the ring's one matrix product; its tests keep the
+# test_ring_matmul_ names of the general kernel it replaced.
+
+
 def native_square(a, bits):
     """(V_s @ V_s)[pair_mask] mod 2**bits by native uint64 matmul, V_s = a + a.T.
 
@@ -120,7 +124,7 @@ def native_square(a, bits):
 
 
 @pytest.mark.parametrize("bits", WIDTHS)
-def test_ring_square_at_every_width(bits):
+def test_ring_matmul_at_every_width(bits):
     # bits // 16 limbs give V_s @ V_s mod 2**bits: the native uint64 square
     # reduced, and the 64-bit kernel's result reduced; operand bits at or
     # above the width (junk a server's local uint64 arithmetic leaves) are
@@ -142,7 +146,7 @@ def test_ring_square_at_every_width(bits):
         assert np.array_equal(ring_square(full[pair_mask(n)], n, bits), native_square(full, bits))
 
 
-def test_ring_square_matches_native_uint64_matmul():
+def test_ring_matmul_matches_native_uint64_matmul():
     # random sizes besides the fixed ones, at the full 64-bit width
     rng = np.random.default_rng(47)
     for n in [int(n) for n in rng.integers(4, 200, size=8)] + [300]:
@@ -150,7 +154,7 @@ def test_ring_square_matches_native_uint64_matmul():
         assert np.array_equal(ring_square(a[pair_mask(n)], n), native_square(a, 64))
 
 
-def test_ring_square_rejects_operands_outside_its_contract():
+def test_ring_matmul_rejects_operands_outside_its_contract():
     # an operand must be a pair vector of length C(n, 2); a length-1 vector
     # would otherwise broadcast through the scatter to matrix form
     rng = np.random.default_rng(53)
@@ -163,7 +167,7 @@ def test_ring_square_rejects_operands_outside_its_contract():
             ring_square(u, n + 1)
 
 
-def test_ring_square_refuses_inexact_inner_dimension():
+def test_ring_matmul_refuses_inexact_inner_dimension():
     # the size check comes before the length check and before any scatter
     empty = np.zeros(0, dtype=np.uint64)
     for n in (MATMUL_MAX_INNER, MATMUL_MAX_INNER + 1):
@@ -196,6 +200,25 @@ def square_pairs_of(a, bits):
 
 
 @pytest.mark.parametrize("bits", WIDTHS)
+def test_limb_product_exact_at_largest_inner_dimension_with_mixed_signs(bits):
+    # shares are uniform, so half of them read as negative in two's
+    # complement: rows of -1, of 1, of both signed extremes and of random
+    # signed values at inner dimension MATMUL_MAX_INNER - 1, sign-extended
+    # to 64 bits as a server's uint64 arithmetic leaves them, square to the
+    # signed products mod 2**bits; int64 @ wraps mod 2**64, so it gives the
+    # reference, and -1 times 1 sums to exactly -(MATMUL_MAX_INNER - 1)
+    inner, low, half = MATMUL_MAX_INNER - 1, (1 << bits) - 1, 1 << (bits - 1)
+    signed = np.empty((4, inner), dtype=np.int64)
+    signed[0], signed[1] = -1, 1
+    signed[2] = np.where(np.arange(inner) % 2, -half, half - 1)
+    signed[3] = np.random.default_rng(113).integers(-half, half, size=inner, dtype=np.int64)
+    got = square_pairs_of(signed.view(np.uint64), bits)
+    want = (signed @ signed.T).view(np.uint64)[pair_mask(4)] & np.uint64(low)
+    assert np.array_equal(got, want)
+    assert decode_signed(int(got[0]), bits) == decode_signed(-inner & low, bits)
+
+
+@pytest.mark.parametrize("bits", WIDTHS)
 def test_square_pairs_is_the_gram_matrix_at_every_width(bits):
     # the transpose of S_l @ S_r.T is S_r @ S_l.T for any A, symmetric or
     # not, so the pair entries of A @ A.T of rectangular A, with no rows,
@@ -221,7 +244,7 @@ def test_ring_square_of_pair_bits_counts_common_neighbours(density):
     assert int(np.dot(u, got)) == 3 * exact_triangle_count(g)
 
 
-def test_ring_square_reuses_one_workspace():
+def test_ring_matmul_reuses_one_workspace():
     # interleaved sizes and widths through the one cached workspace: each
     # call after the first finds another n or width but the fourth, which
     # reuses the third's; each result is the native square reduced and a
