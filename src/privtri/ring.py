@@ -20,12 +20,15 @@ comes from a seeded trusted dealer, standing in for an oblivious-transfer
 offline phase. The share products rest on one kernel, ring_square: the
 pair vector of V_s @ V_s, with V_s = V + V.T the symmetric zero-diagonal
 matrix of a pair vector v (pair_mask fixes the row-major pair layout).
-It splits V_s into L = w / 16 16-bit limbs held as float64, and the
-shift sums of their products take one BLAS product of n x n matrices per
-limb pair l <= r with l + r < L: 2 at 32 bits and 4 at 48. The L limb
-matrices and one n x n scratch matrix stay resident between calls of one
-n and w: 6 MB after a square at n = 500 in the 32-bit ring, 128 MB after
-one at n = 2000 in the 48-bit ring.
+V_s is staged once, in the kernel's own n x n scratch matrix viewed as
+little-endian ring_dtype(w) entries: v is scattered into both triangles
+and the diagonal reset to zero. Its L = w / 16 16-bit limbs are then
+copied whole from that staging into float64 matrices, and the shift sums
+of their products take one BLAS product of n x n matrices per limb pair
+l <= r with l + r < L: 2 at 32 bits and 4 at 48, written into the same
+scratch matrix. The L limb matrices and the scratch matrix stay resident
+between calls of one n and w: 6 MB after a square at n = 500 in the
+32-bit ring, 128 MB after one at n = 2000 in the 48-bit ring.
 """
 
 from functools import lru_cache
@@ -140,16 +143,18 @@ class DealerRng:
     """Seeded stream of uniform ring elements.
 
     Same (seed, path) always yields the same stream, so share masks and
-    Beaver triples are reproducible run to run; a distinct path gives an
-    independent stream.
+    the count's dealer correlation are reproducible run to run; a
+    distinct path gives an independent stream. Every element is one raw
+    64-bit output of the PCG64 bit generator, the stream
+    Generator.integers(0, 2**64, dtype=np.uint64) draws too.
     """
 
     def __init__(self, seed: int, *path: int):
         seq = np.random.SeedSequence([int(seed), *map(int, path)])
-        self._gen = np.random.Generator(np.random.PCG64(seq))
+        self._raw = np.random.PCG64(seq).random_raw
 
     def element(self) -> RingElement:
-        return int(self._gen.integers(0, RING_MOD, dtype=np.uint64))
+        return self._raw()
 
     def elements(self, shape, bits: int = RING_BITS) -> np.ndarray:
         """Uniform array of Z_2^bits, of dtype ring_dtype(bits).
@@ -164,7 +169,7 @@ class DealerRng:
         flat = out.reshape(-1)
         for start in range(0, flat.size, _DEALER_CHUNK):
             part = flat[start : start + _DEALER_CHUNK]
-            draw = self._gen.integers(0, RING_MOD, size=part.size, dtype=np.uint64)
+            draw = self._raw(part.size)
             np.copyto(part, draw, casting="unsafe")
             del draw  # freed before the next chunk is drawn
         return reduce_bits(out, bits)
@@ -240,26 +245,34 @@ def _square_pairs(limbs: np.ndarray, acc: np.ndarray, bits: int) -> np.ndarray:
     scratch matrix; the pairs are those of pair_mask(a). The shift-k term
     of A @ A.T sums S_l @ S_r.T over l + r = k, and (S_l @ S_r.T).T is
     S_r @ S_l.T, so each unordered limb pair costs one BLAS product M,
-    whose pair entries are added once when l = r (numpy runs S_l @ S_l.T
-    as a symmetric rank-k update, at half the work) and with those of M.T
-    otherwise. The float64 sum of one shift is exact (see
-    MATMUL_MAX_INNER); it is converted through int64 once and shifted by
-    16 * k, and shifts at or above bits are never computed.
+    written into acc, whose pair entries are added once when l = r (numpy
+    runs S_l @ S_l.T as a symmetric rank-k update, at half the work) and
+    with those of M.T otherwise. Each shift's sum starts as the gather of
+    its first product, and its float64 sum is exact (see
+    MATMUL_MAX_INNER); it is converted through int64 once and, from shift
+    1 on, shifted by 16 * k into the shift-0 term. Shifts at or above bits
+    are never computed. The first product overwrites acc whole, so it may
+    hold anything on entry.
     """
     a = acc.shape[0]
     mask = pair_mask(a)
-    out = np.zeros(a * (a - 1) // 2, dtype=np.uint64)
-    shift_sum = np.empty(out.size)
     for k in range(len(limbs)):
-        shift_sum.fill(0)
         for l in range(k // 2 + 1):
             np.matmul(limbs[l], limbs[k - l].T, out=acc)
-            shift_sum += acc[mask]
+            if l == 0:
+                shift_sum = acc[mask]
+            else:
+                shift_sum += acc[mask]
             if 2 * l < k:
                 shift_sum += acc.T[mask]
         term = shift_sum.astype(np.int64).view(np.uint64)
-        term <<= np.uint64(_LIMB_BITS * k)
-        out += term
+        del shift_sum  # at most three pair vectors live: out, a sum, a gather
+        if k == 0:
+            out = term
+        else:
+            term <<= np.uint64(_LIMB_BITS * k)
+            out += term
+        del term
     return reduce_bits(out.astype(ring_dtype(bits), copy=False), bits)
 
 
@@ -272,15 +285,14 @@ def _limb_workspace(n: int, bits: int) -> tuple[np.ndarray, np.ndarray]:
     """ring_square's float64 limbs, (bits // 16, n, n), and its (n, n) scratch.
 
     Both are kept for the next call of the same n and bits; another n or
-    bits drops them before allocating. The limbs are allocated zeroed and
-    only off-diagonal entries are ever written, so their diagonals stay
-    zero. The cache is not guarded against calls from several threads at
-    once.
+    bits drops them before allocating. Every call rewrites both whole, so
+    they are allocated uninitialised. The cache is not guarded against
+    calls from several threads at once.
     """
     key = (n, bits)
     if key not in _workspace:
         _workspace.clear()
-        _workspace[key] = np.zeros((bits // _LIMB_BITS, n, n)), np.empty((n, n))
+        _workspace[key] = np.empty((bits // _LIMB_BITS, n, n)), np.empty((n, n))
     return _workspace[key]
 
 
@@ -290,10 +302,13 @@ def ring_square(v: np.ndarray, n: int, bits: int = RING_BITS) -> np.ndarray:
     V is the strictly upper n x n matrix that holds pair vector v, so V_s
     is symmetric with a zero diagonal. bits is 16, 32, 48 or 64, and the
     result is a fresh array, reduced and of dtype ring_dtype(bits). Native
-    uint64 matmul does not use BLAS; here v is scattered, through
-    pair_mask and its transpose, into the low bits // 16 limbs of V_s held
-    as float64 n x n matrices in the resident workspace of _limb_workspace,
-    so bits of v at or above bits are never read, and _square_pairs sums
+    uint64 matmul does not use BLAS. Here V_s is staged once in the
+    workspace's scratch matrix, viewed as n x n of ring_dtype(bits) in
+    little-endian byte order: v is scattered through pair_mask and its
+    transpose and the diagonal, left over from the last product, is reset
+    to zero. Limb l of V_s is then 16-bit word l of each entry, and each
+    of the low bits // 16 limbs is copied whole into its float64 matrix,
+    so bits of v at or above bits never reach a limb. _square_pairs sums
     the limb products (V_s is symmetric, so V_s @ V_s = V_s @ V_s.T).
     Raises ValueError if n >= MATMUL_MAX_INNER or if v is not of shape
     (C(n, 2),): a shorter vector would broadcast through the scatter.
@@ -305,8 +320,11 @@ def ring_square(v: np.ndarray, n: int, bits: int = RING_BITS) -> np.ndarray:
     limbs, acc = _limb_workspace(n, bits)
     mask = pair_mask(n)
     dtype = np.dtype(ring_dtype(bits)).newbyteorder("<")
-    v16 = np.ascontiguousarray(v, dtype=dtype).view("<u2").reshape(shape[0], dtype.itemsize // 2)
+    staged = acc.reshape(-1).view(dtype)[: n * n].reshape(n, n)
+    staged[mask] = v
+    staged.T[mask] = v
+    np.fill_diagonal(staged, 0)
+    words = staged.view("<u2").reshape(n, n, dtype.itemsize // 2)
     for l, mat in enumerate(limbs):
-        mat[mask] = v16[:, l]
-        mat.T[mask] = v16[:, l]
+        np.copyto(mat, words[..., l])
     return _square_pairs(limbs, acc, bits)

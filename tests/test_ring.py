@@ -265,6 +265,43 @@ def test_ring_matmul_reuses_one_workspace():
         assert not limbs[:, np.arange(n), np.arange(n)].any()
 
 
+@pytest.mark.parametrize("bits", (32, 48))
+def test_ring_square_reads_an_operand_in_either_byte_order(bits):
+    # V_s is staged little-endian so that limb l is its 16-bit word l; an
+    # operand of the opposite byte order is read by value, not by bytes
+    rng = np.random.default_rng(137 + bits)
+    low = np.uint64((1 << bits) - 1)
+    for n in (2, 3, 129):
+        a = strict_upper(rng, n) & low
+        v = a[pair_mask(n)].astype(ring_dtype(bits))
+        swapped = v.astype(v.dtype.newbyteorder())
+        assert swapped.dtype != v.dtype and np.array_equal(swapped, v)
+        assert np.array_equal(ring_square(swapped, n, bits), ring_square(v, n, bits))
+        assert np.array_equal(ring_square(swapped, n, bits), native_square(a, bits))
+
+
+@pytest.mark.parametrize("bits", (32, 48))
+def test_warm_ring_square_allocates_no_square_temporary(bits):
+    # with its workspace warm, a call stages V_s in the scratch matrix and
+    # allocates only pair vectors: its traced peak at n = 300 stays under
+    # the result and three pair vectors of 8 bytes (the sum so far, one
+    # shift's sum and one gather). That bound is half a pair vector above
+    # the peak at 32 bits and one above it at 48, and an n x n matrix of
+    # the width's dtype is one and two pair vectors, so any n x n temporary
+    # would exceed it
+    n = 300
+    m = comb(n, 2)
+    v = strict_upper(np.random.default_rng(139), n)[pair_mask(n)].astype(ring_dtype(bits))
+    ring_square(v, n, bits)
+    tracemalloc.start()
+    try:
+        got = ring_square(v, n, bits)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.nbytes < peak < got.nbytes + 3 * 8 * m + 65536
+
+
 def test_open_array_reduces_to_the_width():
     rng = np.random.default_rng(67)
     s1, s2 = rng.integers(0, RING_MOD, size=(2, 500), dtype=np.uint64)
