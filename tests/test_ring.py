@@ -276,7 +276,6 @@ def test_ring_square_reads_an_operand_in_either_byte_order(bits):
         v = a[pair_mask(n)].astype(ring_dtype(bits))
         swapped = v.astype(v.dtype.newbyteorder())
         assert swapped.dtype != v.dtype and np.array_equal(swapped, v)
-        assert np.array_equal(ring_square(swapped, n, bits), ring_square(v, n, bits))
         assert np.array_equal(ring_square(swapped, n, bits), native_square(a, bits))
 
 
