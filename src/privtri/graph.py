@@ -4,9 +4,12 @@ Graphs are loaded from SNAP-style edge lists: one edge per line, two
 whitespace-separated decimal node ids, '#' comment lines ignored. Node ids
 are remapped to 0..n-1 in order of first appearance, so loading the same
 file twice gives the same graph and prefix truncation is reproducible.
-The file is parsed by numpy's C reader, one call per block of about a
-megabyte; a line-by-line scan runs only when that parse fails or reads a
-line differently, to name the first malformed line.
+The file is read as bytes, about a megabyte per block, and each block
+goes through one vectorised tokenizer pass; dense ids are ranked through
+an id-indexed table. A line-by-line scan runs only when a block holds
+something other than '#' lines, ASCII digits and whitespace, or a line
+other than two ids of at most 18 digits: it names the first malformed
+line, or reads the ids int() takes that the tokenizer does not.
 
 The triangle oracle here is plain and non-private; it is the ground truth
 the secure counting path is tested against. It intersects the packed
@@ -14,9 +17,6 @@ adjacency rows of both endpoints of every edge, a fixed number of edges
 per step, so each triangle is counted at all three of its edges.
 """
 
-import io
-import re
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,12 +26,25 @@ import numpy as np
 # stays near the adjacency's own size while the Python loop stays short.
 _GATHER_EDGES = 4096
 
-# Characters of edge list per np.loadtxt call in load_edge_list (about
-# 70,000 SNAP lines), and rows per block on the line-scan path.
+# Bytes of edge list per tokenizer pass in load_edge_list (about 70,000
+# SNAP lines; the pass's temporaries take a few bytes per byte of block),
+# and rows per block on the line-scan path.
 _BLOCK_CHARS = 1 << 20
 _SCAN_ROWS = 1 << 16
 
-_COMMENT = re.compile(r"#[^\n]*")
+# The bytes a block may hold once '\r' is read as '\n' and its '#' lines
+# are dropped: ASCII digits and the ASCII whitespace str.split() splits
+# on. Every id of at most _MAX_DIGITS digits is below 2**63.
+_TOKEN_BYTES = b"0123456789 \t\n\v\f"
+_LINE_SPACE = b" \t\v\f"
+_MAX_DIGITS = 18
+
+# A block is ranked through an id-indexed table only while its largest id
+# is below _TABLE_PER_ID per id read so far, plus _TABLE_MIN, so the table
+# (grown by doubling) stays within a few times the size of the ids read.
+_TABLE_PER_ID = 2
+_TABLE_MIN = 1 << 12
+_UNRANKED = np.iinfo(np.int64).max
 
 
 class EdgeListFormatError(ValueError):
@@ -97,7 +110,7 @@ def upper_edges(adj: np.ndarray) -> np.ndarray:
 
 
 def load_edge_list(path, limit_n: int | None = None) -> Graph:
-    """Load a SNAP edge list into a Graph.
+    r"""Load a SNAP edge list into a Graph.
 
     Duplicate and reversed-duplicate edges collapse to one undirected edge;
     self-loop lines are dropped. With limit_n, only edges among the first
@@ -105,13 +118,18 @@ def load_edge_list(path, limit_n: int | None = None) -> Graph:
     kept; nodes whose edges all leave the prefix stay as isolated nodes.
     A node id is any non-negative integer Python's int() reads.
 
-    The file is read in blocks of about _BLOCK_CHARS characters, each
-    parsed by one np.loadtxt call, so memory stays near one block plus
-    the admitted ids and kept edges. Only when a block fails that parse,
-    or holds a negative id or a '#' after data (which loadtxt would drop
-    silently), does a line scan run from the top of the file: it names the
-    first bad line, or, when every line is valid (an id of 2**63 or more,
-    '1_0', non-ASCII digits), reads the ids itself.
+    The file is read as bytes in blocks of about _BLOCK_CHARS, each cut
+    at a line break ('\n' or '\r') and read by one vectorised tokenizer
+    pass, so memory stays near one block plus the admitted ids and kept
+    edges. The tokenizer takes a block whose '#' lines are dropped and
+    whose other bytes are ASCII digits and whitespace, with 0 or 2 digit
+    runs of at most 18 digits per line. Dense ids (the largest below a
+    small multiple of the ids read) are ranked through an id-indexed
+    table, others by sorting. Only when a block breaks those rules (a bad
+    line, a '#' after data, an id of 19 digits or more, '+5', '1_0',
+    non-ASCII digits or whitespace) does a line scan run from the top of
+    the file: it names the first bad line, or, when every line is valid,
+    reads the ids itself.
 
     Raises EdgeListFormatError naming the offending line, or ValueError if
     no nodes survive.
@@ -119,12 +137,7 @@ def load_edge_list(path, limit_n: int | None = None) -> Graph:
     if limit_n is not None and limit_n < 1:
         raise ValueError("limit_n must be positive")
     try:
-        with warnings.catch_warnings():
-            # an empty block is skipped; older numpy parses "1.5" as 1 and
-            # only warns
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            warnings.filterwarnings("error", "loadtxt.*integer via a float", DeprecationWarning)
-            n, edges = _rank_blocks(_parsed_blocks(path), limit_n)
+        n, edges = _rank_blocks(_parsed_blocks(path), limit_n)
     except ValueError:
         n, edges = _rank_blocks(_scanned_blocks(path), limit_n)
     if n == 0:
@@ -137,39 +150,137 @@ def _rank_blocks(blocks, limit_n: int | None) -> tuple[int, np.ndarray]:
 
     Ids are ranked by first appearance (u before v) while fewer than
     limit_n are known; edges are the rank pairs of rows whose two ids are
-    both ranked.
+    both ranked. An int64 block whose largest id is below _TABLE_PER_ID
+    times the ids read so far, plus _TABLE_MIN, is ranked through an
+    id-indexed table: np.minimum.at finds each new id's first position
+    and one gather maps ids to ranks. Other blocks (sparse ids, and the
+    line scan's object ids) are ranked by sorting the ranked ids.
     """
     seen = np.empty(0, dtype=np.int64)  # ranked ids, in rank order
+    table = np.empty(0, dtype=np.int64)  # table[id]: rank of id, or _UNRANKED
+    read = 0
     kept = []
     for ids in blocks:
         flat = ids.reshape(-1)
+        read += flat.size
         room = flat.size if limit_n is None else limit_n - seen.size
-        if room > 0:
-            new, first = np.unique(flat, return_index=True)
-            fresh = ~np.isin(new, seen)
-            seen = np.concatenate((seen, new[fresh][np.argsort(first[fresh])][:room]))
-        order = np.argsort(seen)
-        rank = order[np.searchsorted(seen, flat, sorter=order).clip(max=seen.size - 1)]
-        ranked = (seen[rank] == flat).reshape(-1, 2).all(axis=1)
-        kept.append(rank.reshape(-1, 2)[ranked])
+        top = flat.max()
+        if flat.dtype != object and top < _TABLE_PER_ID * read + _TABLE_MIN:
+            if top >= table.size:
+                table = np.full(max(top + 1, 2 * table.size), _UNRANKED)
+                inside = seen < table.size
+                table[seen[inside]] = np.flatnonzero(inside)
+            if room > 0:
+                # each unranked id's first position, offset past every rank
+                # so that ranked ids keep theirs; then those entries are reset
+                np.minimum.at(table, flat, np.arange(seen.size, seen.size + flat.size))
+                firsts = np.flatnonzero((table >= seen.size) & (table != _UNRANKED))
+                fresh = flat[np.sort(table[firsts]) - seen.size][:room]
+                table[firsts] = _UNRANKED
+                table[fresh] = np.arange(seen.size, seen.size + fresh.size)
+                seen = np.concatenate((seen, fresh))
+            rank = table[flat]
+            ranked = rank != _UNRANKED
+        else:
+            if room > 0:
+                new, first = np.unique(flat, return_index=True)
+                fresh = ~np.isin(new, seen)
+                seen = np.concatenate((seen, new[fresh][np.argsort(first[fresh])][:room]))
+                table = table[:0]  # rebuilt from seen by the next dense block
+            order = np.argsort(seen)
+            rank = order[np.searchsorted(seen, flat, sorter=order).clip(max=seen.size - 1)]
+            ranked = seen[rank] == flat
+        kept.append(np.compress(ranked[0::2] & ranked[1::2], rank.reshape(-1, 2), axis=0))
     return seen.size, np.concatenate(kept) if kept else np.empty((0, 2), dtype=np.int64)
 
 
 def _parsed_blocks(path):
-    """The file's (m, 2) int64 node ids, one np.loadtxt call per block.
+    """The file's (m, 2) int64 node ids, one _read_ids pass per block.
 
-    Raises ValueError at the first block that loadtxt cannot parse or
-    reads differently from _scanned_blocks: other than two columns, a
-    negative id, or a '#' after data on a line.
+    Each block ends at the last line break of about _BLOCK_CHARS bytes
+    read; the part after it starts the next block. Raises ValueError at
+    the first block that _read_ids does not read.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        while block := fh.read(_BLOCK_CHARS) + fh.readline():
-            ids = np.loadtxt(io.StringIO(block), dtype=np.int64, comments="#", ndmin=2)
-            if ids.size == 0:
-                continue
-            if ids.shape[1] != 2 or ids.min() < 0 or _has_inline_comment(block):
-                raise ValueError("block needs the line scan")
-            yield ids
+    with open(path, "rb") as fh:
+        rest = b""
+        while True:
+            chunk = fh.read(_BLOCK_CHARS)
+            block = rest + chunk
+            cut = max(block.rfind(b"\n"), block.rfind(b"\r")) + 1 if chunk else len(block)
+            block, rest = block[:cut], block[cut:]
+            ids = _read_ids(block)
+            if ids.size:
+                yield ids
+            if not chunk:
+                return
+
+
+def _read_ids(block: bytes) -> np.ndarray:
+    r"""The (m, 2) int64 ids of a block of whole lines, by one tokenizer pass.
+
+    '\r' counts as a line break, as in the line scan's text mode, and '#'
+    lines are dropped. Raises ValueError unless what is left is ASCII
+    digits and whitespace, with 0 or 2 digit runs on every line and no
+    run longer than _MAX_DIGITS; such a block is read as the line scan
+    would read it.
+    """
+    if b"\r" in block:
+        block = block.replace(b"\r", b"\n")
+    if b"#" in block:
+        if not block.isascii():
+            block.decode("utf-8")  # the line scan reads '#' lines as UTF-8 too
+        block = _drop_comment_lines(block)
+    if not block or block.isspace():
+        return np.empty((0, 2), dtype=np.int64)
+    if block.translate(None, _TOKEN_BYTES) or not _two_runs_per_line(block):
+        raise ValueError("block needs the line scan")
+    return np.fromstring(block, dtype=np.int64, sep=" ").reshape(-1, 2)
+
+
+def _two_runs_per_line(block: bytes) -> bool:
+    r"""Whether each '\n'-ended line of block, all ASCII digits and
+    whitespace, holds 0 or 2 digit runs, none longer than _MAX_DIGITS.
+
+    A function of its own so that its block-sized temporaries are freed
+    before np.fromstring allocates the ids.
+    """
+    a = np.frombuffer(block, dtype=np.uint8)
+    digit = a >= ord("0")
+    event = a == ord("\n")
+    event[:1] |= digit[:1]
+    event[1:] |= digit[1:] > digit[:-1]
+    # the line breaks and digit-run starts in block order, True at run
+    # starts: a line of 0 or 2 runs leaves every True with one True
+    # neighbour, so a True whose two neighbours are equal breaks the rule
+    starts = np.concatenate(([False], np.compress(event, digit), [False]))
+    if np.any(starts[1:-1] & (starts[:-2] == starts[2:])):
+        return False
+    long, width = digit, 1  # long[i]: bytes i..i+width-1 are all digits
+    while width <= _MAX_DIGITS:
+        step = min(width, _MAX_DIGITS + 1 - width)
+        long, width = long[step:] & long[:-step], width + step
+    return not long.any()
+
+
+def _drop_comment_lines(block: bytes) -> bytes:
+    r"""block without its '#' lines, those with only whitespace before the '#'.
+
+    Lines break at '\n' only. At a '#' after data it stops dropping and
+    keeps the rest of the block, whose '#' then fails the tokenizer's
+    byte check. One Python step per comment line.
+    """
+    kept = []
+    start = 0  # first byte not yet kept or dropped
+    while (hit := block.find(b"#", start)) >= 0:
+        line = block.rfind(b"\n", 0, hit) + 1
+        if block[line:hit].strip(_LINE_SPACE):
+            break
+        kept.append(block[start:line])
+        start = block.find(b"\n", hit)
+        if start < 0:
+            start = len(block)
+    kept.append(block[start:])
+    return b"".join(kept)
 
 
 def _scanned_blocks(path):
@@ -199,15 +310,6 @@ def _scanned_blocks(path):
                 pairs = []
     if pairs:
         yield np.array(pairs, dtype=object)
-
-
-def _has_inline_comment(text: str) -> bool:
-    """Whether some line has a '#' after data; visits only lines with a '#'."""
-    for hit in _COMMENT.finditer(text):
-        start = text.rfind("\n", 0, hit.start()) + 1
-        if text[start : hit.start()].strip():
-            return True
-    return False
 
 
 def _pack_rows(rows: np.ndarray) -> np.ndarray:

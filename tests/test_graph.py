@@ -55,21 +55,23 @@ def test_load_drops_self_loops(tmp_path):
     assert np.all(np.diagonal(g.adj) == 0)
 
 
-def random_edge_file(path, rng, offset: int = 0) -> None:
-    """A seeded edge list with every feature the reader must handle.
+def random_edge_file(path, rng, pool) -> None:
+    """A seeded edge list over the node ids in pool, with every feature the
+    reader must handle.
 
-    Ids up to 10**12 (plus offset) drawn from a small pool (so duplicates
-    and reversed duplicates recur, besides explicit ones), self-loops, '#'
-    lines with more '#' inside, blank and whitespace-only lines, tab and
-    space separators with padding, and either '\n' or '\r\n' line endings.
+    Ids drawn from a small pool (so duplicates and reversed duplicates
+    recur, besides explicit ones), self-loops, '#' lines with more '#' and
+    digits inside and whitespace before them, blank and whitespace-only
+    lines, tab, space, '\v' and '\f' separators with padding, and '\n',
+    '\r\n' or bare '\r' line endings.
     """
-    pool = [offset + int(x) for x in rng.integers(0, 10**12 + 1, size=12)]
-    pool += [offset + x for x in range(4)]
     lines, edges = [], []
     for _ in range(int(rng.integers(1, 60))):
         kind = rng.random()
-        if kind < 0.08:
+        if kind < 0.05:
             lines.append("# comment # with more")
+        elif kind < 0.08:
+            lines.append(str(rng.choice([" \t# 12 34", "#1 2", "\f#"])))
         elif kind < 0.12:
             lines.append("")
         elif kind < 0.16:
@@ -80,31 +82,50 @@ def random_edge_file(path, rng, offset: int = 0) -> None:
             else:
                 u, v = (pool[i] for i in rng.integers(len(pool), size=2))
             edges.append((u, v))
-            pad, sep = rng.choice(["", " ", "\t"]), rng.choice([" ", "\t", "  ", " \t"])
+            pad = rng.choice(["", " ", "\t", "\v"])
+            sep = rng.choice([" ", "\t", "  ", " \t", "\v", "\f "])
             lines.append(f"{pad}{u}{sep}{v}{pad}")
     if not edges:
         lines.append(f"{pool[0]} {pool[1]}")
-    newline = "\r\n" if rng.random() < 0.5 else "\n"
+    newline = str(rng.choice(["\n", "\r\n", "\r"]))
     path.write_bytes((newline.join(lines) + newline).encode())
 
 
+def id_pool(rng, ids: str) -> list[int]:
+    """Node ids for random_edge_file; the wide pools also hold 0..3.
+
+    'int64': up to 10**12, plus 18-digit ids, all read by the tokenizer
+    and ranked by sorting. 'dense': below 300, as in the proxy, ranked
+    through the id table. 'beyond-int64': from 2**63 up, plus 19-digit
+    ids below it, which only the line scan reads.
+    """
+    if ids == "dense":
+        return [int(x) for x in rng.integers(0, 300, size=16)]
+    if ids == "int64":
+        wide = rng.integers(0, 10**12 + 1, size=10).tolist() + [10**17, 10**18 - 1]
+    else:
+        wide = [(1 << 63) + x for x in rng.integers(0, 10**12 + 1, size=10).tolist()]
+        wide += [10**18, (1 << 63) - 1]
+    return [int(x) for x in wide] + list(range(4))
+
+
 def scan_must_not_run(path):
-    raise AssertionError(f"line scan ran on {path}, which np.loadtxt reads")
+    raise AssertionError(f"line scan ran on {path}, which the tokenizer reads")
 
 
 @pytest.mark.parametrize("block_chars", [graph._BLOCK_CHARS, 40], ids=["one-block", "many-blocks"])
-@pytest.mark.parametrize("offset", [0, 1 << 63], ids=["int64", "beyond-int64"])
-def test_load_matches_reference_parser_on_random_files(tmp_path, monkeypatch, block_chars, offset):
-    # 40 characters split a file into many loadtxt blocks; ids from 2**63
-    # up are beyond int64 and go through the line scan, in blocks of 7 rows
+@pytest.mark.parametrize("ids", ["int64", "dense", "beyond-int64"])
+def test_load_matches_reference_parser_on_random_files(tmp_path, monkeypatch, block_chars, ids):
+    # 40 bytes split a file into many tokenizer blocks; ids of 19 digits
+    # and more go through the line scan, in blocks of 7 rows
     monkeypatch.setattr(graph, "_BLOCK_CHARS", block_chars)
     monkeypatch.setattr(graph, "_SCAN_ROWS", 7)
-    if offset == 0:
+    if ids != "beyond-int64":
         monkeypatch.setattr(graph, "_scanned_blocks", scan_must_not_run)
     rng = np.random.default_rng(2024)
     path = tmp_path / "random.txt"
     for _ in range(60):
-        random_edge_file(path, rng, offset)
+        random_edge_file(path, rng, id_pool(rng, ids))
         n_all = reference_load(path)[0]
         for limit_n in (None, 1, 3, 10, n_all + 1):
             n, adj = reference_load(path, limit_n)
@@ -113,18 +134,69 @@ def test_load_matches_reference_parser_on_random_files(tmp_path, monkeypatch, bl
             assert np.array_equal(g.adj, adj)
 
 
+@pytest.mark.parametrize("block_chars", [1, 40], ids=["line-blocks", "many-blocks"])
+def test_load_switches_between_rank_table_and_sort(tmp_path, monkeypatch, block_chars):
+    # one byte per read makes every line its own block: small ids go
+    # through the id table, 10**12 ids through the sort, and a small id
+    # the sort ranked (3, 7) must be in the table the next small block uses
+    monkeypatch.setattr(graph, "_BLOCK_CHARS", block_chars)
+    monkeypatch.setattr(graph, "_scanned_blocks", scan_must_not_run)
+    big = 10**12
+    lines = ["0 9", f"{big} 3", "3 4", "9 5", f"{big} 0", f"{big + 1} 7", "7 8", "4 7"]
+    lines += [f"{u} {u + 2}" for u in range(10, 30)] + [f"{big + 1} 29", "29 0"]
+    path = write_lines(tmp_path / "switch.txt", lines)
+    n_all = reference_load(path)[0]
+    for limit_n in (None, *range(1, n_all + 2)):
+        n, adj = reference_load(path, limit_n)
+        g = load_edge_list(path, limit_n)
+        assert g.n == n
+        assert np.array_equal(g.adj, adj)
+
+
+def test_blocks_end_at_any_line_break(tmp_path, monkeypatch):
+    # a file with bare '\r' line breaks is still read a block at a time
+    monkeypatch.setattr(graph, "_BLOCK_CHARS", 16)
+    monkeypatch.setattr(graph, "_scanned_blocks", scan_must_not_run)
+    sizes = []
+    read_ids = graph._read_ids
+
+    def sized_read_ids(block):
+        sizes.append(len(block))
+        return read_ids(block)
+
+    monkeypatch.setattr(graph, "_read_ids", sized_read_ids)
+    path = tmp_path / "cr.txt"
+    path.write_bytes(b"".join(b"%d %d\r" % (i, i + 1) for i in range(100)))
+    assert load_edge_list(path).n == 101
+    assert max(sizes) <= 16 + len(b"99 100\r")
+
+
+@pytest.mark.parametrize("limit_n", [100, 500, None])
+def test_proxy_file_never_takes_the_line_scan(proxy_graph_file, monkeypatch, limit_n):
+    # the benchmark loads this file on every round; the line scan reading
+    # it would pass every other test while slowing each round many times
+    monkeypatch.setattr(graph, "_scanned_blocks", scan_must_not_run)
+    n, adj = reference_load(proxy_graph_file, limit_n)
+    g = load_edge_list(proxy_graph_file, limit_n)
+    assert g.n == n
+    assert np.array_equal(g.adj, adj)
+
+
 def test_malformed_line_names_line_number(tmp_path, monkeypatch):
     good = [f"{i} {i + 1}" for i in range(40)]
     cases = [
         (["0 1", "1 2", "1 two", "-1 2"], 3),
         (["0 1 2"], 1),
+        (["0 1", "2 3 4 5"], 2),
+        (["0 1 2", "3"], 1),
+        (["1\r2"], 1),  # a bare '\r' ends the line
         (["0 1", "-1 2", "x y"], 2),  # the first bad line, not the first unparsable one
         (["# header", "0 1 # note", "1 2"], 2),
         (["# header", "", "5", "0 1"], 3),
     ]
     cases += [(["0 1", f"{token} 1"], 2) for token in ("1.5", "1.", "1e3", "0x1", "inf", "\ufeff0")]
-    cases += [(good + [bad] + good, 41) for bad in ("7 x", "-7 1", "7 8 # c")]
-    # 16 characters per block put most bad lines past the first loadtxt call
+    cases += [(good + [bad] + good, 41) for bad in ("7 x", "-7 1", "7 8 # c", "7 8 9", "7 8 9 10")]
+    # 16 bytes per block put most bad lines past the first tokenizer block
     for block_chars in (graph._BLOCK_CHARS, 16):
         monkeypatch.setattr(graph, "_BLOCK_CHARS", block_chars)
         for lines, lineno in cases:
@@ -136,9 +208,19 @@ def test_malformed_line_names_line_number(tmp_path, monkeypatch):
             assert str(got.value) == str(want.value)
 
 
+def test_comment_lines_must_be_utf8(tmp_path):
+    # the tokenizer drops '#' lines unread, but the file is UTF-8 throughout
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"# caf\xe9\n0 1\n")
+    with pytest.raises(UnicodeDecodeError):
+        load_edge_list(path)
+    path.write_bytes("# café\n0 1\n".encode())
+    assert load_edge_list(path).n == 2
+
+
 @pytest.mark.parametrize("token", ["1_0", "\uff15", str(1 << 63), str(1 << 70), "+5", "-0"])
 def test_node_ids_are_what_int_reads(tmp_path, token):
-    # int() reads these; the ones numpy's reader rejects go through the line scan
+    # int() reads these; the ones the tokenizer rejects go through the line scan
     path = write_lines(tmp_path / "ok.txt", ["0 1", f"{token} 1", f"2 {token}"])
     n, adj = reference_load(path)
     g = load_edge_list(path)
