@@ -1,4 +1,4 @@
-"""Undirected graphs as adjacency bit matrices, with an exact triangle oracle.
+"""Undirected graphs as canonical edge lists, with an exact triangle oracle.
 
 Graphs are loaded from SNAP-style edge lists: one edge per line, two
 whitespace-separated decimal node ids, '#' comment lines ignored. Node ids
@@ -11,19 +11,29 @@ something other than '#' lines, ASCII digits and whitespace, or a line
 other than two ids of at most 18 digits: it names the first malformed
 line, or reads the ids int() takes that the tokenizer does not.
 
+A Graph holds its edges once, as sorted pairs i < j, and its degrees;
+no n x n matrix is kept. The directed slots, each edge seen from both
+endpoints in row-major order, are sorted once per graph, on first use:
+projection keeps or drops neighbours by slot. The dense adjacency is
+built only when asked for.
+
 The triangle oracle here is plain and non-private; it is the ground truth
-the secure counting path is tested against. It intersects the packed
-adjacency rows of both endpoints of every edge, a fixed number of edges
-per step, so each triangle is counted at all three of its edges.
+the secure counting path is tested against. It sets bitset rows from the
+edges and intersects the rows of both endpoints of every edge, a fixed
+number of edges per step, so each triangle is counted at all three of
+its edges.
 """
 
+import os
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 # Edges per gather step of exact_triangle_count. Each step holds two
 # gathered (step, ceil(n/64)) uint64 blocks, 2 MB at n=2000, so peak memory
-# stays near the adjacency's own size while the Python loop stays short.
+# stays near the bitset rows' own size while the Python loop stays short.
 _GATHER_EDGES = 4096
 
 # Bytes of edge list per tokenizer pass in load_edge_list (about 70,000
@@ -51,6 +61,21 @@ class EdgeListFormatError(ValueError):
     """Edge-list line that is not two non-negative integers."""
 
 
+class Slots(NamedTuple):
+    """The 2m directed slots of a graph: each edge (i, j) seen from i and from j.
+
+    Slot s is the directed edge (tail[s], head[s]); the slots are sorted
+    by (tail, head), so row i's neighbours are degrees[i] consecutive
+    slots in ascending order. Edge e = (i, j) of Graph.edges sits in
+    slot fwd[e] as (i, j) and in slot rev[e] as (j, i).
+    """
+
+    tail: np.ndarray
+    head: np.ndarray
+    fwd: np.ndarray
+    rev: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Undirected graph on nodes 0..n-1, built from an (m, 2) edge array.
@@ -60,16 +85,14 @@ class Graph:
     are dropped. The Graph keeps the result as edges, the (m, 2) int64
     pairs (i, j), i < j, each once and in row-major order. An int64 array
     already in that form (effective_edges gives one) is kept as it is,
-    with no copy, and becomes read-only; any other is listed again from
-    adj, the (n, n) uint8 0/1 matrix scattered from it. adj is symmetric
-    with a zero diagonal by construction. degrees[i] is the popcount of
-    row i. edges, adj and degrees are read-only. Raises ValueError unless
-    edges has shape (m, 2) and every id is in [0, n).
+    with no copy, and becomes read-only; any other is put in that form by
+    sorting the pair keys i * n + j. degrees[i] counts the edges at i.
+    edges and degrees are read-only. Raises ValueError unless edges has
+    shape (m, 2) and every id is in [0, n).
     """
 
     n: int
     edges: np.ndarray
-    adj: np.ndarray = field(init=False)
     degrees: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -81,15 +104,12 @@ class Graph:
         if e.size and (e.min() < 0 or e.max() >= self.n):
             raise ValueError(f"node ids must be in [0, {self.n})")
         i, j = e.T
-        canonical = not (np.any(i >= j) or np.any(np.diff(i * self.n + j) <= 0))
-        adj = np.zeros((self.n, self.n), dtype=np.uint8)
-        adj[i, j] = 1
-        adj[j, i] = 1
-        np.fill_diagonal(adj, 0)
-        if not canonical:
-            e = upper_edges(adj)
-        degrees = np.bitwise_count(_pack_rows(adj)).sum(axis=1, dtype=np.int64)
-        for name, value in (("edges", e), ("adj", adj), ("degrees", degrees)):
+        if np.any(i >= j) or np.any(np.diff(i * self.n + j) <= 0):
+            lo, hi = np.minimum(i, j), np.maximum(i, j)
+            keys = np.unique((lo * self.n + hi)[lo != hi])
+            e = np.stack(np.divmod(keys, self.n), axis=1)
+        degrees = np.bincount(e.reshape(-1), minlength=self.n)
+        for name, value in (("edges", e), ("degrees", degrees)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
 
@@ -97,16 +117,33 @@ class Graph:
     def d_max(self) -> int:
         return int(self.degrees.max()) if self.n else 0
 
+    @cached_property
+    def slots(self) -> Slots:
+        """The directed slots, sorted by one argsort on first use, then kept."""
+        i, j = self.edges.T
+        order = np.argsort(np.concatenate((i * self.n + j, j * self.n + i)))
+        where = np.empty_like(order)
+        where[order] = np.arange(order.size)
+        tail = np.concatenate((i, j))[order]
+        head = np.concatenate((j, i))[order]
+        slots = Slots(tail, head, where[: i.size], where[i.size :])
+        for value in slots:
+            value.flags.writeable = False
+        return slots
 
-def upper_edges(adj: np.ndarray) -> np.ndarray:
-    """The (m, 2) int64 pairs (i, j), i < j, set in a square uint8 0/1 matrix.
+    @property
+    def adj(self) -> np.ndarray:
+        """The (n, n) uint8 0/1 adjacency matrix, read-only.
 
-    Row-major order. flatnonzero runs on the bool view, which is several
-    times faster than on the uint8 matrix itself.
-    """
-    i, j = np.divmod(np.flatnonzero(adj.view(bool)), adj.shape[0])
-    upper = i < j
-    return np.stack((i[upper], j[upper]), axis=1)
+        Symmetric with a zero diagonal. Built from edges on every access
+        and not kept: the graph itself never needs it.
+        """
+        adj = np.zeros((self.n, self.n), dtype=np.uint8)
+        i, j = self.edges.T
+        adj[i, j] = 1
+        adj[j, i] = 1
+        adj.flags.writeable = False
+        return adj
 
 
 def load_edge_list(path, limit_n: int | None = None) -> Graph:
@@ -198,13 +235,16 @@ def _parsed_blocks(path):
     """The file's (m, 2) int64 node ids, one _read_ids pass per block.
 
     Each block ends at the last line break of about _BLOCK_CHARS bytes
-    read; the part after it starts the next block. Raises ValueError at
-    the first block that _read_ids does not read.
+    read; the part after it starts the next block. A file smaller than
+    _BLOCK_CHARS is read in reads of its own size, since a sized read
+    allocates its full size first. Raises ValueError at the first block
+    that _read_ids does not read.
     """
     with open(path, "rb") as fh:
+        step = min(_BLOCK_CHARS, os.fstat(fh.fileno()).st_size) or _BLOCK_CHARS
         rest = b""
         while True:
-            chunk = fh.read(_BLOCK_CHARS)
+            chunk = fh.read(step)
             block = rest + chunk
             cut = max(block.rfind(b"\n"), block.rfind(b"\r")) + 1 if chunk else len(block)
             block, rest = block[:cut], block[cut:]
@@ -312,28 +352,30 @@ def _scanned_blocks(path):
         yield np.array(pairs, dtype=object)
 
 
-def _pack_rows(rows: np.ndarray) -> np.ndarray:
-    """Pack an (n, m) 0/1 matrix into (n, ceil(m/64)) uint64 bitset rows."""
-    packed = np.packbits(rows, axis=1)
-    pad = (-packed.shape[1]) % 8
-    if pad:
-        packed = np.pad(packed, ((0, 0), (0, pad)))
-    return np.ascontiguousarray(packed).view(np.uint64)
+def _packed_rows(g: Graph) -> np.ndarray:
+    """g's adjacency as (n, ceil(n/64)) uint64 bitset rows, set from its edges."""
+    words = -(-g.n // 64)
+    i, j = g.edges.T
+    tail, head = np.concatenate((i, j)), np.concatenate((j, i))
+    packed = np.zeros(g.n * words, dtype=np.uint64)
+    bits = np.left_shift(np.uint64(1), (head & 63).astype(np.uint64))
+    np.bitwise_or.at(packed, tail * words + (head >> 6), bits)
+    return packed.reshape(g.n, words)
 
 
 def exact_triangle_count(g: Graph) -> int:
     """Number of unordered triples {i, j, k} with all three edges present.
 
     For every edge (i, j) of g.edges, counts the common neighbors of i and
-    j by intersecting their packed adjacency rows. Each triangle is seen
-    once at each of its three edges, so the sum is three times the count.
-    The edges go through in steps of _GATHER_EDGES, each one gather of
-    both endpoints' rows, an AND and a popcount.
+    j by intersecting their bitset rows. Each triangle is seen once at
+    each of its three edges, so the sum is three times the count. The
+    edges go through in steps of _GATHER_EDGES, each one gather of both
+    endpoints' rows, an AND and a popcount.
     """
     if g.n < 3:
         return 0
     edges = g.edges
-    packed = _pack_rows(g.adj)
+    packed = _packed_rows(g)
     total = 0
     for s in range(0, len(edges), _GATHER_EDGES):
         i, j = edges[s : s + _GATHER_EDGES].T

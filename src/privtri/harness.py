@@ -195,7 +195,7 @@ def run_cargo(cfg: ExperimentConfig) -> list[TrialRecord]:
     """Full pipeline, cfg.trials times with per-trial derived seeds."""
     limit_n = cfg.n_limit
     if not cfg.allow_large:
-        # one node past the limit is enough to refuse, and the dense load
+        # one node past the limit is enough to refuse, and the load
         # stays desk-sized; a graph within the limit loads unchanged
         limit_n = min(limit_n or MAX_CARGO_NODES + 1, MAX_CARGO_NODES + 1)
     g = load_edge_list(cfg.graph_path, limit_n)

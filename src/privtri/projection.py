@@ -8,12 +8,14 @@ degrees are closest, relatively, to the user's own degree; since the three
 degrees of a triangle tend to be similar, this preserves far more triangles
 than deleting uniformly at random, which is kept as a baseline.
 
-Both projections take the edges of every over-theta row in one pass and
-clear and refill those rows in bulk. The similarity rule sorts them in
-one lexsort. The random baseline still draws once per over-theta row,
-rng.choice(d_i, theta, replace=False): that is the stream the seeded
-sweep results were made with, and one bulk draw would consume the
-generator differently and change them.
+A projection is a flag per directed slot of the source graph (see
+graph.Slots): whether the slot's tail kept that neighbour. Both
+projections take the slots of every over-theta row in one pass, clear
+their flags and set those of the neighbours kept, with no n x n matrix.
+The similarity rule sorts them in one lexsort. The random baseline still
+draws once per over-theta row, rng.choice(d_i, theta, replace=False):
+that is the stream the seeded sweep results were made with, and one bulk
+draw would consume the generator differently and change them.
 """
 
 import math
@@ -47,24 +49,34 @@ class NoisyDegrees:
 class ProjectedGraph:
     """Per-user projected adjacency rows, bounded by theta.
 
-    Rows only lose bits relative to the input graph. The matrix may be
-    asymmetric, so it is not a Graph: each user truncates its own row
-    without coordinating with the other endpoint. A pair is counted only
-    if both endpoints kept it; secure_count.effective_graph is the Graph
-    of those pairs.
+    kept[s] tells whether the user graph.slots.tail[s] kept its neighbour
+    graph.slots.head[s], so rows only lose neighbours relative to graph.
+    The rows may disagree, so they are not a Graph: each user truncates
+    its own row without coordinating with the other endpoint. A pair is
+    counted only if both endpoints kept it; secure_count.effective_graph
+    is the Graph of those pairs.
     """
 
-    adj: np.ndarray
+    graph: Graph
     theta: int
-
-    def __post_init__(self):
-        adj = np.ascontiguousarray(self.adj, dtype=np.uint8)
-        adj.flags.writeable = False
-        object.__setattr__(self, "adj", adj)
+    kept: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.adj.shape[0]
+        return self.graph.n
+
+    @property
+    def adj(self) -> np.ndarray:
+        """The (n, n) uint8 0/1 projected rows, read-only.
+
+        Row i holds the neighbours user i kept. Built on every access and
+        not kept: the projection itself never needs it.
+        """
+        slots = self.graph.slots
+        adj = np.zeros((self.n, self.n), dtype=np.uint8)
+        adj[slots.tail[self.kept], slots.head[self.kept]] = 1
+        adj.flags.writeable = False
+        return adj
 
 
 def max_private(degree_vector: np.ndarray, epsilon1: float, rng) -> NoisyDegrees:
@@ -96,7 +108,7 @@ def project(g: Graph, noisy: NoisyDegrees, theta: int | None = None) -> Projecte
     theta neighbors with the smallest degree similarity to their own true
     degree, computed against the neighbors' noisy degrees; ties break by
     ascending neighbor index, so the output is deterministic. One lexsort
-    orders the edges of every over-theta row at once; an edge is kept
+    orders the slots of every over-theta row at once; a slot is kept
     when its rank within its row is below theta. Raises TypeError for a
     non-integral theta and ValueError for theta < 1.
     """
@@ -105,13 +117,13 @@ def project(g: Graph, noisy: NoisyDegrees, theta: int | None = None) -> Projecte
     if theta is None:
         theta = effective_theta(noisy)
     theta = _check_theta(theta)
-    rows, i, j, start = _over_theta_edges(g, theta)
+    over, d_rows, start = _over_theta_slots(g, theta)
+    i, j = g.slots.tail[over], g.slots.head[over]
     d = g.degrees[i]
     ds = np.abs(d - noisy.values[j]) / d
     order = np.lexsort((j, ds, i))
-    rank = np.arange(order.size) - np.repeat(start, g.degrees[rows])
-    keep = order[rank < theta]
-    return _keep_edges(g, theta, rows, i[keep], j[keep])
+    rank = np.arange(order.size) - np.repeat(start, d_rows)
+    return _keep_slots(g, theta, over, over[order[rank < theta]])
 
 
 def project_random(g: Graph, theta: int, rng) -> ProjectedGraph:
@@ -122,13 +134,12 @@ def project_random(g: Graph, theta: int, rng) -> ProjectedGraph:
     as in project.
     """
     theta = _check_theta(theta)
-    rows, i, j, start = _over_theta_edges(g, theta)
+    over, d_rows, start = _over_theta_slots(g, theta)
     picks = np.array(
-        [rng.choice(d, size=theta, replace=False) for d in g.degrees[rows].tolist()],
+        [rng.choice(d, size=theta, replace=False) for d in d_rows.tolist()],
         dtype=np.int64,
     ).reshape(-1, theta)
-    keep = (picks + start[:, None]).reshape(-1)
-    return _keep_edges(g, theta, rows, i[keep], j[keep])
+    return _keep_slots(g, theta, over, over[(picks + start[:, None]).reshape(-1)])
 
 
 def _check_theta(theta) -> int:
@@ -139,22 +150,22 @@ def _check_theta(theta) -> int:
     return theta
 
 
-def _over_theta_edges(g: Graph, theta: int):
-    """The directed edges (i, j) of the rows with degree > theta.
+def _over_theta_slots(g: Graph, theta: int):
+    """The slots of the rows with degree > theta, in row-major order.
 
-    Returns those rows, the edges in row-major order, and the offset of
-    each row's first edge; row rows[r] holds edges start[r] to
-    start[r] + degrees[rows[r]] - 1.
+    Returns those slots, the degrees of those rows, and the offset of
+    each row's first slot: the r-th such row holds over[start[r]] to
+    over[start[r] + d[r] - 1].
     """
-    rows = np.flatnonzero(g.degrees > theta)
-    d = g.degrees[rows]
-    r, j = np.divmod(np.flatnonzero(g.adj[rows].view(bool)), g.n)
-    return rows, rows[r], j, np.cumsum(d) - d
+    over_rows = g.degrees > theta
+    d = g.degrees[over_rows]
+    return np.flatnonzero(np.repeat(over_rows, g.degrees)), d, np.cumsum(d) - d
 
 
-def _keep_edges(g: Graph, theta: int, rows, i, j) -> ProjectedGraph:
-    """A copy of g's adjacency whose rows `rows` hold only the edges (i, j)."""
-    adj = np.array(g.adj, dtype=np.uint8)
-    adj[rows] = 0
-    adj[i, j] = 1
-    return ProjectedGraph(adj, theta)
+def _keep_slots(g: Graph, theta: int, over, keep) -> ProjectedGraph:
+    """g's rows with the slots `over` dropped but for the slots `keep`."""
+    kept = np.ones(2 * len(g.edges), dtype=bool)
+    kept[over] = False
+    kept[keep] = True
+    kept.flags.writeable = False
+    return ProjectedGraph(g, theta, kept)

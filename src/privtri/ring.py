@@ -26,7 +26,10 @@ and the diagonal reset to zero. Its L = w / 16 16-bit limbs are then
 copied whole from that staging into float64 matrices, and the shift sums
 of their products take one BLAS product of n x n matrices per limb pair
 l <= r with l + r < L: 2 at 32 bits and 4 at 48, written into the same
-scratch matrix. The L limb matrices and the scratch matrix stay resident
+scratch matrix. Each product is added straight into the ring-dtype
+result, a band of about 8K pairs at a time (gather, convert through
+int64, shift, add), so beyond the result a square holds no temporary of
+pair size. The L limb matrices and the scratch matrix stay resident
 between calls of one n and w: 6 MB after a square at n = 500 in the
 32-bit ring, 128 MB after one at n = 2000 in the 48-bit ring.
 """
@@ -51,16 +54,19 @@ MAX_NOISE_SCALE = 10**4
 NOISE_TAIL = 64 * MAX_NOISE_SCALE
 
 # ring_square splits each element into L <= 4 16-bit limbs, so a limb
-# product is at most (2**16 - 1)**2 < 2**32. The shift-k term adds the
-# at most four limb products with l + r = k < L, so with inner dimension n
-# every partial sum of one of its entries is a non-negative integer below
-# 4 * n * (2**16 - 1)**2 < n * 2**34, whatever L is. float64 holds every
-# integer up to 2**53 exactly, so n < 2**19 keeps the sum exact in
-# whatever order BLAS adds.
+# product is at most (2**16 - 1)**2 < 2**32, and with inner dimension n
+# every partial sum of an entry of one BLAS product of limb matrices is a
+# non-negative integer below n * 2**32. float64 holds every integer up to
+# 2**53 exactly, so n < 2**19 keeps each product exact in whatever order
+# BLAS adds, with room for the four products of one shift summed in
+# float64 (below n * 2**34); _square_pairs sums them in integers.
 _LIMB_BITS = 16
 MATMUL_MAX_INNER = 1 << 19
 # raw 64-bit dealer draws narrowed at a time: 256 KB, cache-sized
 _DEALER_CHUNK = 1 << 15
+# pairs _square_pairs gathers and adds at a time: 64 KB of float64 and
+# 64 KB of int64, plus one row, small enough to come from the heap
+_PAIR_BLOCK = 1 << 13
 
 RingElement = int
 
@@ -237,6 +243,19 @@ def pair_index(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
     return i * (2 * n - i - 1) // 2 + j - i - 1
 
 
+@lru_cache(maxsize=8)
+def _row_bands(a: int) -> tuple[tuple[int, int, int, int], ...]:
+    """Bands of rows of an a x a pair_mask, about _PAIR_BLOCK pairs each.
+
+    Each band is (r0, r1, p0, p1): rows r0..r1-1 hold pairs p0..p1-1.
+    """
+    rows = np.arange(a + 1)
+    first = pair_index(rows, rows + 1, a)  # first[a] is the pair count
+    cuts = np.unique(np.searchsorted(first, np.arange(0, first[-1], _PAIR_BLOCK)))
+    cuts = np.append(cuts, a).tolist()
+    return tuple((r0, r1, int(first[r0]), int(first[r1])) for r0, r1 in zip(cuts, cuts[1:]))
+
+
 def _square_pairs(limbs: np.ndarray, acc: np.ndarray, bits: int) -> np.ndarray:
     """Pair entries of A @ A.T, reduced mod 2**bits, of dtype ring_dtype(bits).
 
@@ -247,33 +266,32 @@ def _square_pairs(limbs: np.ndarray, acc: np.ndarray, bits: int) -> np.ndarray:
     S_r @ S_l.T, so each unordered limb pair costs one BLAS product M,
     written into acc, whose pair entries are added once when l = r (numpy
     runs S_l @ S_l.T as a symmetric rank-k update, at half the work) and
-    with those of M.T otherwise. Each shift's sum starts as the gather of
-    its first product, and its float64 sum is exact (see
-    MATMUL_MAX_INNER); it is converted through int64 once and, from shift
-    1 on, shifted by 16 * k into the shift-0 term. Shifts at or above bits
-    are never computed. The first product overwrites acc whole, so it may
-    hold anything on entry.
+    with those of M.T otherwise. Every entry of M is an exact integer
+    below 2**53 (see MATMUL_MAX_INNER). Each product goes straight into
+    the output, one band of about _PAIR_BLOCK pairs at a time: the band's
+    pair entries are gathered, converted through int64, shifted by 16 * k
+    and added in the ring dtype, which wraps mod 2**32 or 2**64, so no
+    temporary of pair size is made. Shifts at or above bits are never
+    computed. Each product overwrites acc whole, so it may hold anything
+    on entry.
     """
     a = acc.shape[0]
     mask = pair_mask(a)
+    out = np.empty(a * (a - 1) // 2, dtype=ring_dtype(bits))
+    bands = _row_bands(a)
     for k in range(len(limbs)):
+        shift = np.uint64(_LIMB_BITS * k)
         for l in range(k // 2 + 1):
             np.matmul(limbs[l], limbs[k - l].T, out=acc)
-            if l == 0:
-                shift_sum = acc[mask]
-            else:
-                shift_sum += acc[mask]
-            if 2 * l < k:
-                shift_sum += acc.T[mask]
-        term = shift_sum.astype(np.int64).view(np.uint64)
-        del shift_sum  # at most three pair vectors live: out, a sum, a gather
-        if k == 0:
-            out = term
-        else:
-            term <<= np.uint64(_LIMB_BITS * k)
-            out += term
-        del term
-    return reduce_bits(out.astype(ring_dtype(bits), copy=False), bits)
+            for product in (acc, acc.T) if 2 * l < k else (acc,):
+                for r0, r1, p0, p1 in bands:
+                    term = product[r0:r1][mask[r0:r1]].astype(np.int64).view(np.uint64)
+                    if k == 0:  # S_0 @ S_0.T, the one shift-0 product, comes first
+                        np.copyto(out[p0:p1], term, casting="unsafe")
+                    else:
+                        term <<= shift
+                        np.add(out[p0:p1], term, out=out[p0:p1], dtype=out.dtype, casting="unsafe")
+    return reduce_bits(out, bits)
 
 
 # ring_square's float64 limb matrices and product scratch, kept between

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, upper_edges
+from .graph import Graph
 from .projection import ProjectedGraph
 from .ring import (
     DealerRng,
@@ -54,12 +54,11 @@ def effective_edges(pg: ProjectedGraph) -> np.ndarray:
     Projection is per-row, so A_hat[i, j] and A_hat[j, i] can disagree.
     A pair counts only if both endpoints kept it, so an edge either side
     dropped is never counted and the count stays below the true one. The
-    pairs i < j that row i kept are checked against row j's bit in one
-    gather.
+    source graph's edges (i, j) are kept where both of their slots, (i, j)
+    and (j, i), are, by one gather of each; they stay in canonical order.
     """
-    i, j = upper_edges(pg.adj).T
-    both = pg.adj[j, i].view(bool)
-    return np.stack((i[both], j[both]), axis=1)
+    slots = pg.graph.slots
+    return pg.graph.edges[pg.kept[slots.fwd] & pg.kept[slots.rev]]
 
 
 def effective_graph(pg: ProjectedGraph) -> Graph:
@@ -108,7 +107,7 @@ def count(
     All data, the shared bits u included, are pair vectors over the
     m = C(n, 2) pairs i < k (ring.pair_mask), and P_v = ring_square(v) is
     the pair vector of V_s @ V_s, V_s = V + V.T. The dealer draws pair
-    vectors x1, x2 and w1 (3 * m elements in one call), then a scalar
+    vectors x1, x2 and w1, one call each from one stream, then a scalar
     tx1, and gives server 2 the shares w2 = W - w1 of W = P_x and
     tx2 = T(x) - tx1 of T(x) = 3^-1 <x, W>, x = x1 + x2.
 
@@ -140,8 +139,12 @@ def count(
     low = (1 << bits) - 1
     third = pow(3, -1, 1 << bits)
 
-    # dealer: server 2's shares of W = P_x and T(x) follow from x = x1 + x2
-    x1, x2, w1 = dealer.elements((3, n * (n - 1) // 2), bits)
+    # dealer: server 2's shares of W = P_x and T(x) follow from x = x1 + x2.
+    # x1, x2, w1 are the rows of one (3, m) draw, drawn as three pair
+    # vectors: glibc serves each from its heap, where a fresh (3, m) block
+    # was mapped and page-faulted in anew on every count
+    m = n * (n - 1) // 2
+    x1, x2, w1 = (dealer.elements(m, bits) for _ in range(3))
     tx1 = dealer.element() & low
     x = reduce_bits(x1 + x2, bits)
     w2 = ring_square(x, n, bits)

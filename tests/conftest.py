@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from privtri import EdgeListFormatError, Graph
+from privtri import EdgeListFormatError, Graph, ProjectedGraph
 
 
 def brute_triangles(g: Graph) -> int:
@@ -62,6 +62,82 @@ def reference_load(path, limit_n: int | None = None) -> tuple[int, np.ndarray]:
     for u, v in edges:
         adj[u, v] = adj[v, u] = 1
     return n, adj
+
+
+def upper_edges(adj: np.ndarray) -> np.ndarray:
+    """The (m, 2) int64 pairs (i, j), i < j, set in a square 0/1 matrix, row-major."""
+    i, j = np.divmod(np.flatnonzero(np.asarray(adj).view(bool)), adj.shape[0])
+    upper = i < j
+    return np.stack((i[upper], j[upper]), axis=1)
+
+
+def as_projected(g: Graph) -> ProjectedGraph:
+    """g with every row kept, at theta = max(d_max, 1)."""
+    return ProjectedGraph(g, max(g.d_max, 1), np.ones(2 * len(g.edges), dtype=bool))
+
+
+def projected_rows(adj: np.ndarray, theta: int) -> ProjectedGraph:
+    """The ProjectedGraph whose row i keeps the set bits of row i of adj.
+
+    adj is any square 0/1 matrix, asymmetric or not; its source graph has
+    an edge wherever either row has the bit, and diagonal bits are dropped.
+    """
+    adj = np.asarray(adj, dtype=bool)
+    g = Graph(adj.shape[0], np.argwhere(adj | adj.T))
+    return ProjectedGraph(g, theta, adj[g.slots.tail, g.slots.head])
+
+
+# Dense references for the slot-based projections and the 'and' rule: each
+# builds or reads n x n uint8 matrices, with the same lexsort rule and the
+# same per-row rng.choice stream as projection.project and project_random.
+
+
+def dense_over_theta_edges(g: Graph, theta: int):
+    """The rows with degree > theta, their edges in row-major order, and
+    the offset of each row's first edge."""
+    rows = np.flatnonzero(g.degrees > theta)
+    d = g.degrees[rows]
+    r, j = np.divmod(np.flatnonzero(g.adj[rows].view(bool)), g.n)
+    return rows, rows[r], j, np.cumsum(d) - d
+
+
+def dense_keep_edges(g: Graph, rows, i, j) -> np.ndarray:
+    """A copy of g's adjacency whose rows `rows` hold only the edges (i, j)."""
+    adj = np.array(g.adj, dtype=np.uint8)
+    adj[rows] = 0
+    adj[i, j] = 1
+    return adj
+
+
+def dense_project(g: Graph, noisy, theta: int) -> np.ndarray:
+    """projection.project as an (n, n) uint8 matrix: one lexsort of every
+    over-theta row's edges by (row, similarity, neighbour)."""
+    rows, i, j, start = dense_over_theta_edges(g, theta)
+    d = g.degrees[i]
+    ds = np.abs(d - noisy.values[j]) / d
+    order = np.lexsort((j, ds, i))
+    rank = np.arange(order.size) - np.repeat(start, g.degrees[rows])
+    keep = order[rank < theta]
+    return dense_keep_edges(g, rows, i[keep], j[keep])
+
+
+def dense_project_random(g: Graph, theta: int, rng) -> np.ndarray:
+    """projection.project_random as an (n, n) uint8 matrix: one
+    rng.choice(d_i, theta, replace=False) per over-theta row, in row order."""
+    rows, i, j, start = dense_over_theta_edges(g, theta)
+    picks = np.array(
+        [rng.choice(d, size=theta, replace=False) for d in g.degrees[rows].tolist()],
+        dtype=np.int64,
+    ).reshape(-1, theta)
+    keep = (picks + start[:, None]).reshape(-1)
+    return dense_keep_edges(g, rows, i[keep], j[keep])
+
+
+def dense_effective_edges(adj: np.ndarray) -> np.ndarray:
+    """The pairs i < j whose bits are set in both row i and row j of adj."""
+    i, j = upper_edges(adj).T
+    both = adj[j, i].view(bool)
+    return np.stack((i[both], j[both]), axis=1)
 
 
 def complete_graph(n: int) -> Graph:

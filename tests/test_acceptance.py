@@ -19,7 +19,6 @@ from privtri import (
     ExperimentConfig,
     NoiseParams,
     OpeningChannel,
-    ProjectedGraph,
     emit_csv,
     exact_triangle_count,
     load_edge_list,
@@ -37,7 +36,7 @@ from privtri.harness import MAX_CARGO_NODES
 from privtri.projection import effective_theta
 from privtri.secure_count import SharedAdjacency, count
 
-from conftest import erdos_renyi, facebook_path, write_lines
+from conftest import as_projected, erdos_renyi, facebook_path, write_lines
 
 # two-sample Kolmogorov-Smirnov critical coefficient at the 1% level
 KS_COEFF_1PCT = 1.62762
@@ -85,7 +84,7 @@ def test_criterion_2_secure_count_oracle_equivalence():
         cases = [(30, 0.2)] * 50 + [(60, 0.1)] * 20
         for idx, (n, p) in enumerate(cases):
             g = erdos_renyi(n, p, graph_rng)
-            sa = share_adjacency(ProjectedGraph(g.adj, g.d_max or 1), DealerRng(500 + idx, 0))
+            sa = share_adjacency(as_projected(g), DealerRng(500 + idx, 0))
             got = reconstruct(count(sa, g.n, DealerRng(500 + idx, 1)))
             assert got == exact_triangle_count(g)
         elapsed = time.perf_counter() - start

@@ -2,8 +2,9 @@
 
 benchmarks/tracing.py hooks privtri functions and reads their arguments by
 name (share_adjacency's pg and policy, count's n, effective_graph's pg,
-project's and project_random's g), so a refactor can break the benchmark
-while every other test passes. One traced round of every workload, with no
+project's and project_random's g), and its hooks and checks read the
+dense matrices g.adj and pg.adj by name too, so a refactor can break the
+benchmark while every other test passes. One traced round of every workload, with no
 timed rounds, catches that. cargo-n500 and cargo-n100 run the count, each
 of its two ring_square calls on a 500 or 100 node workspace, and
 noise-n2000 is the only workload that reaches ring.share.

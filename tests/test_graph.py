@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from math import comb
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from privtri import EdgeListFormatError, Graph, exact_triangle_count, graph, load_edge_list
-from privtri.graph import _GATHER_EDGES, upper_edges
+from privtri.graph import _GATHER_EDGES
 from privtri.synth import clique_hub_proxy, write_edge_list
 
 from conftest import (
@@ -17,6 +18,7 @@ from conftest import (
     reference_load,
     requires_facebook,
     star_graph,
+    upper_edges,
     write_lines,
 )
 
@@ -356,6 +358,39 @@ def test_graph_is_immutable():
         g.adj[0, 1] = 0
     with pytest.raises(ValueError):
         g.degrees[0] = 7
+    for held in g.slots:
+        with pytest.raises(ValueError):
+            held[0] = 1
+
+
+def test_slots_list_every_edge_from_both_ends():
+    # the directed slots are the pairs (i, j) and (j, i) of every edge,
+    # sorted by (tail, head), so row i is degrees[i] slots in neighbour
+    # order; fwd and rev name each edge's two slots; built once per graph
+    rng = np.random.default_rng(17)
+    for g in [erdos_renyi(40, 0.3, rng), planted_hub(), clique_hub_proxy(100, 20, 50),
+              Graph(0, []), Graph(3, []), complete_graph(2)]:
+        s = g.slots
+        assert g.slots is s
+        want = np.argwhere(g.adj)
+        assert np.array_equal(np.stack((s.tail, s.head), axis=1), want)
+        assert np.array_equal(np.bincount(s.tail, minlength=g.n), g.degrees)
+        assert np.array_equal(np.stack((s.tail[s.fwd], s.head[s.fwd]), axis=1), g.edges)
+        assert np.array_equal(np.stack((s.head[s.rev], s.tail[s.rev]), axis=1), g.edges)
+
+
+def test_small_file_is_read_in_reads_of_its_own_size(k4_graph_file):
+    # a sized read allocates its full size before it shrinks, so reading a
+    # 24-byte file in reads of _BLOCK_CHARS would peak above a megabyte
+    assert k4_graph_file.stat().st_size < 64
+    tracemalloc.start()
+    try:
+        blocks = list(graph._parsed_blocks(k4_graph_file))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.concatenate(blocks).tolist() == [[u, v] for u in range(4) for v in range(u + 1, 4)]
+    assert peak < 65536
 
 
 @requires_facebook

@@ -14,15 +14,18 @@ from privtri import (
     project,
     project_random,
 )
-from privtri.graph import upper_edges
-from privtri.secure_count import effective_graph
+from privtri.secure_count import effective_edges, effective_graph
 
 from conftest import (
     complete_graph,
+    dense_effective_edges,
+    dense_project,
+    dense_project_random,
     erdos_renyi,
     facebook_path,
     planted_hub,
     requires_facebook,
+    upper_edges,
 )
 
 
@@ -160,6 +163,30 @@ def test_project_random_draws_the_row_loop_stream():
             ours, ref = rng_for([67, trial, theta]), rng_for([67, trial, theta])
             pg = project_random(g, theta, ours)
             assert np.array_equal(pg.adj, loop_project_random(g, theta, ref))
+            assert ours.bit_generator.state == ref.bit_generator.state
+
+
+def test_slot_projections_match_the_dense_references():
+    # seeded random graphs, noisy degrees and every theta: the projected
+    # rows and the pairs both ends kept equal those of the dense n x n
+    # projections, which the random one matches draw for draw on the same
+    # rng.choice stream; no row gains an edge its source lacks, and
+    # neither the rows nor the flags can be written
+    rng = rng_for(71)
+    for trial in range(40):
+        g, noisy = random_projection_input(rng)
+        src = g.adj
+        for theta in range(1, g.d_max + 2):
+            ours, ref = rng_for([71, trial, theta]), rng_for([71, trial, theta])
+            for pg, want in ((project(g, noisy, theta=theta), dense_project(g, noisy, theta)),
+                             (project_random(g, theta, ours), dense_project_random(g, theta, ref))):
+                assert pg.graph is g and pg.theta == theta
+                assert pg.kept.dtype == bool and pg.kept.shape == (2 * len(g.edges),)
+                adj = pg.adj
+                assert adj.dtype == np.uint8 and np.array_equal(adj, want)
+                assert np.all(adj <= src)
+                assert np.array_equal(effective_edges(pg), dense_effective_edges(want))
+                assert not adj.flags.writeable and not pg.kept.flags.writeable
             assert ours.bit_generator.state == ref.bit_generator.state
 
 

@@ -8,7 +8,6 @@ from scipy import stats
 from privtri import (
     DealerRng,
     OpeningChannel,
-    ProjectedGraph,
     SharePair,
     count,
     exact_triangle_count,
@@ -19,6 +18,7 @@ from privtri import (
 from privtri import ring
 from privtri.ring import (
     _DEALER_CHUNK,
+    _PAIR_BLOCK,
     MASK,
     MATMUL_MAX_INNER,
     RING_MOD,
@@ -30,7 +30,7 @@ from privtri.ring import (
     ring_square,
 )
 
-from conftest import complete_graph, erdos_renyi
+from conftest import as_projected, complete_graph, erdos_renyi
 
 WIDTHS = (16, 32, 48, 64)
 # no pairs, one, the smallest with a triangle, and sizes around 128 and 256
@@ -78,7 +78,7 @@ def test_opened_values_uniform_low_bits():
     # three counts, 3 * C(837, 2) in all
     m = 1 << 20
     g = complete_graph(837)
-    sa = share_adjacency(ProjectedGraph(g.adj, theta=g.n - 1), DealerRng(2718, 0))
+    sa = share_adjacency(as_projected(g), DealerRng(2718, 0))
     channel = OpeningChannel(record=True)
     for seed in (1, 2, 3):
         count(sa, g.n, DealerRng(2718, seed), channel)
@@ -282,14 +282,13 @@ def test_ring_square_reads_an_operand_in_either_byte_order(bits):
 @pytest.mark.parametrize("bits", (32, 48))
 def test_warm_ring_square_allocates_no_square_temporary(bits):
     # with its workspace warm, a call stages V_s in the scratch matrix and
-    # allocates only pair vectors: its traced peak at n = 300 stays under
-    # the result and three pair vectors of 8 bytes (the sum so far, one
-    # shift's sum and one gather). That bound is half a pair vector above
-    # the peak at 32 bits and one above it at 48, and an n x n matrix of
-    # the width's dtype is one and two pair vectors, so any n x n temporary
-    # would exceed it
+    # adds each limb product into the result one band of pairs at a time:
+    # its traced peak at n = 300 stays under the result and one band, that
+    # is a float64 gather and its int64 conversion of at most _PAIR_BLOCK
+    # pairs plus one row, and the add's cast buffer of np.getbufsize()
+    # 8-byte elements. That is 5 KB above the peak, and a pair vector of 4
+    # bytes is 175 KB, so any pair-sized or n x n temporary exceeds it
     n = 300
-    m = comb(n, 2)
     v = strict_upper(np.random.default_rng(139), n)[pair_mask(n)].astype(ring_dtype(bits))
     ring_square(v, n, bits)
     tracemalloc.start()
@@ -298,7 +297,8 @@ def test_warm_ring_square_allocates_no_square_temporary(bits):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert got.nbytes < peak < got.nbytes + 3 * 8 * m + 65536
+    band = 2 * 8 * (_PAIR_BLOCK + n) + 8 * np.getbufsize()
+    assert got.nbytes < peak < got.nbytes + band + 4096
 
 
 def test_open_array_reduces_to_the_width():

@@ -10,7 +10,6 @@ from privtri import (
     Graph,
     NoisyDegrees,
     OpeningChannel,
-    ProjectedGraph,
     SharedAdjacency,
     count,
     exact_triangle_count,
@@ -18,15 +17,10 @@ from privtri import (
     share_adjacency,
 )
 from privtri import ring, secure_count
-from privtri.graph import upper_edges
 from privtri.ring import MASK, MATMUL_MAX_INNER, ring_bits, ring_dtype
 from privtri.secure_count import effective_edges, effective_graph
 
-from conftest import complete_graph, erdos_renyi
-
-
-def as_projected(g: Graph) -> ProjectedGraph:
-    return ProjectedGraph(g.adj, theta=max(g.d_max, 1))
+from conftest import as_projected, complete_graph, erdos_renyi, projected_rows, upper_edges
 
 
 def secure_count_of(g: Graph, dealer_seed: int = 0) -> int:
@@ -39,7 +33,7 @@ def secure_count_of(g: Graph, dealer_seed: int = 0) -> int:
     [
         lambda: Graph(3, [(0, 1)]),
         lambda: NoisyDegrees(np.array([1.0, 2.0]), 2.0),
-        lambda: ProjectedGraph(np.zeros((3, 3), dtype=np.uint8), theta=1),
+        lambda: projected_rows(np.zeros((3, 3), dtype=np.uint8), theta=1),
         lambda: SharedAdjacency(3, np.zeros(3, dtype=np.uint64), np.ones(3, dtype=np.uint64)),
     ],
     ids=["Graph", "NoisyDegrees", "ProjectedGraph", "SharedAdjacency"],
@@ -55,11 +49,11 @@ def test_array_holders_compare_and_hash_by_identity(make):
 def test_effective_graph_policies():
     adj = np.zeros((3, 3), dtype=np.uint8)
     adj[0, 1] = 1  # row 0 kept the edge, row 1 dropped it
-    pg = ProjectedGraph(adj, theta=1)
+    pg = projected_rows(adj, theta=1)
     assert effective_graph(pg).adj[0, 1] == effective_graph(pg).adj[1, 0] == 0
     adj2 = np.zeros((3, 3), dtype=np.uint8)
     adj2[1, 0] = 1  # row 1 kept the edge, row 0 dropped it
-    pg2 = ProjectedGraph(adj2, theta=1)
+    pg2 = projected_rows(adj2, theta=1)
     assert effective_graph(pg2).adj[0, 1] == effective_graph(pg2).adj[1, 0] == 0
     with pytest.raises(ValueError):
         share_adjacency(pg, DealerRng(0), "or")
@@ -77,7 +71,7 @@ def test_effective_edges_and_shares_match_dense_and_rule():
         adjs.append((rng.random((n, n)) < rng.uniform(0.1, 0.9)).astype(np.uint8))
     for trial, adj in enumerate(adjs):
         n = adj.shape[0]
-        pg = ProjectedGraph(adj, theta=max(n, 1))
+        pg = projected_rows(adj, theta=max(n, 1))
         both = np.triu(adj & adj.T, 1)
         assert np.array_equal(effective_edges(pg), np.argwhere(both))
         eg = effective_graph(pg)
@@ -101,7 +95,7 @@ def test_share_adjacency_roundtrip_asymmetric():
     rng = np.random.default_rng(5)
     adj = (rng.random((15, 15)) < 0.4).astype(np.uint8)
     np.fill_diagonal(adj, 0)
-    pg = ProjectedGraph(adj, theta=15)
+    pg = projected_rows(adj, theta=15)
     sa = share_adjacency(pg, DealerRng(2))
     assert np.array_equal(sa.s1 + sa.s2, effective_graph(pg).adj[np.triu_indices(15, 1)])
 
@@ -184,7 +178,7 @@ def test_count_asymmetric_projection_respects_policy():
     rng = np.random.default_rng(23)
     adj = (rng.random((20, 20)) < 0.35).astype(np.uint8)
     np.fill_diagonal(adj, 0)
-    pg = ProjectedGraph(adj, theta=20)
+    pg = projected_rows(adj, theta=20)
     sa = share_adjacency(pg, DealerRng(31, 0))
     got = reconstruct(count(sa, 20, DealerRng(31, 1)))
     assert got == exact_triangle_count(effective_graph(pg))
@@ -197,7 +191,7 @@ def test_count_spans_several_row_blocks():
         rng = np.random.default_rng(seed)
         adj = (rng.random((n, n)) < 0.3).astype(np.uint8)
         np.fill_diagonal(adj, 0)
-        pg = ProjectedGraph(adj, theta=n)
+        pg = projected_rows(adj, theta=n)
         sa = share_adjacency(pg, DealerRng(seed, 0))
         got = reconstruct(count(sa, n, DealerRng(seed, 1)))
         assert got == exact_triangle_count(effective_graph(pg)) > 0
@@ -206,7 +200,7 @@ def test_count_spans_several_row_blocks():
 @pytest.mark.parametrize("bits", (32, 48))
 def test_count_peak_is_the_draw_a_few_pair_vectors_and_the_workspace(bits, monkeypatch):
     # from a cleared workspace, count's traced peak at n = 300 is at most the
-    # dealer's (3, m) draw, the workspace it allocates (bits // 16 limb
+    # dealer's three pair-vector draws, the workspace it allocates (bits // 16 limb
     # matrices and one scratch matrix, n x n float64 each) and 7 pair
     # vectors of 8 bytes; one more n x n matrix, the size of 16 such
     # vectors, would pass it
@@ -269,7 +263,7 @@ def test_count_matches_plain_triple_sum():
     rng = np.random.default_rng(29)
     adj = (rng.random((9, 9)) < 0.6).astype(np.uint8)
     np.fill_diagonal(adj, 0)
-    pg = ProjectedGraph(adj, theta=9)
+    pg = projected_rows(adj, theta=9)
     sa = share_adjacency(pg, DealerRng(41, 0))
     bit = dict(zip(combinations(range(pg.n), 2), (sa.s1 + sa.s2).tolist()))
     want = 0
@@ -314,9 +308,10 @@ def test_count_pair_vectors_are_uint32_in_the_32_bit_ring():
         sa = share_adjacency(as_projected(g), DealerRng(7, 0))
         dealer, channel = RecordingDealer(7, 1), CallCountingChannel()
         t = count(sa, n, dealer, channel)
-        (draws,) = dealer.draws
-        assert draws.dtype == np.uint32
-        assert np.array_equal(draws, DealerRng(7, 1).elements((3, comb(n, 2))) & low)
+        # x1, x2 and w1 are three pair vectors that read the one (3, m) draw
+        assert [(d.dtype, d.shape) for d in dealer.draws] == [(np.uint32, (comb(n, 2),))] * 3
+        draws = np.concatenate(dealer.draws)
+        assert np.array_equal(draws, DealerRng(7, 1).elements((3, comb(n, 2))).reshape(-1) & low)
         assert channel.dtypes == [np.uint32]
         assert reconstruct(t) == exact_triangle_count(g)
 
