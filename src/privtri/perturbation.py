@@ -8,18 +8,27 @@ their count shares. Only the final opened sum carries full Laplace noise,
 scaled by sensitivity/epsilon2 where the sensitivity is the projection
 bound theta.
 
+The privacy claim is edge local differential privacy under the one-bit
+neighbouring relation (Imola, Murakami & Chaudhuri, USENIX Security 2021):
+two graphs are neighbours when one user's adjacency row differs in one
+bit. One bit added to user u's row adds or removes at most one neighbour
+among those u keeps after projection (u ranks against its own published
+noisy degree), so the projected count moves by at most theta - 1 and
+theta bounds its sensitivity. A whole-edge relation, which flips both
+endpoints' bits at once, would need the scale 2 * theta and is out of
+scope.
+
 Real-valued noise lives in the integer ring via fixed-point encoding with
 scale S = 2**20: values are rounded to multiples of 1/S and interpreted as
-two's complement. A count over n users runs in Z_2^w, w = ring.ring_bits(n),
-and the noise is folded in the wider ring Z_2^f, f = ring.fold_bits(w) =
-min(w + 20, 64). Each server lifts its count share there by multiplying
-it by S: shares of t in Z_2^w scaled by 2**20 are shares of t * S in
-Z_2^(w + 20), with no opening. ring_bits picks the narrowest w whose fold
-ring holds (C(n, 3) + 64 * MAX_NOISE_SCALE) * S below the overflow guard
-at 2**(f - 2); 64 * MAX_NOISE_SCALE is a noise tail that Laplace noise of
-any admitted scale exceeds with probability below 2**-92. That is a
-32-bit count (52-bit fold) up to n = 1861 and a 48-bit count (64-bit
-fold) up to MAX_USERS = 29,772.
+two's complement. The count runs in Z_2^32 and the noise is folded in
+Z_2^52, ring.FOLD_BITS. Each server lifts its count share there by
+multiplying it by S: shares of t in Z_2^32 scaled by 2**20 are shares of
+t * S in Z_2^52, with no opening. For n users the opened value lies in
+[-NOISE_TAIL * S, ring.fold_bound(n)], NOISE_TAIL = 64 * MAX_NOISE_SCALE a
+noise tail that Laplace noise of any admitted scale exceeds with
+probability below 2**-92, and ring.MAX_USERS = 2345 is the largest n for
+which that range fits the signed range of Z_2^52. perturb raises
+OverflowError for an opened value outside it.
 """
 
 import math
@@ -29,11 +38,13 @@ import numpy as np
 
 from .ring import (
     FIXED_POINT_SCALE,
+    FOLD_BITS,
     MAX_NOISE_SCALE,
     MAX_USERS,
+    NOISE_TAIL,
     SharePair,
     decode_signed,
-    fold_bits,
+    fold_bound,
 )
 
 
@@ -42,9 +53,9 @@ class NoiseParams:
     """Perturbation configuration: budget, sensitivity, contributors, scale.
 
     The Laplace scale is sensitivity / epsilon2. Supported ranges keep
-    count * S plus all noise below the overflow guard of the fold ring of
-    the ring_bits width: n_users above MAX_USERS has no such width, and is
-    refused here, before any count.
+    count * S plus all noise inside the signed range of the fold ring:
+    n_users above MAX_USERS does not fit, and is refused here, before any
+    count.
     """
 
     epsilon2: float
@@ -69,30 +80,18 @@ class NoiseParams:
         return self.sensitivity / self.epsilon2
 
 
-def decode_fixed(element: int, bits: int) -> float:
-    """The fixed-point value of an element of Z_2^bits.
-
-    Decoded magnitudes of 2**(bits - 2) or more mean the fold wrapped or
-    left the bound ring_bits sizes the fold ring for, and raise
-    OverflowError.
-    """
-    signed = decode_signed(element, bits)
-    if abs(signed) >= 1 << (bits - 2):
-        raise OverflowError("fixed-point value outside supported range")
-    return signed / FIXED_POINT_SCALE
-
-
 def perturb(t_shares: SharePair, params: NoiseParams, rng) -> float:
     """Noisy count: servers fold aggregated noise shares into count shares.
 
     Every one of the n_users users draws a Gamma(1/n, scale) difference,
     rounds it to the 1/S grid and secret-shares it; all draws come in one
-    bulk call per quantity. Each server sums its n noise shares, scales its
-    count share by S and adds, all in the fold ring Z_2^f,
-    f = fold_bits(t_shares.bits); the opened total decodes to count +
-    noise, with the noise converging to Laplace(scale) up to 1/S
-    quantization. The masks are the same raw 64-bit draws at every width,
-    reduced mod 2**f, so the result does not depend on the width.
+    bulk call per quantity. Each server sums its n noise shares, lifts its
+    32-bit count share by S and adds, all in Z_2^52; the opened total
+    decodes to count + noise, with the noise converging to Laplace(scale)
+    up to 1/S quantization. The masks are raw 64-bit draws reduced mod
+    2**52. Raises OverflowError unless the opened value lies in
+    [-NOISE_TAIL * S, fold_bound(n_users)], the range MAX_USERS is sized
+    for.
     """
     n = params.n_users
     s = FIXED_POINT_SCALE
@@ -101,12 +100,14 @@ def perturb(t_shares: SharePair, params: NoiseParams, rng) -> float:
     gam2 = rng.gamma(shape, params.scale, size=n)
     enc = np.rint((gam1 - gam2) * s).astype(np.int64).astype(np.uint64)
     masks = rng.integers(0, 1 << 64, size=n, dtype=np.uint64)
-    # sums mod 2**64 reduce to the sums of the reduced shares mod 2**fold
-    fold = fold_bits(t_shares.bits)
-    low = (1 << fold) - 1
+    # sums mod 2**64 reduce to the sums of the reduced shares mod 2**52
+    low = (1 << FOLD_BITS) - 1
     noise1 = int(masks.sum(dtype=np.uint64)) & low
     noise2 = int((enc - masks).sum(dtype=np.uint64)) & low
 
     tp1 = (t_shares.s1 * s + noise1) & low
     tp2 = (t_shares.s2 * s + noise2) & low
-    return decode_fixed((tp1 + tp2) & low, fold)
+    total = decode_signed(tp1 + tp2, FOLD_BITS)
+    if not -NOISE_TAIL * s <= total <= fold_bound(n):
+        raise OverflowError("fixed-point value outside supported range")
+    return total / s

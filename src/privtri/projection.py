@@ -4,9 +4,12 @@ Two pieces: a private estimate of the maximum degree (every user perturbs
 its degree with Laplace noise of sensitivity 1, the server takes the max),
 and the per-user projection that truncates adjacency rows to at most theta
 neighbors. The similarity-based variant keeps the neighbors whose noisy
-degrees are closest, relatively, to the user's own degree; since the three
+degrees are closest to the user's own noisy degree; since the three
 degrees of a triangle tend to be similar, this preserves far more triangles
-than deleting uniformly at random, which is kept as a baseline.
+than deleting uniformly at random, which is kept as a baseline. Ranking
+against the user's published noisy degree, not its true one, is what
+bounds the count's sensitivity: one added bit in a row then adds or
+removes at most one kept neighbour, and changes no other row.
 
 A projection is a flag per directed slot of the source graph (see
 graph.Slots): whether the slot's tail kept that neighbour. Both
@@ -82,8 +85,10 @@ class ProjectedGraph:
 def max_private(degree_vector: np.ndarray, epsilon1: float, rng) -> NoisyDegrees:
     """Perturb every degree with an independent Laplace(1/epsilon1) draw.
 
-    Sensitivity is 1: the two directions of an edge are separate secrets,
-    so one edge changes one degree by one.
+    Sensitivity is 1 under the one-bit neighbouring relation of edge LDP:
+    the two directions of an edge are separate secrets, and one adjacency
+    bit changes one degree by one. Under a whole-edge relation the degree
+    vector's L1 sensitivity would be 2; that relation is out of scope.
     """
     if not 0 < epsilon1 < math.inf:
         raise ValueError(f"epsilon1 must be positive and finite, got {epsilon1}")
@@ -105,9 +110,9 @@ def project(g: Graph, noisy: NoisyDegrees, theta: int | None = None) -> Projecte
     """Similarity-based projection of every row to at most theta neighbors.
 
     Users with degree <= theta keep their row. Others keep exactly the
-    theta neighbors with the smallest degree similarity to their own true
-    degree, computed against the neighbors' noisy degrees; ties break by
-    ascending neighbor index, so the output is deterministic. One lexsort
+    theta neighbors whose noisy degrees are closest to their own noisy
+    degree, |d'_i - d'_j|; ties break by ascending neighbor index, so the
+    output is deterministic. One lexsort
     orders the slots of every over-theta row at once; a slot is kept
     when its rank within its row is below theta. Raises TypeError for a
     non-integral theta and ValueError for theta < 1.
@@ -119,8 +124,7 @@ def project(g: Graph, noisy: NoisyDegrees, theta: int | None = None) -> Projecte
     theta = _check_theta(theta)
     over, d_rows, start = _over_theta_slots(g, theta)
     i, j = g.slots.tail[over], g.slots.head[over]
-    d = g.degrees[i]
-    ds = np.abs(d - noisy.values[j]) / d
+    ds = np.abs(noisy.values[i] - noisy.values[j])
     order = np.lexsort((j, ds, i))
     rank = np.arange(order.size) - np.repeat(start, d_rows)
     return _keep_slots(g, theta, over, over[order[rank < theta]])

@@ -1,19 +1,14 @@
-"""Additive secret sharing over the ring Z_2^w, w a multiple of 16 up to 64.
+"""Additive secret sharing over the ring Z_2^32.
 
-Scalar values are plain Python ints in [0, 2**w); bulk values are numpy
-arrays of dtype ring_dtype(w): uint32 for w <= 32, else uint64. A secret x
-is held as shares (r, x - r) mod 2**w. Arithmetic on the dtype wraps
-modulo 2**32 or 2**64, which 2**w divides, so it is exact mod 2**w as
-long as every value that leaves a server (an opening, a dealer share, an
-output share) is reduced mod 2**w first; bits at or above w would carry
-information about the shares. reduce_bits does that reduction, and is a
-no-op when the dtype is w bits wide, as uint32 is at 32 bits. ring_bits
-gives the width w of a count over n users: the narrowest one that holds
-the count bound C(n, 3). The fixed-point noise fold of perturbation lifts
-the count shares by its scale 2**20 into the wider ring Z_2^fold_bits(w),
-which has to hold the scaled count plus a noise tail. Shares made by share
-are 64-bit; the dealer draws one raw 64-bit stream and narrows it to w
-bits, so a w-bit draw is the 64-bit one mod 2**w.
+Scalar values are plain Python ints in [0, 2**32); bulk values are uint32
+numpy arrays, whose arithmetic wraps mod 2**32 by itself, so no server
+value ever carries a bit above the ring. A secret x is held as shares
+(r, x - r) mod 2**32. One width serves every count: a count over at most
+MAX_USERS = 2345 users stays below 2**31, and the fixed-point noise fold of
+perturbation lifts its shares by the scale 2**20 into Z_2^FOLD_BITS,
+FOLD_BITS = 52, whose signed range holds the scaled count plus a noise
+tail. The dealer draws the raw 64-bit PCG64 stream and reads each word as
+two little-endian 32-bit elements.
 
 Correlated randomness (share masks and the count's dealer correlation)
 comes from a seeded trusted dealer, standing in for an oblivious-transfer
@@ -21,17 +16,16 @@ offline phase. The share products rest on one kernel, ring_square: the
 pair vector of V_s @ V_s, with V_s = V + V.T the symmetric zero-diagonal
 matrix of a pair vector v (pair_mask fixes the row-major pair layout).
 V_s is staged once, in the kernel's own n x n scratch matrix viewed as
-little-endian ring_dtype(w) entries: v is scattered into both triangles
-and the diagonal reset to zero. Its L = w / 16 16-bit limbs are then
-copied whole from that staging into float64 matrices, and the shift sums
-of their products take one BLAS product of n x n matrices per limb pair
-l <= r with l + r < L: 2 at 32 bits and 4 at 48, written into the same
-scratch matrix. Each product is added straight into the ring-dtype
-result, a band of about 8K pairs at a time (gather, convert through
-int64, shift, add), so beyond the result a square holds no temporary of
-pair size. The L limb matrices and the scratch matrix stay resident
-between calls of one n and w: 6 MB after a square at n = 500 in the
-32-bit ring, 128 MB after one at n = 2000 in the 48-bit ring.
+little-endian uint32 entries: v is scattered into both triangles and the
+diagonal reset to zero. Its two 16-bit limbs S0 and S1 are then copied
+whole from that staging into float64 matrices, and V_s @ V_s mod 2**32 is
+S0 @ S0.T plus (S0 @ S1.T + S1 @ S0.T) shifted by 16: two BLAS products
+of n x n matrices, written into the same scratch matrix. Each product is
+added straight into the uint32 result, a band of about 8K pairs at a time
+(gather, convert through int64, shift, add), so beyond the result a
+square holds no temporary of pair size. The two limb matrices and the
+scratch matrix stay resident between calls of one n: 6 MB after a square
+at n = 500, 96 MB after one at n = 2000.
 """
 
 from functools import lru_cache
@@ -40,30 +34,27 @@ from typing import NamedTuple
 
 import numpy as np
 
-RING_BITS = 64
-RING_MOD = 1 << RING_BITS
-MASK = RING_MOD - 1
+RING_BITS = 32
+MASK = (1 << RING_BITS) - 1
 
 # The noise fold of perturbation opens count * FIXED_POINT_SCALE + noise
-# in the fold ring Z_2^fold_bits(w) of a count run in Z_2^w, with Laplace
-# noise of scale at most MAX_NOISE_SCALE.
+# in Z_2^FOLD_BITS, with Laplace noise of scale at most MAX_NOISE_SCALE.
 # Laplace(lambda) exceeds 64 * lambda in magnitude with probability
 # exp(-64) < 2**-92, so NOISE_TAIL bounds the noise but for that chance.
 FIXED_POINT_SCALE = 1 << 20
+FOLD_BITS = RING_BITS + 20
 MAX_NOISE_SCALE = 10**4
 NOISE_TAIL = 64 * MAX_NOISE_SCALE
 
-# ring_square splits each element into L <= 4 16-bit limbs, so a limb
-# product is at most (2**16 - 1)**2 < 2**32, and with inner dimension n
-# every partial sum of an entry of one BLAS product of limb matrices is a
+# ring_square splits each element into two 16-bit limbs, so a limb product
+# is at most (2**16 - 1)**2 < 2**32, and with inner dimension n every
+# partial sum of an entry of one BLAS product of limb matrices is a
 # non-negative integer below n * 2**32. float64 holds every integer up to
 # 2**53 exactly, so n < 2**19 keeps each product exact in whatever order
-# BLAS adds, with room for the four products of one shift summed in
-# float64 (below n * 2**34); _square_pairs sums them in integers.
+# BLAS adds, with room to spare; _square_pairs sums the products in
+# integers.
 _LIMB_BITS = 16
 MATMUL_MAX_INNER = 1 << 19
-# raw 64-bit dealer draws narrowed at a time: 256 KB, cache-sized
-_DEALER_CHUNK = 1 << 15
 # pairs _square_pairs gathers and adds at a time: 64 KB of float64 and
 # 64 KB of int64, plus one row, small enough to come from the heap
 _PAIR_BLOCK = 1 << 13
@@ -71,45 +62,21 @@ _PAIR_BLOCK = 1 << 13
 RingElement = int
 
 
-def _fold_bound(n: int) -> int:
-    """Largest magnitude the noise fold opens for a count over n users."""
+def fold_bound(n: int) -> int:
+    """Largest value the noise fold opens for a count over n users."""
     return (comb(n, 3) + NOISE_TAIL) * FIXED_POINT_SCALE
 
 
-def fold_bits(bits: int) -> int:
-    """Width of the ring perturbation folds the noise of a bits-wide count in.
-
-    Scaling both shares of t by 2**20 in Z_2^(bits + 20) gives shares of
-    t * 2**20 there exactly, so the lift needs no opening; 64-bit shares
-    stay in Z_2^64.
-    """
-    return min(bits + 20, RING_BITS)
-
-
-def ring_bits(n: int) -> int:
-    """Width of the ring a count over n users runs in.
-
-    The smallest multiple of 16 with _fold_bound(n) below 2**(f - 2),
-    f = fold_bits(w): the count, the folded noise and perturbation's
-    overflow guard at 2**(f - 2) all fit the signed range of the fold
-    ring, and the count, below 2**(f - 22) <= 2**(w - 2), fits Z_2^w.
-    That is 32 bits up to n = 1861 and 48 up to MAX_USERS; since
-    fold_bits(48) is already 64, 64 is never chosen. Raises ValueError
-    when no width does, that is for n > MAX_USERS.
-    """
-    bound = _fold_bound(n)
-    for bits in range(_LIMB_BITS, RING_BITS + 1, _LIMB_BITS):
-        if bound < 1 << (fold_bits(bits) - 2):
-            return bits
-    raise ValueError(f"a count over {n} users does not fit the {RING_BITS}-bit ring")
-
-
 def _max_users() -> int:
-    """The largest n that ring_bits admits, by bisection."""
+    """The largest n whose fold_bound is below 2**(FOLD_BITS - 1), by bisection.
+
+    The scaled count and the noise then fit the signed range of the fold
+    ring, and the count itself, below 2**31, the signed range of Z_2^32.
+    """
     lo, hi = 0, 1 << 20  # the bound fits at lo and not at hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _fold_bound(mid) < 1 << (RING_BITS - 2):
+        if fold_bound(mid) < 1 << (FOLD_BITS - 1):
             lo = mid
         else:
             hi = mid
@@ -119,18 +86,6 @@ def _max_users() -> int:
 MAX_USERS = _max_users()
 
 
-def ring_dtype(bits: int) -> type:
-    """The dtype of a bulk value of Z_2^bits: uint32 up to 32 bits, else uint64."""
-    return np.uint32 if bits <= 32 else np.uint64
-
-
-def reduce_bits(a: np.ndarray, bits: int) -> np.ndarray:
-    """a reduced mod 2**bits in place; a no-op when its dtype is bits wide."""
-    if bits < 8 * a.dtype.itemsize:
-        a &= a.dtype.type((1 << bits) - 1)
-    return a
-
-
 def decode_signed(element: RingElement, bits: int = RING_BITS) -> int:
     """Read an element of Z_2^bits as a two's-complement signed integer."""
     element &= (1 << bits) - 1
@@ -138,11 +93,10 @@ def decode_signed(element: RingElement, bits: int = RING_BITS) -> int:
 
 
 class SharePair(NamedTuple):
-    """Additive shares of one element of Z_2^bits: server 1 holds s1, server 2 s2."""
+    """Additive shares of one element of Z_2^32: server 1 holds s1, server 2 s2."""
 
     s1: RingElement
     s2: RingElement
-    bits: int = RING_BITS
 
 
 class DealerRng:
@@ -150,45 +104,37 @@ class DealerRng:
 
     Same (seed, path) always yields the same stream, so share masks and
     the count's dealer correlation are reproducible run to run; a
-    distinct path gives an independent stream. Every element is one raw
-    64-bit output of the PCG64 bit generator, the stream
-    Generator.integers(0, 2**64, dtype=np.uint64) draws too.
+    distinct path gives an independent stream. The stream is the raw
+    64-bit output of the PCG64 bit generator.
     """
 
     def __init__(self, seed: int, *path: int):
         seq = np.random.SeedSequence([int(seed), *map(int, path)])
         self._raw = np.random.PCG64(seq).random_raw
 
-    def element(self) -> RingElement:
+    def element(self) -> int:
+        """One raw 64-bit draw; callers reduce it to the ring they need."""
         return self._raw()
 
-    def elements(self, shape, bits: int = RING_BITS) -> np.ndarray:
-        """Uniform array of Z_2^bits, of dtype ring_dtype(bits).
+    def elements(self, shape) -> np.ndarray:
+        """Uniform uint32 array of Z_2^32.
 
-        Consumes one raw 64-bit draw per element at every width and
-        returns it reduced mod 2**bits, so the draws of any width are the
-        64-bit ones reduced. The draws are narrowed into the result
-        _DEALER_CHUNK at a time: the stream is the same in chunks, and no
-        64-bit copy of a narrower result is ever held whole.
+        Draws ceil(size / 2) raw 64-bit words and reads each as two
+        little-endian uint32 elements, low half first; an odd size drops
+        the high half of the last word.
         """
-        out = np.empty(shape, dtype=ring_dtype(bits))
-        flat = out.reshape(-1)
-        for start in range(0, flat.size, _DEALER_CHUNK):
-            part = flat[start : start + _DEALER_CHUNK]
-            draw = self._raw(part.size)
-            np.copyto(part, draw, casting="unsafe")
-            del draw  # freed before the next chunk is drawn
-        return reduce_bits(out, bits)
+        size = int(np.prod(shape))
+        return self._raw((size + 1) // 2).view("<u4")[:size].reshape(shape)
 
 
 def share(secret: int, rng: DealerRng) -> SharePair:
     """Split a secret into two uniform additive shares: (mask, secret - mask)."""
-    mask = rng.element()
+    mask = rng.element() & MASK
     return SharePair(mask, (secret - mask) & MASK)
 
 
 def reconstruct(pair: SharePair) -> RingElement:
-    return (pair.s1 + pair.s2) & ((1 << pair.bits) - 1)
+    return (pair.s1 + pair.s2) & MASK
 
 
 class OpeningChannel:
@@ -205,22 +151,13 @@ class OpeningChannel:
         self.record = record
         self.values: list[int] = []
 
-    def open_array(self, s1: np.ndarray, s2: np.ndarray, bits: int = RING_BITS) -> np.ndarray:
-        """The opened s1 + s2, reduced mod 2**bits, of the operands' dtype."""
-        value = reduce_bits(s1 + s2, bits)
+    def open_array(self, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
+        """The opened s1 + s2 in Z_2^32, as uint32."""
+        value = np.add(s1, s2, dtype=np.uint32, casting="unsafe")
         self.openings += int(value.size)
         if self.record:
             self.values.extend(value.tolist())
         return value
-
-
-def check_matmul_inner(n: int) -> None:
-    """Raise ValueError unless ring_square is exact at inner dimension n."""
-    if n >= MATMUL_MAX_INNER:
-        raise ValueError(
-            f"inner dimension {n} >= {MATMUL_MAX_INNER}: float64 limb sums "
-            "would no longer be exact"
-        )
 
 
 @lru_cache(maxsize=8)
@@ -256,93 +193,91 @@ def _row_bands(a: int) -> tuple[tuple[int, int, int, int], ...]:
     return tuple((r0, r1, int(first[r0]), int(first[r1])) for r0, r1 in zip(cuts, cuts[1:]))
 
 
-def _square_pairs(limbs: np.ndarray, acc: np.ndarray, bits: int) -> np.ndarray:
-    """Pair entries of A @ A.T, reduced mod 2**bits, of dtype ring_dtype(bits).
+def _square_pairs(limbs: np.ndarray, acc: np.ndarray) -> np.ndarray:
+    """Pair entries of A @ A.T mod 2**32, as uint32.
 
-    limbs holds the bits // 16 16-bit limbs of A as float64 (a, N)
-    matrices, least significant first, and acc is a float64 (a, a)
-    scratch matrix; the pairs are those of pair_mask(a). The shift-k term
-    of A @ A.T sums S_l @ S_r.T over l + r = k, and (S_l @ S_r.T).T is
-    S_r @ S_l.T, so each unordered limb pair costs one BLAS product M,
-    written into acc, whose pair entries are added once when l = r (numpy
-    runs S_l @ S_l.T as a symmetric rank-k update, at half the work) and
-    with those of M.T otherwise. Every entry of M is an exact integer
-    below 2**53 (see MATMUL_MAX_INNER). Each product goes straight into
-    the output, one band of about _PAIR_BLOCK pairs at a time: the band's
-    pair entries are gathered, converted through int64, shifted by 16 * k
-    and added in the ring dtype, which wraps mod 2**32 or 2**64, so no
-    temporary of pair size is made. Shifts at or above bits are never
-    computed. Each product overwrites acc whole, so it may hold anything
-    on entry.
+    limbs holds the two 16-bit limbs S0 (low) and S1 of A as float64
+    (a, N) matrices, and acc is a float64 (a, a) scratch matrix; the pairs
+    are those of pair_mask(a). Mod 2**32, A @ A.T is S0 @ S0.T plus
+    (S0 @ S1.T + S1 @ S0.T) * 2**16, and (S0 @ S1.T).T is S1 @ S0.T, so
+    two BLAS products M, each written into acc, suffice: the pair entries
+    of S0 @ S0.T (numpy runs it as a symmetric rank-k update, at half the
+    work), then those of M = S0 @ S1.T and of M.T, shifted by 16. Every
+    entry of M is an exact integer below 2**53 (see MATMUL_MAX_INNER).
+    Each product goes straight into the output, one band of about
+    _PAIR_BLOCK pairs at a time: the band's pair entries are gathered,
+    converted through int64, shifted and added in uint32, which wraps mod
+    2**32, so no temporary of pair size is made. Each product overwrites
+    acc whole, so it may hold anything on entry.
     """
     a = acc.shape[0]
     mask = pair_mask(a)
-    out = np.empty(a * (a - 1) // 2, dtype=ring_dtype(bits))
+    out = np.empty(a * (a - 1) // 2, dtype=np.uint32)
     bands = _row_bands(a)
-    for k in range(len(limbs)):
-        shift = np.uint64(_LIMB_BITS * k)
-        for l in range(k // 2 + 1):
-            np.matmul(limbs[l], limbs[k - l].T, out=acc)
-            for product in (acc, acc.T) if 2 * l < k else (acc,):
-                for r0, r1, p0, p1 in bands:
-                    term = product[r0:r1][mask[r0:r1]].astype(np.int64).view(np.uint64)
-                    if k == 0:  # S_0 @ S_0.T, the one shift-0 product, comes first
-                        np.copyto(out[p0:p1], term, casting="unsafe")
-                    else:
-                        term <<= shift
-                        np.add(out[p0:p1], term, out=out[p0:p1], dtype=out.dtype, casting="unsafe")
-    return reduce_bits(out, bits)
+    low, high = limbs
+    for shift, right in ((0, low), (_LIMB_BITS, high)):
+        np.matmul(low, right.T, out=acc)
+        for product in (acc, acc.T) if shift else (acc,):
+            for r0, r1, p0, p1 in bands:
+                term = product[r0:r1][mask[r0:r1]].astype(np.int64).view(np.uint64)
+                if not shift:  # S0 @ S0.T, the shift-0 product, comes first
+                    np.copyto(out[p0:p1], term, casting="unsafe")
+                else:
+                    term <<= np.uint64(shift)
+                    np.add(out[p0:p1], term, out=out[p0:p1], dtype=np.uint32, casting="unsafe")
+    return out
 
 
 # ring_square's float64 limb matrices and product scratch, kept between
-# calls: {(n, bits): (limbs, acc)}, one entry at most
-_workspace: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+# calls: {n: (limbs, acc)}, one entry at most
+_workspace: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _limb_workspace(n: int, bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """ring_square's float64 limbs, (bits // 16, n, n), and its (n, n) scratch.
+def _limb_workspace(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """ring_square's float64 limbs, (2, n, n), and its (n, n) scratch.
 
-    Both are kept for the next call of the same n and bits; another n or
-    bits drops them before allocating. Every call rewrites both whole, so
-    they are allocated uninitialised. The cache is not guarded against
-    calls from several threads at once.
+    Both are kept for the next call of the same n; another n drops them
+    before allocating. Every call rewrites both whole, so they are
+    allocated uninitialised. The cache is not guarded against calls from
+    several threads at once.
     """
-    key = (n, bits)
-    if key not in _workspace:
+    if n not in _workspace:
         _workspace.clear()
-        _workspace[key] = np.empty((bits // _LIMB_BITS, n, n)), np.empty((n, n))
-    return _workspace[key]
+        _workspace[n] = np.empty((RING_BITS // _LIMB_BITS, n, n)), np.empty((n, n))
+    return _workspace[n]
 
 
-def ring_square(v: np.ndarray, n: int, bits: int = RING_BITS) -> np.ndarray:
-    """The pair vector of V_s @ V_s in Z_2^bits, V_s = V + V.T.
+def ring_square(v: np.ndarray, n: int) -> np.ndarray:
+    """The pair vector of V_s @ V_s in Z_2^32, V_s = V + V.T, as uint32.
 
     V is the strictly upper n x n matrix that holds pair vector v, so V_s
-    is symmetric with a zero diagonal. bits is 16, 32, 48 or 64, and the
-    result is a fresh array, reduced and of dtype ring_dtype(bits). Native
-    uint64 matmul does not use BLAS. Here V_s is staged once in the
-    workspace's scratch matrix, viewed as n x n of ring_dtype(bits) in
-    little-endian byte order: v is scattered through pair_mask and its
-    transpose and the diagonal, left over from the last product, is reset
-    to zero. Limb l of V_s is then 16-bit word l of each entry, and each
-    of the low bits // 16 limbs is copied whole into its float64 matrix,
-    so bits of v at or above bits never reach a limb. _square_pairs sums
-    the limb products (V_s is symmetric, so V_s @ V_s = V_s @ V_s.T).
-    Raises ValueError if n >= MATMUL_MAX_INNER or if v is not of shape
-    (C(n, 2),): a shorter vector would broadcast through the scatter.
+    is symmetric with a zero diagonal. The result is a fresh array. Native
+    integer matmul does not use BLAS. Here V_s is staged once in the
+    workspace's scratch matrix, viewed as n x n little-endian uint32: v is
+    scattered through pair_mask and its transpose (wider operands are
+    read mod 2**32) and the diagonal, left over from the last product, is
+    reset to zero. Limb l of V_s is then 16-bit word l of each entry, and
+    each is copied whole into its float64 matrix. _square_pairs sums the
+    limb products (V_s is symmetric, so V_s @ V_s = V_s @ V_s.T). Raises
+    ValueError if n >= MATMUL_MAX_INNER, where float64 limb sums would no
+    longer be exact, or if v is not of shape (C(n, 2),): a shorter vector
+    would broadcast through the scatter.
     """
-    check_matmul_inner(n)
+    if n >= MATMUL_MAX_INNER:
+        raise ValueError(
+            f"inner dimension {n} >= {MATMUL_MAX_INNER}: float64 limb sums "
+            "would no longer be exact"
+        )
     shape = (n * (n - 1) // 2,)
     if v.shape != shape:
         raise ValueError(f"the operand must have shape {shape}, got {v.shape}")
-    limbs, acc = _limb_workspace(n, bits)
+    limbs, acc = _limb_workspace(n)
     mask = pair_mask(n)
-    dtype = np.dtype(ring_dtype(bits)).newbyteorder("<")
-    staged = acc.reshape(-1).view(dtype)[: n * n].reshape(n, n)
+    staged = acc.reshape(-1).view("<u4")[: n * n].reshape(n, n)
     staged[mask] = v
     staged.T[mask] = v
     np.fill_diagonal(staged, 0)
-    words = staged.view("<u2").reshape(n, n, dtype.itemsize // 2)
+    words = staged.view("<u2").reshape(n, n, 2)
     for l, mat in enumerate(limbs):
         np.copyto(mat, words[..., l])
-    return _square_pairs(limbs, acc, bits)
+    return _square_pairs(limbs, acc)

@@ -4,12 +4,13 @@ Users secret-share the bit of every unordered pair to two semi-honest,
 non-colluding servers. For a pair vector v, with V_s the symmetric
 zero-diagonal matrix that holds it, P_v = V_s @ V_s on the pairs counts
 the paths through a third node, and each triangle closes three of them,
-so the triangle count is T(v) = 3^-1 <v, P_v> in Z_2^w, w =
-ring.ring_bits(n) the width that holds the public bound C(n, 3) (3 is odd,
-so it is invertible mod 2**w). Every pair vector is held at that width, as
-ring.ring_dtype(w): uint32 for n <= 1861, 4 bytes per share, opening and
-dealer element. perturbation later lifts the count shares by the
-fixed-point scale into the wider ring it folds the noise in.
+so the triangle count is T(v) = 3^-1 <v, P_v> in Z_2^32 (3 is odd, so it
+is invertible mod 2**32). Every pair vector is uint32, 4 bytes per share,
+opening and dealer element, and wraps mod 2**32 by itself. A count over
+n <= ring.MAX_USERS = 2345 users is at most C(n, 3) < 2**31, so Z_2^32
+holds it; count refuses a larger n before dealing. perturbation later lifts the
+count shares by the fixed-point scale into the 52-bit ring it folds the
+noise in.
 
 The servers count in one round, from a dealer correlation fitted to T:
 the function-dependent preprocessing of ABY2.0 (Patra et al., USENIX
@@ -36,14 +37,12 @@ import numpy as np
 from .graph import Graph
 from .projection import ProjectedGraph
 from .ring import (
+    MASK,
+    MAX_USERS,
     DealerRng,
     OpeningChannel,
     SharePair,
-    check_matmul_inner,
     pair_index,
-    reduce_bits,
-    ring_bits,
-    ring_dtype,
     ring_square,
 )
 
@@ -70,10 +69,9 @@ def effective_graph(pg: ProjectedGraph) -> Graph:
 class SharedAdjacency:
     """Additive shares of every pair bit, one vector per server.
 
-    Both are pair vectors in Z_2^w, w = ring.ring_bits(n), of dtype
-    ring.ring_dtype(w) (uint32 for n <= 1861): entry p is the p-th pair
+    Both are uint32 pair vectors in Z_2^32: entry p is the p-th pair
     i < j in the row-major order of ring.pair_mask, and s1[p] + s2[p]
-    wraps to that pair's effective bit mod 2**w.
+    wraps to that pair's effective bit mod 2**32.
     """
 
     n: int
@@ -88,12 +86,11 @@ def share_adjacency(
     # only 'and' remains; benchmarks/workloads.py reads this argument from its trace
     if policy != "and":
         raise ValueError(f"unknown bit policy {policy!r}; only 'and' is supported")
-    width = ring_bits(pg.n)
     i, j = effective_edges(pg).T
-    bits = np.zeros(pg.n * (pg.n - 1) // 2, dtype=ring_dtype(width))
+    bits = np.zeros(pg.n * (pg.n - 1) // 2, dtype=np.uint32)
     bits[pair_index(i, j, pg.n)] = 1
-    masks = rng.elements(bits.size, width)
-    return SharedAdjacency(n=pg.n, s1=masks, s2=reduce_bits(bits - masks, width))
+    masks = rng.elements(bits.size)
+    return SharedAdjacency(n=pg.n, s1=masks, s2=bits - masks)
 
 
 def count(
@@ -120,42 +117,35 @@ def count(
     every share and opened value; the reconstructed count depends only on
     the shared bits.
 
-    Everything runs in Z_2^bits, bits = ring_bits(n), on pair vectors of
-    dtype ring_dtype(bits): uint32 at 32 bits, which wraps mod 2**32 by
-    itself, and uint64 at 48 or 64 bits, which may carry higher bits in a
-    server's local values, so each value is reduced before it leaves the
-    dealer or a server, as a dealer share, an opening or an output share.
-    The dealer draws the same raw 64-bit stream at every width, so the
-    dealer values, openings and output shares are the 64-bit ones mod
-    2**bits. n is checked against the exact size of ring_square before
-    dealing.
+    Everything runs in Z_2^32 on uint32 pair vectors, which wrap mod
+    2**32 by themselves, so no value that leaves the dealer or a server
+    carries a bit above the ring. n above ring.MAX_USERS, whose count or
+    noise fold would not fit, is refused before dealing.
     """
     if n != sa.n:
         raise ValueError(f"n={n} does not match shared adjacency n={sa.n}")
-    check_matmul_inner(n)
-    bits = ring_bits(n)
+    if n > MAX_USERS:
+        raise ValueError(f"a count over {n} users does not fit the ring; at most {MAX_USERS}")
     if channel is None:
         channel = OpeningChannel()
-    low = (1 << bits) - 1
-    third = pow(3, -1, 1 << bits)
+    third = pow(3, -1, 1 << 32)
 
     # dealer: server 2's shares of W = P_x and T(x) follow from x = x1 + x2.
-    # x1, x2, w1 are the rows of one (3, m) draw, drawn as three pair
-    # vectors: glibc serves each from its heap, where a fresh (3, m) block
+    # x1, x2, w1 are drawn as three pair vectors rather than one (3, m)
+    # block: glibc serves each from its heap, where a fresh (3, m) block
     # was mapped and page-faulted in anew on every count
     m = n * (n - 1) // 2
-    x1, x2, w1 = (dealer.elements(m, bits) for _ in range(3))
-    tx1 = dealer.element() & low
-    x = reduce_bits(x1 + x2, bits)
-    w2 = ring_square(x, n, bits)
-    tx2 = (third * int(np.dot(x, w2)) - tx1) & low
+    x1, x2, w1 = (dealer.elements(m) for _ in range(3))
+    tx1 = dealer.element() & MASK
+    x = x1 + x2
+    w2 = ring_square(x, n)
+    tx2 = (third * int(np.dot(x, w2)) - tx1) & MASK
     del x
     w2 -= w1
-    reduce_bits(w2, bits)
 
-    # the one round; np.dot wraps in the dtype, exact mod 2**bits
-    e = channel.open_array(sa.s1 - x1, sa.s2 - x2, bits)
-    pe = ring_square(e, n, bits)
+    # the one round; np.dot wraps in uint32, exact mod 2**32
+    e = channel.open_array(sa.s1 - x1, sa.s2 - x2)
+    pe = ring_square(e, n)
     t1 = third * int(np.dot(e, pe)) + int(np.dot(x1, pe)) + int(np.dot(e, w1)) + tx1
     t2 = int(np.dot(x2, pe)) + int(np.dot(e, w2)) + tx2
-    return SharePair(t1 & low, t2 & low, bits)
+    return SharePair(t1 & MASK, t2 & MASK)

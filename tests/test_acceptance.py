@@ -63,15 +63,15 @@ def test_criterion_1_three_way_product_oracle():
         start = time.perf_counter()
         rng = DealerRng(101)
         bits = np.array(list(product((0, 1), repeat=3)), dtype=np.uint32).T
-        uniform = rng.elements((3, 10_000), 32)
+        uniform = rng.elements((3, 10_000))
         secrets = np.concatenate((np.repeat(bits, 100, axis=1), uniform), axis=1)
-        masks = rng.elements(secrets.shape, 32)
+        masks = rng.elements(secrets.shape)
         shares = secrets - masks
         channel = OpeningChannel()
         for col, (a, b, c) in enumerate(secrets.T.tolist()):
             sa = SharedAdjacency(3, masks[:, col], shares[:, col])
             t = count(sa, 3, rng, channel)
-            assert t.bits == 32
+            assert max(t) <= 0xFFFFFFFF
             assert reconstruct(t) == (a * b * c) & 0xFFFFFFFF
         elapsed = time.perf_counter() - start
         assert elapsed < 5.0, f"took {elapsed:.2f}s"

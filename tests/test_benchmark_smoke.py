@@ -8,9 +8,14 @@ benchmark while every other test passes. One traced round of every workload, wit
 timed rounds, catches that. cargo-n500 and cargo-n100 run the count, each
 of its two ring_square calls on a 500 or 100 node workspace, and
 noise-n2000 is the only workload that reaches ring.share.
+
+The benchmark writes its results next to itself, so it runs from a copy of
+benchmarks/, BENCHMARK.json and src/, and the checkout's own results stay
+as the last real run left them.
 """
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -20,12 +25,22 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
+@pytest.fixture(scope="module")
+def checkout_copy(tmp_path_factory) -> Path:
+    copy = tmp_path_factory.mktemp("checkout")
+    skip = shutil.ignore_patterns("results", "__pycache__", "*.egg-info")
+    for name in ("benchmarks", "src"):
+        shutil.copytree(ROOT / name, copy / name, ignore=skip)
+    shutil.copy2(ROOT / "BENCHMARK.json", copy / "BENCHMARK.json")
+    return copy
+
+
 @pytest.mark.parametrize("workload", ["cargo-n100", "cargo-n500", "sweep-n2000", "noise-n2000"])
-def test_benchmark_traced_round_is_correct(workload):
+def test_benchmark_traced_round_is_correct(workload, checkout_copy):
     proc = subprocess.run(
         [sys.executable, "benchmarks/run.py", "--workload", workload,
          "--seed", "1", "--seconds", "0", "--trace", "1"],
-        cwd=ROOT, capture_output=True, text=True, timeout=600,
+        cwd=checkout_copy, capture_output=True, text=True, timeout=600,
     )
     lines = proc.stdout.strip().splitlines()
     assert lines, proc.stderr

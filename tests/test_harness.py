@@ -134,6 +134,18 @@ def test_cargo_bad_noise_scale_fails_before_count(k4_graph_file, monkeypatch):
         run_cargo(ExperimentConfig(graph_path=k4_graph_file, epsilon=1e-4, trials=1))
 
 
+def test_allow_large_stops_at_the_ring_limit_before_count(tmp_path, monkeypatch):
+    # allow_large lifts the desk-scale limit but not the ring's: a graph of
+    # MAX_USERS + 1 = 2346 nodes is refused before any count
+    def unreachable(*args, **kwargs):
+        raise AssertionError("count ran on a graph the ring cannot hold")
+
+    monkeypatch.setattr(harness, "count", unreachable)
+    path = write_lines(tmp_path / "path2346.txt", [f"{i} {i + 1}" for i in range(2345)])
+    with pytest.raises(ValueError, match="n_users"):
+        run_cargo(ExperimentConfig(graph_path=path, trials=1, allow_large=True))
+
+
 def test_relative_error_trend_with_epsilon(proxy_graph_file):
     # more budget, less relative error, on average across the grid
     means = []

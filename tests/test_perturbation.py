@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from privtri import NoiseParams, SharePair, perturb
+from privtri import DealerRng, NoiseParams, SharePair, perturb, share
 from privtri.perturbation import FIXED_POINT_SCALE
-from privtri.ring import MASK, MAX_USERS, ring_bits
-
-LOW32 = (1 << 32) - 1
-LOW48 = (1 << 48) - 1
+from privtri.ring import MASK, MAX_NOISE_SCALE, MAX_USERS, NOISE_TAIL
 
 
 def rng_for(seed):
@@ -94,65 +91,49 @@ def test_perturb_aggregate_matches_direct_laplace():
 
 
 def test_perturb_overflow_guard():
-    params = NoiseParams(epsilon2=1.0, sensitivity=1.0, n_users=5)
-    huge = shares_of((1 << 42) + (1 << 41))  # count * 2^20 lands past the guard
-    with pytest.raises(OverflowError):
-        perturb(huge, params, rng_for(10))
+    # the opened value must lie in [-NOISE_TAIL * S, (C(n, 3) + NOISE_TAIL)
+    # * S], the range MAX_USERS is sized for; with noise far below 1/S the
+    # opened value is the count, so counts just inside decode exactly and
+    # counts just outside raise, on either side
+    params = NoiseParams(epsilon2=1e9, sensitivity=1.0, n_users=5)
+    top = math.comb(5, 3) + NOISE_TAIL
+    for t in (top, -NOISE_TAIL):
+        assert perturb(shares_of(t), params, rng_for(10)) == t
+    for t in (top + 1, -NOISE_TAIL - 1, 1 << 30):
+        with pytest.raises(OverflowError):
+            perturb(shares_of(t), params, rng_for(10))
 
 
-def reduced48(t: SharePair) -> SharePair:
-    return SharePair(t.s1 & LOW48, t.s2 & LOW48, 48)
+def test_perturb_lifts_32_bit_shares_of_the_largest_count():
+    # 32-bit shares of counts up to C(MAX_USERS, 3), the largest a count
+    # can reach, fold noise of the largest scale in the 52-bit ring: each
+    # server scales its share by 2**20 there, and the opened sum decodes to
+    # count + noise; negative totals decode too
+    n_users = MAX_USERS
+    params = NoiseParams(epsilon2=1.0, sensitivity=float(MAX_NOISE_SCALE), n_users=n_users)
+    counts = [0, -1000, 1000, math.comb(n_users, 3)]
+    for seed in range(40):
+        t = counts[seed % len(counts)]
+        shares = share(t, DealerRng(seed))
+        assert max(shares) < 1 << 32
+        got = perturb(shares, params, rng_for(seed))
+        rng = rng_for(seed)
+        gam1 = rng.gamma(1.0 / n_users, params.scale, size=n_users)
+        gam2 = rng.gamma(1.0 / n_users, params.scale, size=n_users)
+        real = t + float(np.sum(gam1 - gam2))
+        assert abs(got - real) <= n_users * 0.5 / FIXED_POINT_SCALE + 1e-6
 
 
-def test_perturb_at_48_bits_matches_64_bits():
-    # the same count shares reduced mod 2**48 fold the same noise from the
-    # same seed, including negative totals and the largest n=500 count
-    params = NoiseParams(epsilon2=0.5, sensitivity=50.0, n_users=500)
-    counts = [0, 1000, math.comb(500, 3)]
-    for seed in range(200):
-        t = shares_of(counts[seed % 3], seed)
-        got = perturb(reduced48(t), params, rng_for(seed))
-        assert got == perturb(t, params, rng_for(seed))
-
-
-def reduced32(t: SharePair) -> SharePair:
-    return SharePair(t.s1 & LOW32, t.s2 & LOW32, 32)
-
-
-def test_perturb_lifts_32_bit_shares_to_the_64_bit_result():
-    # 32-bit count shares fold in the 52-bit ring: each server scales its
-    # share by 2**20 there, which is exact mod 2**52, so the same seed gives
-    # the 64-bit result; the counts include negative totals and
-    # C(1861, 3), the largest count ring_bits runs in 32 bits
-    params = NoiseParams(epsilon2=0.5, sensitivity=50.0, n_users=1861)
-    counts = [0, -1000, -math.comb(500, 3), 1000, math.comb(1861, 3)]
-    for seed in range(200):
-        t = shares_of(counts[seed % len(counts)], seed)
-        got = perturb(reduced32(t), params, rng_for(seed))
-        assert got == perturb(t, params, rng_for(seed))
-
-
-def test_perturb_overflow_guard_at_32_bits():
-    # 32-bit shares fold in 52 bits, whose guard sits at 2**50: a count just
-    # below 2**30 decodes, one past it raises
-    params = NoiseParams(epsilon2=1.0, sensitivity=1.0, n_users=5)
-    below = reduced32(shares_of((1 << 30) - 1000))
-    assert abs(perturb(below, params, rng_for(10)) - ((1 << 30) - 1000)) < 100
-    huge = reduced32(shares_of((1 << 30) + (1 << 29)))  # count * 2^20 lands past 2^50
-    with pytest.raises(OverflowError):
-        perturb(huge, params, rng_for(10))
-
-
-def test_max_users_is_the_largest_n_with_a_64_bit_fold():
-    # the bound (C(n, 3) + 64 * 10**4) * 2**20 below the 2**62 guard, in plain ints
+def test_max_users_is_the_largest_n_with_a_52_bit_fold():
+    # the bound (C(n, 3) + 64 * 10**4) * 2**20 below 2**51, the signed
+    # range of the 52-bit fold ring, in plain ints; the count itself then
+    # stays below 2**31
     def fits(n):
-        return (math.comb(n, 3) + 64 * 10**4) * 2**20 < 2**62
+        return (math.comb(n, 3) + 64 * 10**4) * 2**20 < 2**51
 
     assert fits(MAX_USERS) and not fits(MAX_USERS + 1)
-    assert MAX_USERS == 29772
-    assert ring_bits(MAX_USERS) == 48
-    with pytest.raises(ValueError):
-        ring_bits(MAX_USERS + 1)
+    assert MAX_USERS == 2345
+    assert math.comb(MAX_USERS, 3) < 2**31
     NoiseParams(epsilon2=1.0, sensitivity=1.0, n_users=MAX_USERS)
     with pytest.raises(ValueError, match="n_users"):
         NoiseParams(epsilon2=1.0, sensitivity=1.0, n_users=MAX_USERS + 1)

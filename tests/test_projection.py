@@ -1,5 +1,5 @@
 import math
-from itertools import product
+from itertools import combinations, product
 from math import comb
 
 import numpy as np
@@ -38,7 +38,7 @@ def loop_project(g, noisy, theta):
     adj = np.array(g.adj, dtype=np.uint8)
     for i in np.flatnonzero(g.degrees > theta):
         nbrs = np.flatnonzero(adj[i])
-        ds = np.abs(g.degrees[i] - noisy.values[nbrs]) / g.degrees[i]
+        ds = np.abs(noisy.values[i] - noisy.values[nbrs])
         keep = nbrs[np.lexsort((nbrs, ds))[:theta]]
         adj[i] = 0
         adj[i, keep] = 1
@@ -134,10 +134,55 @@ def test_project_tie_break_by_index():
 
 def test_project_uses_raw_negative_noisy_degrees():
     g = Graph(4, [(0, 1), (0, 2), (0, 3)])
-    # d_self = 3; DS(3, -2) = 5/3 beats DS(3, 9) = 2; no clamping
+    # own noisy degree 3; |3 - (-2)| = 5 beats |3 - 9| = 6; no clamping
     noisy = NoisyDegrees(values=np.array([3.0, 9.0, -2.0, 40.0]), d_max_noisy=40.0)
     pg = project(g, noisy, theta=1)
     assert list(np.flatnonzero(pg.adj[0])) == [2]
+
+
+def projected_count(g, noisy, theta):
+    return exact_triangle_count(effective_graph(project(g, noisy, theta=theta)))
+
+
+def test_one_added_bit_cannot_swap_a_whole_kept_set():
+    # user u = 0 has theta independent neighbours L with noisy degree
+    # 2 * theta - 0.45 and a theta-clique H at 2 * theta + 0.55, and its own
+    # noisy degree is 2 * theta. Adding the edge to w, of noisy degree 0,
+    # moves u's true degree from 2 * theta to 2 * theta + 1; ranked against
+    # that, u would swap L for H and the count would go from 120 to 165.
+    # Ranked against its own noisy degree, u keeps L either way
+    theta = 10
+    low, high, w = range(1, 11), range(11, 21), 21
+    edges = [(0, j) for j in [*low, *high]] + list(combinations(high, 2))
+    noisy = np.zeros(22)
+    noisy[0], noisy[list(low)], noisy[list(high)] = 2 * theta, 2 * theta - 0.45, 2 * theta + 0.55
+    noisy = NoisyDegrees(noisy, float(noisy.max()))
+    before = projected_count(Graph(22, edges), noisy, theta)
+    after = projected_count(Graph(22, edges + [(0, w)]), noisy, theta)
+    assert before == after == comb(theta, 3)
+
+
+def test_one_added_bit_moves_the_projected_count_by_less_than_theta():
+    # the sensitivity the perturbation noise is scaled to: on seeded random
+    # graphs with the noisy degrees held fixed, adding an edge (u, w) whose
+    # w keeps its whole row (degree at most theta after the edge) changes
+    # u's kept set by at most one neighbour in and one out, so the count
+    # moves by at most theta - 1. The noisy degrees sit around u's true
+    # degree, where ranking against that degree would reorder u's row
+    rng = rng_for(73)
+    for _ in range(200):
+        core = erdos_renyi(int(rng.integers(6, 25)), float(rng.uniform(0.3, 1.0)), rng)
+        g = Graph(core.n + 1, core.edges)  # the last node is isolated
+        theta = int(rng.integers(1, g.d_max + 2))
+        u = int(rng.integers(0, core.n))
+        adj = g.adj
+        ws = np.flatnonzero((adj[u] == 0) & (g.degrees < theta) & (np.arange(g.n) != u))
+        w = int(rng.choice(ws))
+        values = g.degrees[u] + rng.uniform(-2, 2, size=g.n)
+        noisy = NoisyDegrees(values, float(values.max()))
+        added = Graph(g.n, np.concatenate((g.edges, [sorted((u, w))])))
+        change = projected_count(added, noisy, theta) - projected_count(g, noisy, theta)
+        assert abs(change) <= theta - 1
 
 
 def test_project_matches_row_loop_reference():

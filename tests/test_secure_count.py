@@ -16,8 +16,8 @@ from privtri import (
     reconstruct,
     share_adjacency,
 )
-from privtri import ring, secure_count
-from privtri.ring import MASK, MATMUL_MAX_INNER, ring_bits, ring_dtype
+from privtri import ring
+from privtri.ring import MASK, MATMUL_MAX_INNER, MAX_USERS
 from privtri.secure_count import effective_edges, effective_graph
 
 from conftest import as_projected, complete_graph, erdos_renyi, projected_rows, upper_edges
@@ -34,7 +34,7 @@ def secure_count_of(g: Graph, dealer_seed: int = 0) -> int:
         lambda: Graph(3, [(0, 1)]),
         lambda: NoisyDegrees(np.array([1.0, 2.0]), 2.0),
         lambda: projected_rows(np.zeros((3, 3), dtype=np.uint8), theta=1),
-        lambda: SharedAdjacency(3, np.zeros(3, dtype=np.uint64), np.ones(3, dtype=np.uint64)),
+        lambda: SharedAdjacency(3, np.zeros(3, dtype=np.uint32), np.ones(3, dtype=np.uint32)),
     ],
     ids=["Graph", "NoisyDegrees", "ProjectedGraph", "SharedAdjacency"],
 )
@@ -79,8 +79,8 @@ def test_effective_edges_and_shares_match_dense_and_rule():
         assert np.array_equal(eg.adj, both | both.T)
         assert np.array_equal(eg.degrees, (both | both.T).sum(axis=1))
         sa = share_adjacency(pg, DealerRng(trial))
-        assert sa.s1.dtype == sa.s2.dtype == ring_dtype(ring_bits(n))
-        assert np.array_equal(sa.s1, DealerRng(trial).elements(comb(n, 2), ring_bits(n)))
+        assert sa.s1.dtype == sa.s2.dtype == np.uint32
+        assert np.array_equal(sa.s1, DealerRng(trial).elements(comb(n, 2)))
         assert np.array_equal(sa.s1 + sa.s2, both[np.triu_indices(n, 1)])  # wraps in the dtype
 
 
@@ -142,10 +142,10 @@ def test_count_deterministic_for_fixed_dealer():
     assert one_run() == one_run()
 
 
-def test_count_with_a_warm_workspace_matches_a_cleared_one(monkeypatch):
+def test_count_with_a_warm_workspace_matches_a_cleared_one():
     # ring_square keeps its workspace between calls; a count run right after
     # another count of the same n gives the same shares and openings as one
-    # run after the cache is cleared, in the 32-bit ring and the 48-bit one
+    # run after the cache is cleared
     rng = np.random.default_rng(43)
     g, other = erdos_renyi(150, 0.3, rng), erdos_renyi(150, 0.6, rng)
 
@@ -154,15 +154,12 @@ def test_count_with_a_warm_workspace_matches_a_cleared_one(monkeypatch):
         channel = OpeningChannel(record=True)
         return count(sa, graph.n, DealerRng(seed, 1), channel), channel.values
 
-    for forced in (None, 48):
-        if forced:
-            monkeypatch.setattr(secure_count, "ring_bits", lambda n: forced)
-        ring._workspace.clear()
-        cold = one_run(g, 1)
-        one_run(other, 2)
-        warm = one_run(g, 1)
-        assert warm == cold
-        assert reconstruct(cold[0]) == exact_triangle_count(g) > 0
+    ring._workspace.clear()
+    cold = one_run(g, 1)
+    one_run(other, 2)
+    warm = one_run(g, 1)
+    assert warm == cold
+    assert reconstruct(cold[0]) == exact_triangle_count(g) > 0
 
 
 def test_count_disjoint_union_linearity():
@@ -197,14 +194,12 @@ def test_count_spans_several_row_blocks():
         assert got == exact_triangle_count(effective_graph(pg)) > 0
 
 
-@pytest.mark.parametrize("bits", (32, 48))
-def test_count_peak_is_the_draw_a_few_pair_vectors_and_the_workspace(bits, monkeypatch):
+def test_count_peak_is_the_draw_a_few_pair_vectors_and_the_workspace():
     # from a cleared workspace, count's traced peak at n = 300 is at most the
-    # dealer's three pair-vector draws, the workspace it allocates (bits // 16 limb
-    # matrices and one scratch matrix, n x n float64 each) and 7 pair
-    # vectors of 8 bytes; one more n x n matrix, the size of 16 such
+    # dealer's three pair-vector draws, the workspace it allocates (two limb
+    # matrices and one scratch matrix, n x n float64 each) and 12 uint32
+    # pair vectors; one more n x n float64 matrix, the size of 4 such
     # vectors, would pass it
-    monkeypatch.setattr(secure_count, "ring_bits", lambda n: bits)
     n, m = 300, comb(300, 2)
     g = erdos_renyi(n, 0.1, np.random.default_rng(113))
     sa = share_adjacency(as_projected(g), DealerRng(13, 0))
@@ -215,9 +210,9 @@ def test_count_peak_is_the_draw_a_few_pair_vectors_and_the_workspace(bits, monke
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    draw = 3 * m * np.dtype(ring_dtype(bits)).itemsize
-    workspace = (bits // 16 + 1) * n * n * 8
-    assert peak < draw + workspace + 7 * 8 * m + 65536
+    draw = 3 * m * 4
+    workspace = 3 * n * n * 8
+    assert peak < draw + workspace + 12 * 4 * m + 65536
     assert reconstruct(t) == exact_triangle_count(g) > 0
 
 
@@ -234,15 +229,16 @@ class CallCountingChannel(OpeningChannel):
         self.calls = 0
         self.dtypes = []
 
-    def open_array(self, s1, s2, bits):
+    def open_array(self, s1, s2):
         self.calls += 1
-        value = super().open_array(s1, s2, bits)
+        value = super().open_array(s1, s2)
         self.dtypes.append(value.dtype)
         return value
 
 
 def test_count_transcript():
-    # one round: e, one opened value per pair i < k
+    # one round: e, one opened value per pair i < k, each an element of
+    # Z_2^32 like the output shares
     g = erdos_renyi(12, 0.5, np.random.default_rng(37))
     opened = []
     for seed in (1, 2):
@@ -252,6 +248,8 @@ def test_count_transcript():
         assert channel.calls == 1
         assert channel.openings == len(channel.values) == comb(g.n, 2)
         assert reconstruct(t) == exact_triangle_count(g) > 0
+        assert max(channel.values) <= MASK and max(t) <= MASK
+        assert channel.dtypes == [np.uint32]
         opened.append(np.array(channel.values, dtype=np.uint64))
     # same graph, different masks: the opened values move
     assert np.count_nonzero(opened[0] == opened[1]) == 0
@@ -274,11 +272,14 @@ def test_count_matches_plain_triple_sum():
 
 
 def test_count_refuses_inexact_size_before_dealing():
-    n = MATMUL_MAX_INNER
-    tiny = np.zeros(1, dtype=np.uint64)
+    # above MAX_USERS users the count or its noise fold would not fit the
+    # ring; count refuses before any dealer draw, well below the limit of
+    # ring_square's own float64 check
+    tiny = np.zeros(1, dtype=np.uint32)
     dealer = DealerRng(3)
-    with pytest.raises(ValueError, match="inner dimension"):
-        count(SharedAdjacency(n, tiny, tiny), n, dealer)
+    for n in (MAX_USERS + 1, MATMUL_MAX_INNER):
+        with pytest.raises(ValueError, match=f"at most {MAX_USERS}"):
+            count(SharedAdjacency(n, tiny, tiny), n, dealer)
     assert np.array_equal(dealer.elements(4), DealerRng(3).elements(4))
 
 
@@ -287,99 +288,29 @@ class RecordingDealer(DealerRng):
         super().__init__(*seed)
         self.draws = []
 
-    def elements(self, shape, bits=64):
-        self.draws.append(super().elements(shape, bits))
+    def elements(self, shape):
+        self.draws.append(super().elements(shape))
         return self.draws[-1]
 
 
 def test_count_pair_vectors_are_uint32_in_the_32_bit_ring():
-    # up to n = 1861 the shares, the dealer draws and the openings are
-    # uint32, 4 bytes each, and equal the 64-bit stream mod 2**32; a count
-    # at n = 1861 would take seconds, so only its shares are checked
-    low = np.uint64((1 << 32) - 1)
-    for n in (3, 30, 1861):
+    # at every admitted n the shares, the dealer draws and the openings are
+    # uint32, 4 bytes each; a count at n = MAX_USERS would take seconds, so
+    # only its shares are checked
+    for n in (3, 30, MAX_USERS):
         g = erdos_renyi(n, 0.4, np.random.default_rng(n)) if n < 100 else Graph(n, [(0, 1)])
         sa = share_adjacency(as_projected(g), DealerRng(7, 0))
-        assert ring_bits(n) == 32
         assert sa.s1.dtype == sa.s2.dtype == np.uint32
-        assert np.array_equal(sa.s1, DealerRng(7, 0).elements(comb(n, 2)) & low)
+        assert np.array_equal(sa.s1, DealerRng(7, 0).elements(comb(n, 2)))
     for n in (3, 30):
         g = erdos_renyi(n, 0.4, np.random.default_rng(n))
         sa = share_adjacency(as_projected(g), DealerRng(7, 0))
         dealer, channel = RecordingDealer(7, 1), CallCountingChannel()
         t = count(sa, n, dealer, channel)
-        # x1, x2 and w1 are three pair vectors that read the one (3, m) draw
+        # x1, x2 and w1 are three pair vectors drawn one after another
         assert [(d.dtype, d.shape) for d in dealer.draws] == [(np.uint32, (comb(n, 2),))] * 3
-        draws = np.concatenate(dealer.draws)
-        assert np.array_equal(draws, DealerRng(7, 1).elements((3, comb(n, 2))).reshape(-1) & low)
+        fresh = DealerRng(7, 1)
+        for draw in dealer.draws:
+            assert np.array_equal(draw, fresh.elements(comb(n, 2)))
         assert channel.dtypes == [np.uint32]
         assert reconstruct(t) == exact_triangle_count(g)
-
-
-def stated_width(n: int) -> int:
-    """The ring width rule in plain ints: the smallest multiple of 16 whose
-    fold ring, min(w + 20, 64) bits wide, holds (C(n, 3) + 64 * 10**4) *
-    2**20 below its overflow guard at 2**(fold - 2)."""
-    bound = (comb(n, 3) + 64 * 10**4) * 2**20
-    return next(w for w in (16, 32, 48, 64) if bound < 2 ** (min(w + 20, 64) - 2))
-
-
-def test_count_width_at_the_32_to_48_bit_boundary(monkeypatch):
-    # the rule is checked in plain ints at the boundary, where a real count
-    # would take seconds; the real counts run at n = 40, in the 32-bit ring
-    # ring_bits picks and in the 48-bit one forced
-    last32 = max(n for n in range(3, 2000) if stated_width(n) == 32)
-    assert last32 == 1861 and stated_width(last32 + 1) == 48
-    for n in (3, 40, 500, 1000, last32, last32 + 1, 2000):
-        assert ring_bits(n) == stated_width(n)
-    g = erdos_renyi(40, 0.3, np.random.default_rng(71))
-    for forced in (None, 48):
-        if forced:
-            monkeypatch.setattr(secure_count, "ring_bits", lambda n: forced)
-        sa = share_adjacency(as_projected(g), DealerRng(g.n, 0))
-        t = count(sa, g.n, DealerRng(g.n, 1))
-        assert t.bits == (forced or 32)
-        assert max(t.s1, t.s2) < 1 << t.bits
-        assert reconstruct(t) == exact_triangle_count(g) > 0
-
-
-@pytest.mark.parametrize("bits", (16, 32, 48, 64))
-def test_count_at_every_width(bits, monkeypatch):
-    # a count forced to any width reconstructs the count mod 2**bits (3 is
-    # odd at every width), with the 64-bit count's openings and output
-    # shares reduced; 16 bits holds this graph's 1176 triangles
-    g = erdos_renyi(40, 0.5, np.random.default_rng(137))
-    runs = {}
-    for forced in (64, bits):
-        monkeypatch.setattr(secure_count, "ring_bits", lambda n: forced)
-        sa = share_adjacency(as_projected(g), DealerRng(17, 0))
-        channel = OpeningChannel(record=True)
-        runs[forced] = count(sa, g.n, DealerRng(17, 1), channel), channel.values
-    (t, opened), (t64, opened64) = runs[bits], runs[64]
-    low = (1 << bits) - 1
-    assert t.bits == bits
-    assert opened == [v & low for v in opened64]
-    assert (t.s1, t.s2) == (t64.s1 & low, t64.s2 & low)
-    assert reconstruct(t) == exact_triangle_count(g) < 1 << 16
-
-
-def test_count_shares_and_openings_are_the_64_bit_ones_reduced(monkeypatch):
-    # the dealer draws one raw 64-bit stream at every width, so a 32-bit
-    # count opens the 64-bit count's values mod 2**32, and no opened value
-    # or output share carries a bit at or above the width
-    g = erdos_renyi(30, 0.4, np.random.default_rng(73))
-    runs = {}
-    for forced in (None, 64):
-        if forced:
-            monkeypatch.setattr(secure_count, "ring_bits", lambda n: forced)
-        sa = share_adjacency(as_projected(g), DealerRng(5, 0))
-        channel = OpeningChannel(record=True)
-        runs[forced] = count(sa, g.n, DealerRng(5, 1), channel), channel.values
-    (t32, opened32), (t64, opened64) = runs[None], runs[64]
-    low = (1 << 32) - 1
-    assert t32.bits == 32 and t64.bits == 64
-    assert max(opened32) <= low < max(opened64)
-    assert max(t32.s1, t32.s2) <= low
-    assert opened32 == [v & low for v in opened64]
-    assert (t32.s1, t32.s2) == (t64.s1 & low, t64.s2 & low)
-    assert reconstruct(t32) == reconstruct(t64) == exact_triangle_count(g) > 0
