@@ -6,7 +6,7 @@ from scipy import stats
 
 from privtri import DealerRng, NoiseParams, SharePair, perturb, share
 from privtri.perturbation import FIXED_POINT_SCALE
-from privtri.ring import MASK, MAX_NOISE_SCALE, MAX_USERS, NOISE_TAIL
+from privtri.ring import MASK, MAX_NOISE_SCALE, MAX_USERS, NOISE_TAIL, fold_bound
 
 
 def rng_for(seed):
@@ -102,6 +102,39 @@ def test_perturb_overflow_guard():
     for t in (top + 1, -NOISE_TAIL - 1, 1 << 30):
         with pytest.raises(OverflowError):
             perturb(shares_of(t), params, rng_for(10))
+
+
+def test_perturb_overflow_guard_at_32_bits():
+    # at n_users = MAX_USERS the guard's top, fold_bound(n), sits below
+    # 2**51: 32-bit shares of the largest count it admits decode, one more
+    # raises, and a count of 2**31 or more, whose lift wraps into the
+    # negative half of Z_2^52, raises too
+    params = NoiseParams(epsilon2=1e9, sensitivity=1.0, n_users=MAX_USERS)
+    top = fold_bound(MAX_USERS) // FIXED_POINT_SCALE
+    assert top < 1 << 31
+    assert perturb(shares_of(top), params, rng_for(10)) == top
+    for t in (top + 1, 1 << 31, (1 << 32) - NOISE_TAIL - 1):
+        with pytest.raises(OverflowError):
+            perturb(shares_of(t), params, rng_for(10))
+
+
+def test_perturb_lifts_32_bit_shares_to_the_64_bit_result():
+    # 32-bit count shares lifted by 2**20 into the 52-bit fold ring open to
+    # exactly the fixed-point total computed in int64 without any ring, the
+    # count times S plus the users' rounded noise draws; the counts include
+    # a negative total and C(MAX_USERS, 3)
+    n_users = MAX_USERS
+    params = NoiseParams(epsilon2=0.5, sensitivity=50.0, n_users=n_users)
+    counts = [0, -1000, 1000, math.comb(500, 3), math.comb(n_users, 3)]
+    for seed in range(100):
+        t = counts[seed % len(counts)]
+        got = perturb(shares_of(t, seed), params, rng_for(seed))
+        rng = rng_for(seed)
+        gam1 = rng.gamma(1.0 / n_users, params.scale, size=n_users)
+        gam2 = rng.gamma(1.0 / n_users, params.scale, size=n_users)
+        enc = np.rint((gam1 - gam2) * FIXED_POINT_SCALE).astype(np.int64)
+        total = np.int64(t) * FIXED_POINT_SCALE + enc.sum(dtype=np.int64)
+        assert got == int(total) / FIXED_POINT_SCALE
 
 
 def test_perturb_lifts_32_bit_shares_of_the_largest_count():

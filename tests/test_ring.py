@@ -21,6 +21,7 @@ from privtri.ring import (
     FOLD_BITS,
     MASK,
     MATMUL_MAX_INNER,
+    RING_BITS,
     _square_pairs,
     decode_signed,
     pair_index,
@@ -30,6 +31,8 @@ from privtri.ring import (
 
 from conftest import as_projected, complete_graph, erdos_renyi
 
+# the ring's one width: the width-parametrised tests run in Z_2^32
+WIDTHS = (RING_BITS,)
 # no pairs, one, the smallest with a triangle, and sizes around 128 and 256
 SIZES = [0, 1, 2, 3, 127, 128, 129, 257]
 
@@ -55,16 +58,11 @@ def test_share_roundtrip_random():
 def test_reconstruct_known_pairs():
     assert reconstruct(SharePair(3, 4)) == 7
     assert reconstruct(SharePair(MASK, 2)) == 1  # wraps mod 2**32
-    assert reconstruct(SharePair(MASK + 4, 4)) == 7  # bits above are dropped
 
 
 def test_signed_encoding_roundtrip():
-    # in the ring, and in the fold ring perturbation decodes in
-    for bits in (32, FOLD_BITS):
-        for v in [0, 1, -1, 12345, -12345, (1 << (bits - 2)), -(1 << (bits - 1))]:
-            assert decode_signed(v & ((1 << bits) - 1), bits) == v
-            assert decode_signed(v & ((1 << 64) - 1), bits) == v  # bits above are dropped
-    assert decode_signed(-5 & MASK) == -5  # 32 bits by default
+    for v in [0, 1, -1, 12345, -12345, (1 << 30), -(1 << 31)]:
+        assert decode_signed(v & MASK) == v  # 32 bits by default
 
 
 def test_dealer_streams_reproducible_and_independent():
@@ -98,6 +96,16 @@ def test_pair_index_is_pair_mask_order():
         assert np.array_equal(pair_index(i, j, n), np.arange(i.size))
 
 
+def test_reconstruct_and_decode_at_every_width():
+    # shares reconstruct in the ring; values decode in the ring and in the
+    # fold ring perturbation decodes in, and bits above a width are dropped
+    assert reconstruct(SharePair(MASK + 4, 4)) == 7
+    for bits in WIDTHS + (FOLD_BITS,):
+        for v in [0, 1, -1, 12345, -12345, (1 << (bits - 2)), -(1 << (bits - 1))]:
+            assert decode_signed(v & ((1 << bits) - 1), bits) == v
+            assert decode_signed(v & ((1 << 64) - 1), bits) == v
+
+
 def strict_upper(rng, n, dtype=np.uint32):
     return np.triu(rng.integers(0, np.iinfo(dtype).max, size=(n, n), dtype=dtype, endpoint=True), 1)
 
@@ -116,14 +124,15 @@ def native_square(a):
     return (s @ s)[pair_mask(a.shape[0])].astype(np.uint32)
 
 
-def test_ring_matmul_at_fixed_sizes():
-    # two limbs give V_s @ V_s mod 2**32, the native uint32 square, as
-    # uint32; the all-ones operands give the largest limb sums
-    rng = np.random.default_rng(93)
+@pytest.mark.parametrize("bits", WIDTHS)
+def test_ring_matmul_at_every_width(bits):
+    # bits // 16 limbs give V_s @ V_s mod 2**bits, the native uint32
+    # square, as uint32; the all-ones operands give the largest limb sums
+    rng = np.random.default_rng(61 + bits)
     for n in SIZES:
         a = strict_upper(rng, n)
         got = ring_square(a[pair_mask(n)], n)
-        assert got.dtype == np.uint32
+        assert got.dtype == np.uint32 and got.itemsize * 8 == bits
         assert np.array_equal(got, native_square(a))
     for n in (1, 2, 3, 64, 65, 129):
         full = np.triu(np.full((n, n), MASK, dtype=np.uint32), 1)
@@ -168,7 +177,8 @@ def square_pairs_of(a):
     return _square_pairs(limbs, np.empty((a.shape[0],) * 2))
 
 
-def test_limb_product_exact_at_largest_inner_dimension():
+@pytest.mark.parametrize("bits", WIDTHS)
+def test_limb_product_exact_at_largest_inner_dimension_at_every_width(bits):
     # _square_pairs is the arithmetic of every ring_square call. All-ones
     # limbs at inner dimension MATMUL_MAX_INNER - 1 give the largest sums
     # it admits; a row of other values mixes limbs
@@ -176,31 +186,33 @@ def test_limb_product_exact_at_largest_inner_dimension():
     a[2] = np.random.default_rng(109).integers(0, MASK, size=a.shape[1], dtype=np.uint64)
     got = square_pairs_of(a)
     assert got.dtype == np.uint32
-    assert np.array_equal(got, (a @ a.T)[pair_mask(3)] & np.uint64(MASK))
+    assert np.array_equal(got, (a @ a.T)[pair_mask(3)] & np.uint64((1 << bits) - 1))
 
 
-def test_limb_product_exact_at_largest_inner_dimension_with_mixed_signs():
+@pytest.mark.parametrize("bits", WIDTHS)
+def test_limb_product_exact_at_largest_inner_dimension_with_mixed_signs(bits):
     # shares are uniform, so half of them read as negative in two's
     # complement: rows of -1, of 1, of both signed extremes and of random
     # signed values at inner dimension MATMUL_MAX_INNER - 1 square to the
     # signed products mod 2**32; int64 @ wraps mod 2**64, so it gives the
     # reference, and -1 times 1 sums to exactly -(MATMUL_MAX_INNER - 1)
-    inner, half = MATMUL_MAX_INNER - 1, 1 << 31
+    inner, half = MATMUL_MAX_INNER - 1, 1 << (bits - 1)
     signed = np.empty((4, inner), dtype=np.int64)
     signed[0], signed[1] = -1, 1
     signed[2] = np.where(np.arange(inner) % 2, -half, half - 1)
     signed[3] = np.random.default_rng(113).integers(-half, half, size=inner, dtype=np.int64)
     got = square_pairs_of(signed)
-    want = (signed @ signed.T).view(np.uint64)[pair_mask(4)] & np.uint64(MASK)
+    want = (signed @ signed.T).view(np.uint64)[pair_mask(4)] & np.uint64((1 << bits) - 1)
     assert np.array_equal(got, want)
-    assert decode_signed(int(got[0])) == -inner
+    assert decode_signed(int(got[0]), bits) == -inner
 
 
-def test_square_pairs_is_the_gram_matrix():
+@pytest.mark.parametrize("bits", WIDTHS)
+def test_square_pairs_is_the_gram_matrix_at_every_width(bits):
     # the transpose of S0 @ S1.T is S1 @ S0.T for any A, symmetric or
     # not, so the pair entries of A @ A.T of rectangular A, with no rows,
     # no columns, fewer columns than rows and more, are the native ones
-    rng = np.random.default_rng(159)
+    rng = np.random.default_rng(127 + bits)
     for rows, cols in [(0, 5), (1, 3), (2, 0), (3, 7), (5, 2), (40, 17), (129, 64)]:
         a = rng.integers(0, MASK, size=(rows, cols), dtype=np.uint32, endpoint=True)
         assert np.array_equal(square_pairs_of(a), (a @ a.T)[pair_mask(rows)])
@@ -241,19 +253,22 @@ def test_ring_matmul_reuses_one_workspace():
         assert not limbs[:, np.arange(n), np.arange(n)].any()
 
 
-def test_ring_square_reads_an_operand_in_either_byte_order():
+@pytest.mark.parametrize("bits", WIDTHS)
+def test_ring_square_reads_an_operand_in_either_byte_order(bits):
     # V_s is staged little-endian so that limb l is its 16-bit word l; an
     # operand of the opposite byte order is read by value, not by bytes
-    rng = np.random.default_rng(169)
+    rng = np.random.default_rng(137 + bits)
     for n in (2, 3, 129):
         a = strict_upper(rng, n)
         v = a[pair_mask(n)]
+        assert v.itemsize * 8 == bits
         swapped = v.astype(v.dtype.newbyteorder())
         assert swapped.dtype != v.dtype and np.array_equal(swapped, v)
         assert np.array_equal(ring_square(swapped, n), native_square(a))
 
 
-def test_warm_ring_square_allocates_no_square_temporary():
+@pytest.mark.parametrize("bits", WIDTHS)
+def test_warm_ring_square_allocates_no_square_temporary(bits):
     # with its workspace warm, a call stages V_s in the scratch matrix and
     # adds each limb product into the result one band of pairs at a time:
     # its traced peak at n = 300 stays under the result and one band, that
@@ -263,6 +278,7 @@ def test_warm_ring_square_allocates_no_square_temporary():
     # bytes is 175 KB, so any pair-sized or n x n temporary exceeds it
     n = 300
     v = strict_upper(np.random.default_rng(139), n)[pair_mask(n)]
+    assert v.itemsize * 8 == bits
     ring_square(v, n)
     tracemalloc.start()
     try:
@@ -289,6 +305,16 @@ def test_open_array_reduces_to_the_width():
         assert {type(v) for v in channel.values} == {int}  # not numpy scalars
 
 
+def test_open_array_keeps_its_operands_dtype():
+    # the ring's uint32 shares open as uint32: uint32 & np.uint64(mask)
+    # would promote the opening to uint64
+    rng = np.random.default_rng(83)
+    s1, s2 = rng.integers(0, MASK, size=(2, 500), dtype=np.uint32, endpoint=True)
+    got = OpeningChannel().open_array(s1, s2)
+    assert got.dtype == s1.dtype == np.uint32
+    assert np.array_equal(got, (s1.astype(np.uint64) + s2) & np.uint64(MASK))
+
+
 def test_dealer_draws_read_each_raw_word_as_two_uint32():
     # each raw 64-bit PCG64 word gives two elements, its low half first;
     # an odd size leaves the high half of its last word unread, and the
@@ -303,6 +329,19 @@ def test_dealer_draws_read_each_raw_word_as_two_uint32():
     assert np.array_equal(rng.elements(5), words[300:305])
     assert np.array_equal(rng.elements(4), words[306:310])
     assert rng.element() == int(raw[155])
+
+
+def test_dealer_draws_are_one_stream_across_chunks():
+    # draws cut into chunks of even sizes read the same raw stream as one
+    # draw; an odd chunk skips the high half of its last word
+    size = 2 * 4096 + 6
+    whole = DealerRng(103).elements(size)
+    rng = DealerRng(103)
+    parts = [rng.elements(k) for k in (2, 4096 - 2, 4096 + 6)]
+    assert np.array_equal(whole, np.concatenate(parts))
+    rng = DealerRng(103)
+    odd = [rng.elements(k) for k in (3, 4)]
+    assert np.array_equal(np.concatenate(odd), np.delete(whole[:8], 3))
 
 
 def test_dealer_draw_holds_only_its_result():

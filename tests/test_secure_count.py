@@ -17,7 +17,7 @@ from privtri import (
     share_adjacency,
 )
 from privtri import ring
-from privtri.ring import MASK, MATMUL_MAX_INNER, MAX_USERS
+from privtri.ring import MASK, MATMUL_MAX_INNER, MAX_USERS, RING_BITS
 from privtri.secure_count import effective_edges, effective_graph
 
 from conftest import as_projected, complete_graph, erdos_renyi, projected_rows, upper_edges
@@ -194,7 +194,8 @@ def test_count_spans_several_row_blocks():
         assert got == exact_triangle_count(effective_graph(pg)) > 0
 
 
-def test_count_peak_is_the_draw_a_few_pair_vectors_and_the_workspace():
+@pytest.mark.parametrize("bits", [RING_BITS])
+def test_count_peak_is_the_draw_a_few_pair_vectors_and_the_workspace(bits):
     # from a cleared workspace, count's traced peak at n = 300 is at most the
     # dealer's three pair-vector draws, the workspace it allocates (two limb
     # matrices and one scratch matrix, n x n float64 each) and 12 uint32
@@ -210,9 +211,9 @@ def test_count_peak_is_the_draw_a_few_pair_vectors_and_the_workspace():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    draw = 3 * m * 4
-    workspace = 3 * n * n * 8
-    assert peak < draw + workspace + 12 * 4 * m + 65536
+    draw = 3 * m * bits // 8
+    workspace = (bits // 16 + 1) * n * n * 8
+    assert peak < draw + workspace + 12 * bits // 8 * m + 65536
     assert reconstruct(t) == exact_triangle_count(g) > 0
 
 
@@ -314,3 +315,15 @@ def test_count_pair_vectors_are_uint32_in_the_32_bit_ring():
             assert np.array_equal(draw, fresh.elements(comb(n, 2)))
         assert channel.dtypes == [np.uint32]
         assert reconstruct(t) == exact_triangle_count(g)
+
+
+@pytest.mark.parametrize("bits", [RING_BITS])
+def test_count_at_every_width(bits):
+    # a count in the ring reconstructs the exact count, and no opened value
+    # or output share carries a bit at or above the width
+    g = erdos_renyi(40, 0.5, np.random.default_rng(137))
+    sa = share_adjacency(as_projected(g), DealerRng(17, 0))
+    channel = OpeningChannel(record=True)
+    t = count(sa, g.n, DealerRng(17, 1), channel)
+    assert max(channel.values) < 1 << bits and max(t) < 1 << bits
+    assert reconstruct(t) == exact_triangle_count(g) > 0
