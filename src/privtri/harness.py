@@ -301,13 +301,18 @@ def emit_csv(records: list[TrialRecord], path) -> None:
 
 
 def summarize(records: list[TrialRecord]) -> dict[str, float]:
-    """Mean and population standard deviation of the two utility metrics."""
+    """Mean and population standard deviation of the two utility metrics.
+
+    The relative error skips NaN, which a graph with no triangle gives;
+    a statistic over no value is NaN.
+    """
     l2 = np.array([r.l2_loss for r in records], dtype=np.float64)
     rel = np.array([r.relative_error for r in records], dtype=np.float64)
+    rel = rel[~np.isnan(rel)]
     return {
         "trials": len(records),
         "mean_l2": float(l2.mean()) if l2.size else math.nan,
         "std_l2": float(l2.std()) if l2.size else math.nan,
-        "mean_relative_error": float(np.nanmean(rel)) if rel.size else math.nan,
-        "std_relative_error": float(np.nanstd(rel)) if rel.size else math.nan,
+        "mean_relative_error": float(rel.mean()) if rel.size else math.nan,
+        "std_relative_error": float(rel.std()) if rel.size else math.nan,
     }

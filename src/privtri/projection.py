@@ -15,10 +15,12 @@ A projection is a flag per directed slot of the source graph (see
 graph.Slots): whether the slot's tail kept that neighbour. Both
 projections take the slots of every over-theta row in one pass, clear
 their flags and set those of the neighbours kept, with no n x n matrix.
-The similarity rule sorts them in one lexsort. The random baseline still
-draws once per over-theta row, rng.choice(d_i, theta, replace=False):
-that is the stream the seeded sweep results were made with, and one bulk
-draw would consume the generator differently and change them.
+They share one kernel: every over-theta row keeps its theta slots of
+lowest key, ties to the lower neighbour index, found by two stable sorts
+over all those slots at once. The similarity rule's key is
+|d'_i - d'_j|; the random baseline draws its keys in one rng.random
+call, a value per slot, and the theta lowest of a row's i.i.d. uniform
+keys are a uniform theta-subset of its neighbours.
 """
 
 import math
@@ -112,10 +114,8 @@ def project(g: Graph, noisy: NoisyDegrees, theta: int | None = None) -> Projecte
     Users with degree <= theta keep their row. Others keep exactly the
     theta neighbors whose noisy degrees are closest to their own noisy
     degree, |d'_i - d'_j|; ties break by ascending neighbor index, so the
-    output is deterministic. One lexsort
-    orders the slots of every over-theta row at once; a slot is kept
-    when its rank within its row is below theta. Raises TypeError for a
-    non-integral theta and ValueError for theta < 1.
+    output is deterministic. Raises TypeError for a non-integral theta
+    and ValueError for theta < 1.
     """
     if noisy.values.size != g.n:
         raise ValueError("noisy degrees do not match graph size")
@@ -123,27 +123,20 @@ def project(g: Graph, noisy: NoisyDegrees, theta: int | None = None) -> Projecte
         theta = effective_theta(noisy)
     theta = _check_theta(theta)
     over, d_rows, start = _over_theta_slots(g, theta)
-    i, j = g.slots.tail[over], g.slots.head[over]
-    ds = np.abs(noisy.values[i] - noisy.values[j])
-    order = np.lexsort((j, ds, i))
-    rank = np.arange(order.size) - np.repeat(start, d_rows)
-    return _keep_slots(g, theta, over, over[order[rank < theta]])
+    key = np.abs(noisy.values[g.slots.tail[over]] - noisy.values[g.slots.head[over]])
+    return _keep_lowest(g, theta, over, d_rows, start, key)
 
 
 def project_random(g: Graph, theta: int, rng) -> ProjectedGraph:
     """Baseline projection: over-degree users keep a uniform random subset.
 
-    Row i draws rng.choice(d_i, theta, replace=False) positions in its
-    ascending neighbor list, rows in ascending order. theta is checked
-    as in project.
+    One rng.random draw gives every slot of the over-theta rows a key, in
+    row-major order, and each such row keeps the theta neighbors of lowest
+    key. theta is checked as in project, before anything is drawn.
     """
     theta = _check_theta(theta)
     over, d_rows, start = _over_theta_slots(g, theta)
-    picks = np.array(
-        [rng.choice(d, size=theta, replace=False) for d in d_rows.tolist()],
-        dtype=np.int64,
-    ).reshape(-1, theta)
-    return _keep_slots(g, theta, over, over[(picks + start[:, None]).reshape(-1)])
+    return _keep_lowest(g, theta, over, d_rows, start, rng.random(over.size))
 
 
 def _check_theta(theta) -> int:
@@ -166,10 +159,22 @@ def _over_theta_slots(g: Graph, theta: int):
     return np.flatnonzero(np.repeat(over_rows, g.degrees)), d, np.cumsum(d) - d
 
 
-def _keep_slots(g: Graph, theta: int, over, keep) -> ProjectedGraph:
-    """g's rows with the slots `over` dropped but for the slots `keep`."""
+def _keep_lowest(g: Graph, theta: int, over, d_rows, start, key) -> ProjectedGraph:
+    """g's rows with the slots `over` cut to the theta of lowest key per row.
+
+    over, d_rows and start are as _over_theta_slots returns them, and
+    key[k] is the key of slot over[k]. A stable sort by key, then a
+    stable sort by row, orders each row by (key, neighbour), since over
+    lists a row's neighbours in ascending order. The row numbers take the
+    smallest unsigned type that holds them, so that numpy radix-sorts the
+    second pass whenever they fit 16 bits.
+    """
+    by_key = np.argsort(key, kind="stable")
+    row = np.repeat(np.arange(d_rows.size, dtype=np.min_scalar_type(d_rows.size)), d_rows)
+    order = by_key[np.argsort(row[by_key], kind="stable")]
+    rank = np.arange(order.size) - np.repeat(start, d_rows)
     kept = np.ones(2 * len(g.edges), dtype=bool)
     kept[over] = False
-    kept[keep] = True
+    kept[over[order[rank < theta]]] = True
     kept.flags.writeable = False
     return ProjectedGraph(g, theta, kept)

@@ -89,7 +89,7 @@ def projected_rows(adj: np.ndarray, theta: int) -> ProjectedGraph:
 
 # Dense references for the slot-based projections and the 'and' rule: each
 # builds or reads n x n uint8 matrices, with the same lexsort rule and the
-# same per-row rng.choice stream as projection.project and project_random.
+# same rng.random keys as projection.project and project_random.
 
 
 def dense_over_theta_edges(g: Graph, theta: int):
@@ -122,13 +122,15 @@ def dense_project(g: Graph, noisy, theta: int) -> np.ndarray:
 
 def dense_project_random(g: Graph, theta: int, rng) -> np.ndarray:
     """projection.project_random as an (n, n) uint8 matrix: one
-    rng.choice(d_i, theta, replace=False) per over-theta row, in row order."""
+    rng.random key per over-theta edge, in row-major order, and each
+    row's edges of its theta lowest keys, by one stable argsort per row."""
     rows, i, j, start = dense_over_theta_edges(g, theta)
-    picks = np.array(
-        [rng.choice(d, size=theta, replace=False) for d in g.degrees[rows].tolist()],
+    keys = rng.random(i.size)
+    keep = np.array(
+        [s + np.argsort(keys[s : s + d], kind="stable")[:theta]
+         for s, d in zip(start.tolist(), g.degrees[rows].tolist())],
         dtype=np.int64,
-    ).reshape(-1, theta)
-    keep = (picks + start[:, None]).reshape(-1)
+    ).reshape(-1)
     return dense_keep_edges(g, rows, i[keep], j[keep])
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -283,3 +284,13 @@ def test_summarize_handles_nan_relative_error():
     stats = summarize(recs)
     assert stats["trials"] == 2
     assert stats["mean_relative_error"] == 0.075
+
+
+def test_summarize_triangle_free_graph_is_nan_without_warnings(tmp_path):
+    path = write_lines(tmp_path / "path.txt", ["0 1", "1 2", "2 3"])
+    records = run(ExperimentConfig(graph_path=path, mechanism="central", trials=2, seed=1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stats = summarize(records)
+    assert stats["trials"] == 2 and math.isfinite(stats["mean_l2"])
+    assert math.isnan(stats["mean_relative_error"]) and math.isnan(stats["std_relative_error"])

@@ -4,6 +4,7 @@ from math import comb
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from privtri import (
     Graph,
@@ -46,13 +47,30 @@ def loop_project(g, noisy, theta):
 
 
 def loop_project_random(g, theta, rng):
-    """Row-by-row reference for project_random: one choice over each row's neighbors."""
+    """Row-by-row reference for project_random: one rng.random key per
+    over-theta slot, drawn at once in row-major order; each row sorts its
+    own keys and keeps the neighbors of the theta lowest."""
     adj = np.array(g.adj, dtype=np.uint8)
-    for i in np.flatnonzero(g.degrees > theta):
-        keep = rng.choice(np.flatnonzero(adj[i]), theta, replace=False)
+    rows = np.flatnonzero(g.degrees > theta)
+    keys = rng.random(int(g.degrees[rows].sum()))
+    at = 0
+    for i in rows:
+        nbrs = np.flatnonzero(adj[i])
+        row_keys, at = keys[at : at + nbrs.size], at + nbrs.size
+        keep = nbrs[np.argsort(row_keys, kind="stable")[:theta]]
         adj[i] = 0
         adj[i, keep] = 1
     return adj
+
+
+class FixedKeys:
+    """A generator stand-in whose random(size) repeats a fixed key pattern."""
+
+    def __init__(self, pattern):
+        self.pattern = pattern
+
+    def random(self, size):
+        return np.resize(np.asarray(self.pattern, dtype=np.float64), size)
 
 
 def random_projection_input(rng):
@@ -200,7 +218,7 @@ def test_project_matches_row_loop_reference():
     assert min(seen_exact_theta, seen_isolated, seen_negative) > 0
 
 
-def test_project_random_draws_the_row_loop_stream():
+def test_project_random_matches_the_row_loop_keys():
     rng = rng_for(67)
     for trial in range(30):
         g, _ = random_projection_input(rng)
@@ -211,11 +229,43 @@ def test_project_random_draws_the_row_loop_stream():
             assert ours.bit_generator.state == ref.bit_generator.state
 
 
+def test_project_random_keeps_each_row_apart_at_extreme_keys():
+    # keys of exactly 0.0 and of the two largest below 1, 1 - 2**-53 and
+    # 1 - 2**-52, in every row: a sort on the float row + key would round
+    # both onto the next row's value and lose their order. Each of the 40
+    # rows has 39 slots, so every row gets 13 of each key, in this order
+    g = complete_graph(40)
+    keys = FixedKeys([1 - 2**-53, 0.0, 1 - 2**-52])
+    for theta in (1, 13, 14, 26, 27, 38):
+        adj = project_random(g, theta, keys).adj
+        assert np.all(adj.sum(axis=1) == theta)
+        assert np.all(adj <= g.adj)
+        assert np.array_equal(adj, loop_project_random(g, theta, keys))
+    top = np.resize([True, False, False], 39)
+    assert np.all(project_random(g, 26, keys).kept.reshape(40, 39) == ~top)
+
+
+def test_project_random_keeps_uniform_subsets():
+    # 286 disjoint 7-cliques: 2002 rows of degree 6, each cut to theta = 2.
+    # Over three seeded calls, every row's kept pair is one of the C(6, 2) =
+    # 15 pairs of neighbour positions, and each pair turns up equally often
+    g = Graph(7 * 286, [(7 * c + a, 7 * c + b) for c in range(286)
+                        for a, b in combinations(range(7), 2)])
+    pairs = {1 << a | 1 << b: k for k, (a, b) in enumerate(combinations(range(6), 2))}
+    counts = np.zeros(len(pairs), dtype=np.int64)
+    for seed in range(3):
+        kept = project_random(g, 2, rng_for([79, seed])).kept.reshape(g.n, 6)
+        masks = kept @ (1 << np.arange(6))
+        assert set(masks.tolist()) <= pairs.keys()
+        counts += np.bincount([pairs[m] for m in masks.tolist()], minlength=len(pairs))
+    assert stats.chisquare(counts).pvalue > 1e-6
+
+
 def test_slot_projections_match_the_dense_references():
     # seeded random graphs, noisy degrees and every theta: the projected
     # rows and the pairs both ends kept equal those of the dense n x n
-    # projections, which the random one matches draw for draw on the same
-    # rng.choice stream; no row gains an edge its source lacks, and
+    # projections, which the random one matches key for key on the same
+    # rng.random stream; no row gains an edge its source lacks, and
     # neither the rows nor the flags can be written
     rng = rng_for(71)
     for trial in range(40):
