@@ -16,6 +16,7 @@ Mechanisms:
 """
 
 import math
+import operator
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,7 +26,7 @@ import numpy as np
 from .baselines import central_lap
 from .graph import Graph, exact_triangle_count, load_edge_list
 from .perturbation import NoiseParams, perturb
-from .projection import NoisyDegrees, max_private, project, project_random
+from .projection import NoisyDegrees, check_theta, max_private, project, project_random
 from .ring import DealerRng, reconstruct
 from .secure_count import count, effective_graph, share_adjacency
 
@@ -83,12 +84,15 @@ class ExperimentConfig:
             raise ValueError("n_limit must be positive")
         if self.workers != 1:
             raise ValueError("trials run in one process; workers must be 1")
+        _check_seed("seed", self.seed)
+        if self.dealer_seed is not None:
+            _check_seed("dealer_seed", self.dealer_seed)
         if self.theta_override is not None:
             if self.mechanism != "project-compare":
                 raise ValueError("theta override applies to project-compare only")
-            if not self.theta_override or any(t < 1 for t in self.theta_override):
-                raise ValueError("theta values must be positive")
-        elif self.mechanism == "project-compare":
+            thetas = tuple(check_theta(t) for t in self.theta_override)
+            object.__setattr__(self, "theta_override", thetas)
+        if self.mechanism == "project-compare" and not self.theta_override:
             raise ValueError("project-compare needs explicit theta values")
 
     @property
@@ -100,6 +104,20 @@ class ExperimentConfig:
         # epsilon - epsilon1 rather than (1 - split) * epsilon, so the
         # budget identity epsilon1 + epsilon2 == epsilon holds exactly
         return self.epsilon - self.epsilon1
+
+
+def _check_seed(name: str, value) -> None:
+    """Raises TypeError unless value is an integer, ValueError if it is negative.
+
+    Seeds feed np.random.SeedSequence, which takes only non-negative
+    integers; checked with the config, before the graph is loaded.
+    """
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -16,11 +16,15 @@ graph.Slots): whether the slot's tail kept that neighbour. Both
 projections take the slots of every over-theta row in one pass, clear
 their flags and set those of the neighbours kept, with no n x n matrix.
 They share one kernel: every over-theta row keeps its theta slots of
-lowest key, ties to the lower neighbour index, found by two stable sorts
-over all those slots at once. The similarity rule's key is
-|d'_i - d'_j|; the random baseline draws its keys in one rng.random
-call, a value per slot, and the theta lowest of a row's i.i.d. uniform
-keys are a uniform theta-subset of its neighbours.
+lowest key, ties to the lower neighbour index, found by a sort by key and
+a stable sort by row over all those slots at once. The similarity rule's
+key is |d'_i - d'_j|, equal at both slots of an edge between two
+over-theta rows, so it is sorted stably. The random baseline draws its
+keys in one rng.random call, a value per slot, and the theta lowest of a
+row's i.i.d. uniform keys are a uniform theta-subset of its neighbours.
+Those keys are almost never equal, so they take the faster unstable
+sort, and the stable one only when two tie: distinct keys have one
+sorted order, so either sort keeps the same slots.
 """
 
 import math
@@ -121,10 +125,10 @@ def project(g: Graph, noisy: NoisyDegrees, theta: int | None = None) -> Projecte
         raise ValueError("noisy degrees do not match graph size")
     if theta is None:
         theta = effective_theta(noisy)
-    theta = _check_theta(theta)
+    theta = check_theta(theta)
     over, d_rows, start = _over_theta_slots(g, theta)
     key = np.abs(noisy.values[g.slots.tail[over]] - noisy.values[g.slots.head[over]])
-    return _keep_lowest(g, theta, over, d_rows, start, key)
+    return _keep_lowest(g, theta, over, d_rows, start, np.argsort(key, kind="stable"))
 
 
 def project_random(g: Graph, theta: int, rng) -> ProjectedGraph:
@@ -132,16 +136,25 @@ def project_random(g: Graph, theta: int, rng) -> ProjectedGraph:
 
     One rng.random draw gives every slot of the over-theta rows a key, in
     row-major order, and each such row keeps the theta neighbors of lowest
-    key. theta is checked as in project, before anything is drawn.
+    key, ties to the lower neighbor index. theta is checked as in project,
+    before anything is drawn.
     """
-    theta = _check_theta(theta)
+    theta = check_theta(theta)
     over, d_rows, start = _over_theta_slots(g, theta)
-    return _keep_lowest(g, theta, over, d_rows, start, rng.random(over.size))
+    key = rng.random(over.size)
+    by_key = np.argsort(key)
+    ranked = key[by_key]
+    if np.any(ranked[1:] == ranked[:-1]):
+        by_key = np.argsort(key, kind="stable")
+    return _keep_lowest(g, theta, over, d_rows, start, by_key)
 
 
-def _check_theta(theta) -> int:
+def check_theta(theta) -> int:
     """theta as an int; raises TypeError unless integral, ValueError unless >= 1."""
-    theta = operator.index(theta)
+    try:
+        theta = operator.index(theta)
+    except TypeError:
+        raise TypeError(f"theta must be an integer, got {theta!r}") from None
     if theta < 1:
         raise ValueError(f"theta must be positive, got {theta}")
     return theta
@@ -159,17 +172,17 @@ def _over_theta_slots(g: Graph, theta: int):
     return np.flatnonzero(np.repeat(over_rows, g.degrees)), d, np.cumsum(d) - d
 
 
-def _keep_lowest(g: Graph, theta: int, over, d_rows, start, key) -> ProjectedGraph:
+def _keep_lowest(g: Graph, theta: int, over, d_rows, start, by_key) -> ProjectedGraph:
     """g's rows with the slots `over` cut to the theta of lowest key per row.
 
     over, d_rows and start are as _over_theta_slots returns them, and
-    key[k] is the key of slot over[k]. A stable sort by key, then a
-    stable sort by row, orders each row by (key, neighbour), since over
-    lists a row's neighbours in ascending order. The row numbers take the
-    smallest unsigned type that holds them, so that numpy radix-sorts the
-    second pass whenever they fit 16 bits.
+    by_key lists the positions k of over in the order of their slots'
+    keys, tied keys by ascending k: a stable argsort of the keys. A
+    stable sort by row after it orders each row by (key, neighbour),
+    since over lists a row's neighbours in ascending order. The row
+    numbers take the smallest unsigned type that holds them, so that
+    numpy radix-sorts that pass whenever they fit 16 bits.
     """
-    by_key = np.argsort(key, kind="stable")
     row = np.repeat(np.arange(d_rows.size, dtype=np.min_scalar_type(d_rows.size)), d_rows)
     order = by_key[np.argsort(row[by_key], kind="stable")]
     rank = np.arange(order.size) - np.repeat(start, d_rows)

@@ -100,6 +100,14 @@ def test_cli_rejects_bad_theta(k4_graph_file):
         ])
 
 
+@pytest.mark.parametrize("flag", ["--seed", "--dealer-seed"])
+def test_cli_names_a_negative_seed(k4_graph_file, flag, capsys):
+    code = main(["run", "--graph", str(k4_graph_file), "--mechanism", "exact", flag, "-1"])
+    assert code == 1
+    name = flag.removeprefix("--").replace("-", "_")
+    assert f"error: {name} must be a non-negative integer, got -1" in capsys.readouterr().err
+
+
 def test_cli_rejects_removed_bit_policy_flag(k4_graph_file):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--graph", str(k4_graph_file), "--bit-policy", "and"])

@@ -291,16 +291,72 @@ def test_oracle_matches_brute_force():
         assert exact_triangle_count(g) == brute_triangles(g)
 
 
+def step_start_words(g):
+    """The bitset word each of exact_triangle_count's steps starts reading at:
+    that of the higher (degree, id) rank of the step's first edge, with the
+    edges sorted by it."""
+    rank = np.empty(g.n, dtype=np.int64)
+    rank[np.argsort(g.degrees, kind="stable")] = np.arange(g.n)
+    return np.sort(rank[g.edges].max(axis=1))[::_GATHER_EDGES] >> 6
+
+
 def test_oracle_matches_brute_force_over_several_gather_steps():
     rng = np.random.default_rng(321)
-    for n, p in [(130, 0.55), (150, 0.6), (200, 0.5)]:
+    for n, p in [(130, 0.55), (150, 0.6), (200, 0.5), (300, 0.1), (400, 0.06)]:
         g = erdos_renyi(n, p, rng)
         m = len(upper_edges(g.adj))
         assert m > _GATHER_EDGES and m % _GATHER_EDGES  # the last step is partial
+        assert len(set(step_start_words(g))) > 1  # steps start in different words
         assert exact_triangle_count(g) == brute_triangles(g)
 
 
-@pytest.mark.parametrize("n", [*range(1, 10), 63, 64, 65, 129])
+@pytest.mark.parametrize("n", [5, 7, 63, 64, 65, 128, 131])
+def test_oracle_on_regular_graphs(n):
+    # every node of a circulant C_n(1..k) has degree 2k, so every rank tie
+    # goes to id order; relabelled, it is still regular, with ties in a
+    # new order
+    perm = np.random.default_rng(n).permutation(n)
+    for k in (1, 2, 3):
+        if n < 2 * k + 1:
+            continue
+        g = Graph(n, [(v, (v + d) % n) for v in range(n) for d in range(1, k + 1)])
+        assert np.all(g.degrees == 2 * k)
+        want = brute_triangles(g)
+        assert exact_triangle_count(g) == want
+        assert exact_triangle_count(Graph(n, perm[g.edges])) == want
+
+
+def test_oracle_on_stars_and_hubs():
+    # a hub has the highest degree, ranks last and keeps an empty forward
+    # row: a wheel (hub and cycle) has one triangle per rim edge, a star
+    # none, and two hubs joined to each other and to every other node of a
+    # path close n - 2 triangles on their edge and two on each path edge
+    for n in (5, 6, 64, 65, 200):
+        wheel = [(0, k) for k in range(1, n)] + [(k, k % (n - 1) + 1) for k in range(1, n)]
+        hubs = [(0, 1)] + [(h, k) for h in (0, 1) for k in range(2, n)]
+        path = [(k, k + 1) for k in range(2, n - 1)]
+        for edges, want in [(wheel, n - 1), (hubs + path, n - 2 + 2 * (n - 3))]:
+            for ids in (np.arange(n), np.arange(n)[::-1]):  # hub at the first or last id
+                g = Graph(n, ids[np.array(edges)])
+                assert exact_triangle_count(g) == brute_triangles(g) == want
+        assert exact_triangle_count(star_graph(n - 1)) == 0
+    for n_partners in (2, 3, 5):
+        g = planted_hub(n_partners=n_partners)
+        assert exact_triangle_count(g) == brute_triangles(g) == comb(n_partners + 1, 3)
+
+
+def test_oracle_ignores_node_labels():
+    # any total order counts each triangle once, so relabelling the nodes,
+    # which reorders the rank ties and moves the bitset words, keeps the count
+    rng = np.random.default_rng(17)
+    for g in (clique_hub_proxy(), erdos_renyi(150, 0.3, rng), planted_hub(), complete_graph(70)):
+        want = exact_triangle_count(g)
+        for _ in range(3):
+            perm = rng.permutation(g.n)
+            assert exact_triangle_count(Graph(g.n, perm[g.edges])) == want
+
+
+@pytest.mark.parametrize("n", [*range(1, 10), 63, 64, 65, 127, 128, 129])
 def test_degrees_and_oracle_at_packed_padding_sizes(n):
     # packed rows hold ceil(n/64) words, so the last word carries padding
     # bits except at n = 64; the fan and the book have triangles that share

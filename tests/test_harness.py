@@ -50,6 +50,31 @@ def test_config_validation(k4_graph_file):
         )
 
 
+@pytest.mark.parametrize("field, value, error", [
+    ("seed", -1, ValueError), ("seed", 2.5, TypeError), ("seed", "7", TypeError),
+    ("dealer_seed", -1, ValueError), ("dealer_seed", 1.0, TypeError),
+    ("theta_override", (2.5,), TypeError), ("theta_override", (10, 0), ValueError),
+    ("theta_override", (), ValueError),
+])
+def test_config_rejects_bad_seeds_and_thetas_before_the_load(tmp_path, field, value, error):
+    # the graph file does not exist, so a config that got past its checks
+    # would fail on the load with OSError, not with the error named here
+    cfg = dict(graph_path=tmp_path / "absent.txt", mechanism="project-compare",
+               theta_override=(10,), trials=1)
+    with pytest.raises(error, match=field.removesuffix("_override")):
+        run(ExperimentConfig(**{**cfg, field: value}))
+
+
+def test_config_keeps_thetas_as_a_tuple_of_ints(k4_graph_file):
+    cfg = ExperimentConfig(graph_path=k4_graph_file, mechanism="project-compare",
+                           theta_override=[10, np.int64(20)], seed=np.int64(3))
+    assert cfg.theta_override == (10, 20)
+    assert all(type(t) is int for t in cfg.theta_override)
+    assert hash(cfg) == hash(ExperimentConfig(
+        graph_path=k4_graph_file, mechanism="project-compare", theta_override=(10, 20), seed=3,
+    ))
+
+
 @pytest.mark.parametrize("epsilon", [math.nan, math.inf])
 def test_config_rejects_non_finite_epsilon(k4_graph_file, epsilon):
     with pytest.raises(ValueError, match="finite"):

@@ -170,3 +170,39 @@ def test_max_users_is_the_largest_n_with_a_52_bit_fold():
     NoiseParams(epsilon2=1.0, sensitivity=1.0, n_users=MAX_USERS)
     with pytest.raises(ValueError, match="n_users"):
         NoiseParams(epsilon2=1.0, sensitivity=1.0, n_users=MAX_USERS + 1)
+
+
+def audit_epsilon(t_low, t_high, params, runs, seed, alpha=0.05):
+    """Lower confidence bound on the privacy loss perturb shows between two counts.
+
+    perturb runs `runs` times on each count and a test guesses the higher
+    one when the noisy value lies above their midpoint. With one-sided
+    Clopper-Pearson upper bounds (confidence 1 - alpha each) on its false
+    positive rate and its false negative rate, ln((1 - FNR_hi) / FPR_hi)
+    is a lower bound on any epsilon the pair satisfies.
+    """
+
+    def upper(errors):
+        if errors == runs:
+            return 1.0
+        return float(stats.beta.ppf(1 - alpha, errors + 1, runs - errors))
+
+    cut = (t_low + t_high) / 2
+    rng = rng_for(seed)
+    low, high = (np.array([perturb(shares, params, rng) for _ in range(runs)])
+                 for shares in (shares_of(t_low), shares_of(t_high)))
+    fpr_hi, fnr_hi = upper(int(np.sum(low > cut))), upper(int(np.sum(high <= cut)))
+    return math.log((1 - fnr_hi) / fpr_hi)
+
+
+def test_privacy_audit_of_a_neighbouring_pair_stays_within_epsilon2():
+    # one bit of one user's row moves the projected count by at most
+    # theta - 1, so counts theta - 1 apart are a neighbouring pair at the
+    # bound, and perturb at scale theta / epsilon2 must not tell them apart
+    # by more than epsilon2. The control pair, 45 apart at the same scale,
+    # is far beyond the bound, and the same audit must flag it, so a pass
+    # is not for want of power
+    theta, epsilon2 = 10, 1.8
+    params = NoiseParams(epsilon2=epsilon2, sensitivity=float(theta), n_users=22)
+    assert audit_epsilon(100, 100 + theta - 1, params, runs=20000, seed=83) <= epsilon2
+    assert audit_epsilon(120, 165, params, runs=5000, seed=89) > epsilon2

@@ -73,6 +73,21 @@ class FixedKeys:
         return np.resize(np.asarray(self.pattern, dtype=np.float64), size)
 
 
+class DrawnKeys:
+    """A generator stand-in whose random(size) returns draw(rng, size) from
+    its own seeded generator, and which shows that generator's state."""
+
+    def __init__(self, seed, draw):
+        self.rng, self.draw = rng_for(seed), draw
+
+    def random(self, size):
+        return self.draw(self.rng, size)
+
+    @property
+    def bit_generator(self):
+        return self.rng.bit_generator
+
+
 def random_projection_input(rng):
     """An Erdos-Renyi graph with isolated nodes appended, and noisy degrees.
 
@@ -227,6 +242,28 @@ def test_project_random_matches_the_row_loop_keys():
             pg = project_random(g, theta, ours)
             assert np.array_equal(pg.adj, loop_project_random(g, theta, ref))
             assert ours.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("tied", [True, False])
+def test_project_random_orders_tied_and_distinct_keys_as_the_row_loop(tied):
+    # keys drawn from {0.25, 0.5, 0.75} tie within every row of four or more
+    # slots, so the unstable sort alone could keep any of the tied slots and
+    # project_random has to sort them stably, ties to the lower neighbour;
+    # a shuffled 0, 1/size, 2/size, ... has no tie, and any sort gives its
+    # one order
+    def draw(r, size):
+        return r.choice([0.25, 0.5, 0.75], size) if tied else r.permutation(size) / size
+
+    rng = rng_for(71)
+    graphs = [random_projection_input(rng)[0] for _ in range(20)] + [complete_graph(60)]
+    for trial, g in enumerate(graphs):
+        for theta in sorted({1, 2, 5, g.d_max // 2 + 1, g.d_max} - {0}):
+            ours, ref = DrawnKeys([71, trial, theta], draw), DrawnKeys([71, trial, theta], draw)
+            pg = project_random(g, theta, ours)
+            assert np.array_equal(pg.adj, loop_project_random(g, theta, ref))
+            assert ours.bit_generator.state == ref.bit_generator.state
+    keys = DrawnKeys(0, draw).random(60 * 59)  # as many as complete_graph(60) draws
+    assert (np.unique(keys).size < keys.size) == tied
 
 
 def test_project_random_keeps_each_row_apart_at_extreme_keys():
