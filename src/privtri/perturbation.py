@@ -1,12 +1,18 @@
-"""Distributed Laplace perturbation of the shared triangle count.
+"""Distributed discrete-Laplace perturbation of the shared triangle count.
 
-Laplace(lambda) is infinitely divisible: it equals in distribution the sum
-over n users of Gamma(1/n, lambda) - Gamma(1/n, lambda) differences. Each
-user draws such a partial noise, too small to protect anything on its own,
-secret-shares it, and the servers fold the aggregated noise shares into
-their count shares. Only the final opened sum carries full Laplace noise,
-scaled by sensitivity/epsilon2 where the sensitivity is the projection
-bound theta.
+The noise is the geometric, or discrete-Laplace, mechanism (Ghosh,
+Roughgarden & Sundararajan, STOC 2009): integer noise Z with P(Z = k)
+proportional to alpha**|k|, alpha = exp(-1/lambda), lambda =
+sensitivity / epsilon2. It is epsilon2-DP for an integer count of that
+sensitivity, and its variance 2 alpha / (1 - alpha)**2 is within 0.4% of
+the continuous Laplace's 2 lambda**2 for lambda >= 5. Z is infinitely
+divisible: it is the sum over n users of NB(1/n, 1 - alpha) - NB(1/n,
+1 - alpha) negative-binomial differences (Goryczka & Xiong, IEEE TDSC
+2017). Each user draws such a partial noise, too small to protect
+anything on its own, and secret-shares it in Z_2^32; each server adds the
+sum of its noise shares onto its count share, and only the one opened
+sum carries the full noise. The sensitivity is the projection bound
+theta.
 
 The privacy claim is edge local differential privacy under the one-bit
 neighbouring relation (Imola, Murakami & Chaudhuri, USENIX Security 2021):
@@ -18,17 +24,12 @@ theta bounds its sensitivity. A whole-edge relation, which flips both
 endpoints' bits at once, would need the scale 2 * theta and is out of
 scope.
 
-Real-valued noise lives in the integer ring via fixed-point encoding with
-scale S = 2**20: values are rounded to multiples of 1/S and interpreted as
-two's complement. The count runs in Z_2^32 and the noise is folded in
-Z_2^52, ring.FOLD_BITS. Each server lifts its count share there by
-multiplying it by S: shares of t in Z_2^32 scaled by 2**20 are shares of
-t * S in Z_2^52, with no opening. For n users the opened value lies in
-[-NOISE_TAIL * S, ring.fold_bound(n)], NOISE_TAIL = 64 * MAX_NOISE_SCALE a
-noise tail that Laplace noise of any admitted scale exceeds with
-probability below 2**-92, and ring.MAX_USERS = 2345 is the largest n for
-which that range fits the signed range of Z_2^52. perturb raises
-OverflowError for an opened value outside it.
+The opened sum is read as a signed 32-bit integer. P(|Z| > t) =
+2 alpha**(t + 1) / (1 + alpha), so |Z| exceeds NoiseParams.tail with
+probability at most 2**-92. NoiseParams refuses any (n, lambda) whose
+count bound C(n, 3) plus that tail reaches 2**31, before any count, and
+perturb raises OverflowError for an opened value outside [-tail,
+C(n, 3) + tail].
 """
 
 import math
@@ -36,26 +37,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ring import (
-    FIXED_POINT_SCALE,
-    FOLD_BITS,
-    MAX_NOISE_SCALE,
-    MAX_USERS,
-    NOISE_TAIL,
-    SharePair,
-    decode_signed,
-    fold_bound,
-)
+from .ring import MAX_USERS, RING_BITS, SharePair, decode_signed
+
+# the noise exceeds NoiseParams.tail in magnitude with probability at most 2**-TAIL_BITS
+TAIL_BITS = 92
 
 
 @dataclass(frozen=True)
 class NoiseParams:
     """Perturbation configuration: budget, sensitivity, contributors, scale.
 
-    The Laplace scale is sensitivity / epsilon2. Supported ranges keep
-    count * S plus all noise inside the signed range of the fold ring:
-    n_users above MAX_USERS does not fit, and is refused here, before any
-    count.
+    The discrete-Laplace scale is sensitivity / epsilon2. The count over
+    n_users users plus all but a 2**-92 chance of the noise must fit the
+    signed range of Z_2^32; an (n_users, scale) that does not is refused
+    here, before any count.
     """
 
     epsilon2: float
@@ -71,43 +66,66 @@ class NoiseParams:
             )
         if not 1 <= self.n_users <= MAX_USERS:
             raise ValueError(f"n_users out of range: {self.n_users}")
-        if self.scale > MAX_NOISE_SCALE:
-            raise ValueError(f"noise scale {self.scale} exceeds supported range")
+        # the tail is about 64 scales, so a scale of 2**31 or more never
+        # fits, and an infinite one is refused before the tail is taken
+        half = 1 << (RING_BITS - 1)
+        if not self.scale < half or math.comb(self.n_users, 3) + self.tail >= half:
+            raise ValueError(
+                f"noise scale {self.scale} leaves no room in Z_2^32 for a count "
+                f"over {self.n_users} users"
+            )
 
     @property
     def scale(self) -> float:
-        """Laplace scale lambda = sensitivity / epsilon2."""
+        """Discrete-Laplace scale lambda = sensitivity / epsilon2."""
         return self.sensitivity / self.epsilon2
+
+    @property
+    def tail(self) -> int:
+        """The least t with P(|Z| > t) = 2 alpha**(t + 1) / (1 + alpha) <= 2**-92.
+
+        ln alpha is taken as exactly -1 / scale, so a large scale divides
+        by nothing small.
+        """
+        alpha = math.exp(-1 / self.scale)
+        rate = TAIL_BITS * math.log(2) + math.log(2 / (1 + alpha))
+        return math.ceil(self.scale * rate) - 1
+
+
+def partial_noise(params: NoiseParams, rng, size: tuple[int, ...] = ()) -> np.ndarray:
+    """The n_users users' partial noises, int64 of shape (*size, n_users).
+
+    Each is a difference of two NB(1/n, 1 - alpha) draws, all from one
+    bulk rng.negative_binomial call, so each sum over the last axis is
+    discrete Laplace of the params' scale. size is the shape of samples,
+    which leads the users' axis; 1 - alpha is computed as
+    -expm1(-1/scale), exact where alpha is near 1.
+    """
+    n = params.n_users
+    draws = rng.negative_binomial(1 / n, -math.expm1(-1 / params.scale), size=(2, *size, n))
+    return draws[0] - draws[1]
 
 
 def perturb(t_shares: SharePair, params: NoiseParams, rng) -> float:
-    """Noisy count: servers fold aggregated noise shares into count shares.
+    """Noisy count: servers add the users' shared noises to their count shares.
 
-    Every one of the n_users users draws a Gamma(1/n, scale) difference,
-    rounds it to the 1/S grid and secret-shares it; all draws come in one
-    bulk call per quantity. Each server sums its n noise shares, lifts its
-    32-bit count share by S and adds, all in Z_2^52; the opened total
-    decodes to count + noise, with the noise converging to Laplace(scale)
-    up to 1/S quantization. The masks are raw 64-bit draws reduced mod
-    2**52. Raises OverflowError unless the opened value lies in
-    [-NOISE_TAIL * S, fold_bound(n_users)], the range MAX_USERS is sized
-    for.
+    The n_users partial noises come from partial_noise, and each user
+    masks its own with a uint32 draw of one bulk call: server 1 holds the
+    masks and server 2 the partials minus the masks. Each server adds the
+    sum of its noise shares straight onto its 32-bit count share, all in
+    uint32, which wraps mod 2**32, and the one opening decodes to count +
+    noise, an integer returned as a float. Raises OverflowError unless the
+    opened value lies in [-tail, C(n_users, 3) + tail], the range
+    NoiseParams admits.
     """
     n = params.n_users
-    s = FIXED_POINT_SCALE
-    shape = 1.0 / n
-    gam1 = rng.gamma(shape, params.scale, size=n)
-    gam2 = rng.gamma(shape, params.scale, size=n)
-    enc = np.rint((gam1 - gam2) * s).astype(np.int64).astype(np.uint64)
-    masks = rng.integers(0, 1 << 64, size=n, dtype=np.uint64)
-    # sums mod 2**64 reduce to the sums of the reduced shares mod 2**52
-    low = (1 << FOLD_BITS) - 1
-    noise1 = int(masks.sum(dtype=np.uint64)) & low
-    noise2 = int((enc - masks).sum(dtype=np.uint64)) & low
+    partials = partial_noise(params, rng)
+    masks = rng.integers(0, 1 << RING_BITS, size=n, dtype=np.uint32)
+    noise1 = int(masks.sum(dtype=np.uint32))
+    noise2 = int((partials.astype(np.uint32) - masks).sum(dtype=np.uint32))
 
-    tp1 = (t_shares.s1 * s + noise1) & low
-    tp2 = (t_shares.s2 * s + noise2) & low
-    total = decode_signed(tp1 + tp2, FOLD_BITS)
-    if not -NOISE_TAIL * s <= total <= fold_bound(n):
-        raise OverflowError("fixed-point value outside supported range")
-    return total / s
+    total = decode_signed(t_shares.s1 + noise1 + t_shares.s2 + noise2)
+    tail = params.tail
+    if not -tail <= total <= math.comb(n, 3) + tail:
+        raise OverflowError("noisy count outside the range NoiseParams admits")
+    return float(total)

@@ -3,12 +3,11 @@
 Scalar values are plain Python ints in [0, 2**32); bulk values are uint32
 numpy arrays, whose arithmetic wraps mod 2**32 by itself, so no server
 value ever carries a bit above the ring. A secret x is held as shares
-(r, x - r) mod 2**32. One width serves every count: a count over at most
-MAX_USERS = 2345 users stays below 2**31, and the fixed-point noise fold of
-perturbation lifts its shares by the scale 2**20 into Z_2^FOLD_BITS,
-FOLD_BITS = 52, whose signed range holds the scaled count plus a noise
-tail. The dealer draws the raw 64-bit PCG64 stream and reads each word as
-two little-endian 32-bit elements.
+(r, x - r) mod 2**32. One width serves every count and its noise: a count
+over at most MAX_USERS = 2345 users stays below 2**31, the signed range
+of Z_2^32, and perturbation adds integer noise to the count shares in the
+same ring. The dealer draws the raw 64-bit PCG64 stream and reads each
+word as two little-endian 32-bit elements.
 
 Correlated randomness (share masks and the count's dealer correlation)
 comes from a seeded trusted dealer, standing in for an oblivious-transfer
@@ -28,6 +27,7 @@ scratch matrix stay resident between calls of one n: 6 MB after a square
 at n = 500, 96 MB after one at n = 2000.
 """
 
+import itertools
 from functools import lru_cache
 from math import comb
 from typing import NamedTuple
@@ -36,15 +36,6 @@ import numpy as np
 
 RING_BITS = 32
 MASK = (1 << RING_BITS) - 1
-
-# The noise fold of perturbation opens count * FIXED_POINT_SCALE + noise
-# in Z_2^FOLD_BITS, with Laplace noise of scale at most MAX_NOISE_SCALE.
-# Laplace(lambda) exceeds 64 * lambda in magnitude with probability
-# exp(-64) < 2**-92, so NOISE_TAIL bounds the noise but for that chance.
-FIXED_POINT_SCALE = 1 << 20
-FOLD_BITS = RING_BITS + 20
-MAX_NOISE_SCALE = 10**4
-NOISE_TAIL = 64 * MAX_NOISE_SCALE
 
 # ring_square splits each element into two 16-bit limbs, so a limb product
 # is at most (2**16 - 1)**2 < 2**32, and with inner dimension n every
@@ -61,35 +52,14 @@ _PAIR_BLOCK = 1 << 13
 
 RingElement = int
 
-
-def fold_bound(n: int) -> int:
-    """Largest value the noise fold opens for a count over n users."""
-    return (comb(n, 3) + NOISE_TAIL) * FIXED_POINT_SCALE
+# the largest n whose count, at most C(n, 3), fits the signed range of Z_2^32
+MAX_USERS = next(n for n in itertools.count(3) if comb(n + 1, 3) >= 1 << (RING_BITS - 1))
 
 
-def _max_users() -> int:
-    """The largest n whose fold_bound is below 2**(FOLD_BITS - 1), by bisection.
-
-    The scaled count and the noise then fit the signed range of the fold
-    ring, and the count itself, below 2**31, the signed range of Z_2^32.
-    """
-    lo, hi = 0, 1 << 20  # the bound fits at lo and not at hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if fold_bound(mid) < 1 << (FOLD_BITS - 1):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-MAX_USERS = _max_users()
-
-
-def decode_signed(element: RingElement, bits: int = RING_BITS) -> int:
-    """Read an element of Z_2^bits as a two's-complement signed integer."""
-    element &= (1 << bits) - 1
-    return element - (1 << bits) if element >> (bits - 1) else element
+def decode_signed(element: RingElement) -> int:
+    """Read an element of Z_2^32 as a two's-complement signed integer."""
+    element &= MASK
+    return element - (1 << RING_BITS) if element >> (RING_BITS - 1) else element
 
 
 class SharePair(NamedTuple):

@@ -8,9 +8,8 @@ so the triangle count is T(v) = 3^-1 <v, P_v> in Z_2^32 (3 is odd, so it
 is invertible mod 2**32). Every pair vector is uint32, 4 bytes per share,
 opening and dealer element, and wraps mod 2**32 by itself. A count over
 n <= ring.MAX_USERS = 2345 users is at most C(n, 3) < 2**31, so Z_2^32
-holds it; count refuses a larger n before dealing. perturbation later lifts the
-count shares by the fixed-point scale into the 52-bit ring it folds the
-noise in.
+holds it; count refuses a larger n before dealing. perturbation later adds
+integer noise to the count shares in the same ring.
 
 The servers count in one round, from a dealer correlation fitted to T:
 the function-dependent preprocessing of ABY2.0 (Patra et al., USENIX
@@ -119,8 +118,8 @@ def count(
 
     Everything runs in Z_2^32 on uint32 pair vectors, which wrap mod
     2**32 by themselves, so no value that leaves the dealer or a server
-    carries a bit above the ring. n above ring.MAX_USERS, whose count or
-    noise fold would not fit, is refused before dealing.
+    carries a bit above the ring. n above ring.MAX_USERS, whose count
+    would not fit the signed range of the ring, is refused before dealing.
     """
     if n != sa.n:
         raise ValueError(f"n={n} does not match shared adjacency n={sa.n}")

@@ -23,20 +23,18 @@ from privtri import (
     exact_triangle_count,
     load_edge_list,
     max_private,
-    perturb,
     project,
     reconstruct,
     run_cargo,
     run_central,
     run_project_compare,
-    share,
     share_adjacency,
 )
 from privtri.harness import MAX_CARGO_NODES
 from privtri.projection import effective_theta
 from privtri.secure_count import SharedAdjacency, count
 
-from conftest import as_projected, erdos_renyi, facebook_path, write_lines
+from conftest import as_projected, erdos_renyi, facebook_path, noise_sums, write_lines
 
 # two-sample Kolmogorov-Smirnov critical coefficient at the 1% level
 KS_COEFF_1PCT = 1.62762
@@ -92,23 +90,20 @@ def test_criterion_2_secure_count_oracle_equivalence():
 
 
 def test_criterion_3_aggregated_noise_is_laplace():
-    with criterion(3, "n-user aggregated noise matches direct Laplace"):
+    with criterion(3, "n-user aggregated noise matches direct discrete Laplace"):
         n_samples = 10**4
         crit = KS_COEFF_1PCT * np.sqrt(2 / n_samples)
-        zero = share(0, DealerRng(77))
         for n_users in (10, 1000):
             for lam in (1.0, 50.0):
                 params = NoiseParams(epsilon2=1.0, sensitivity=lam, n_users=n_users)
-                rng = rng_for(3307, n_users, int(lam))
-                agg = np.array(
-                    [perturb(zero, params, rng) for _ in range(n_samples)]
-                )
-                direct = rng_for(3308, n_users, int(lam)).laplace(0, lam, n_samples)
+                agg = noise_sums(params, rng_for(3307, n_users, int(lam)), n_samples)
+                law = stats.dlaplace(1 / lam)
+                direct = law.rvs(n_samples, random_state=rng_for(3308, n_users, int(lam)))
                 ks = stats.ks_2samp(agg, direct).statistic
                 assert ks < crit, f"n={n_users} lam={lam}: KS {ks:.4f} >= {crit:.4f}"
                 var = agg.var()
-                assert abs(var - 2 * lam**2) < 0.05 * 2 * lam**2, (
-                    f"n={n_users} lam={lam}: var {var:.3f} vs {2 * lam**2}"
+                assert abs(var - law.var()) < 0.05 * law.var(), (
+                    f"n={n_users} lam={lam}: var {var:.3f} vs {law.var():.3f}"
                 )
 
 
@@ -132,10 +127,7 @@ def test_criterion_4_perturbation_error_closed_form(proxy_graph_file):
         assert reconstruct(t_shares) == t_true
 
         params = NoiseParams(epsilon2=eps2, sensitivity=float(theta), n_users=g.n)
-        noise_rng = rng_for(4403)
-        losses = np.array(
-            [(perturb(t_shares, params, noise_rng) - t_true) ** 2 for _ in range(10**5)]
-        )
+        losses = noise_sums(params, rng_for(4403), 10**5).astype(np.float64) ** 2
         expected = 2 * (theta / eps2) ** 2
         assert abs(losses.mean() - expected) < 0.05 * expected, (
             f"mean l2 {losses.mean():.1f} vs closed form {expected:.1f}"

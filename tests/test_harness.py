@@ -155,9 +155,25 @@ def test_cargo_bad_noise_scale_fails_before_count(k4_graph_file, monkeypatch):
         raise AssertionError("count ran before the noise parameters were checked")
 
     monkeypatch.setattr(harness, "count", unreachable)
-    # theta >= 1 and epsilon2 = 0.9e-4 put the Laplace scale above 10^4
+    # theta >= 1 and epsilon2 = 0.9e-8 put the scale above 10^8, whose
+    # 2^-92 noise tail alone exceeds 2^31
     with pytest.raises(ValueError, match="noise scale"):
-        run_cargo(ExperimentConfig(graph_path=k4_graph_file, epsilon=1e-4, trials=1))
+        run_cargo(ExperimentConfig(graph_path=k4_graph_file, epsilon=1e-8, trials=1))
+
+
+def test_cargo_at_max_users_refuses_a_scale_above_its_room_before_count(tmp_path, monkeypatch):
+    # allow_large admits MAX_USERS = 2345 nodes, whose count bound C(n, 3)
+    # leaves about 10^6 below 2^31: room for a scale up to about 16,150.
+    # theta >= 1 and epsilon2 = 4.5e-5 put it above 22,000, and NoiseParams
+    # refuses that before any count
+    def unreachable(*args, **kwargs):
+        raise AssertionError("count ran before the noise parameters were checked")
+
+    monkeypatch.setattr(harness, "count", unreachable)
+    path = write_lines(tmp_path / "path2345.txt", [f"{i} {i + 1}" for i in range(2344)])
+    cfg = ExperimentConfig(graph_path=path, epsilon=5e-5, trials=1, allow_large=True)
+    with pytest.raises(ValueError, match="noise scale .* over 2345 users"):
+        run_cargo(cfg)
 
 
 def test_allow_large_stops_at_the_ring_limit_before_count(tmp_path, monkeypatch):

@@ -5,8 +5,10 @@ import pytest
 from scipy import stats
 
 from privtri import DealerRng, NoiseParams, SharePair, perturb, share
-from privtri.perturbation import FIXED_POINT_SCALE
-from privtri.ring import MASK, MAX_NOISE_SCALE, MAX_USERS, NOISE_TAIL, fold_bound
+from privtri.perturbation import partial_noise
+from privtri.ring import MASK, MAX_USERS
+
+from conftest import noise_sums
 
 
 def rng_for(seed):
@@ -18,22 +20,6 @@ def shares_of(value: int, seed: int = 0) -> SharePair:
     return SharePair(mask & MASK, (value - mask) & MASK)
 
 
-def test_fixed_point_roundtrip_and_quantization():
-    # the opened sum decodes to count + noise on the 1/S grid, and each of
-    # the n users' draws is rounded by at most half a grid step
-    n_users, lam, t = 50, 50.0, 1000
-    params = NoiseParams(epsilon2=1.0, sensitivity=lam, n_users=n_users)
-    for seed in range(200):
-        got = perturb(shares_of(t, seed), params, rng_for(seed))
-        assert float(got * FIXED_POINT_SCALE).is_integer()
-        rng = rng_for(seed)
-        gam1 = rng.gamma(1.0 / n_users, lam, size=n_users)
-        gam2 = rng.gamma(1.0 / n_users, lam, size=n_users)
-        real = t + float(np.sum(gam1 - gam2))
-        # 1e-9 covers float rounding in the reference sum, far below 0.5/S
-        assert abs(got - real) <= n_users * 0.5 / FIXED_POINT_SCALE + 1e-9
-
-
 def test_noise_params_validation():
     with pytest.raises(ValueError):
         NoiseParams(epsilon2=0.0, sensitivity=1.0, n_users=10)
@@ -43,9 +29,9 @@ def test_noise_params_validation():
         NoiseParams(epsilon2=1.0, sensitivity=1.0, n_users=0)
     with pytest.raises(ValueError):
         NoiseParams(epsilon2=1.0, sensitivity=1.0, n_users=2 * 10**5)
-    with pytest.raises(ValueError):
-        # scale sensitivity/epsilon2 above the supported range
-        NoiseParams(epsilon2=0.001, sensitivity=100.0, n_users=10)
+    with pytest.raises(ValueError, match="noise scale"):
+        # scale 10**8, whose 2**-92 tail alone exceeds 2**31
+        NoiseParams(epsilon2=1e-6, sensitivity=100.0, n_users=10)
     params = NoiseParams(epsilon2=2.0, sensitivity=10.0, n_users=10)
     assert params.scale == 5.0
 
@@ -65,108 +51,125 @@ def test_perturb_no_noise_limit():
     assert got == 123.0
 
 
+def discrete_variance(lam):
+    """Variance of discrete Laplace of scale lam, 2 alpha / (1 - alpha)**2."""
+    alpha = math.exp(-1 / lam)
+    return 2 * alpha / (1 - alpha) ** 2
+
+
 def test_perturb_mean_and_variance():
     t = 100
     lam = 7.5
     params = NoiseParams(epsilon2=2.0, sensitivity=15.0, n_users=30)
     assert params.scale == lam
-    rng = rng_for(7)
-    t_shares = shares_of(t)
-    draws = np.array([perturb(t_shares, params, rng) for _ in range(10**5)])
-    var_expect = 2 * lam**2
+    draws = t + noise_sums(params, rng_for(7), 10**5)
+    var_expect = discrete_variance(lam)
     assert abs(draws.mean() - t) < 3 * np.sqrt(var_expect / draws.size)
     assert abs(draws.var() - var_expect) < 0.05 * var_expect
 
 
 def test_perturb_aggregate_matches_direct_laplace():
-    # one (n_users, lambda) spot check; the acceptance suite runs the grid
+    # one (n_users, lambda) spot check through the share-and-open path; the
+    # acceptance suite runs the grid
     n_users, lam = 100, 5.0
     params = NoiseParams(epsilon2=1.0, sensitivity=lam, n_users=n_users)
     rng = rng_for(8)
     t_shares = shares_of(0)
     agg = np.array([perturb(t_shares, params, rng) for _ in range(4000)])
-    direct = rng_for(9).laplace(0, lam, size=4000)
+    assert np.all(agg == np.rint(agg))
+    direct = stats.dlaplace(1 / lam).rvs(4000, random_state=rng_for(9))
     crit = 1.62762 * np.sqrt(2 / 4000)  # two-sample 1% critical value
     assert stats.ks_2samp(agg, direct).statistic < crit
 
 
-def test_perturb_overflow_guard():
-    # the opened value must lie in [-NOISE_TAIL * S, (C(n, 3) + NOISE_TAIL)
-    # * S], the range MAX_USERS is sized for; with noise far below 1/S the
-    # opened value is the count, so counts just inside decode exactly and
-    # counts just outside raise, on either side
-    params = NoiseParams(epsilon2=1e9, sensitivity=1.0, n_users=5)
-    top = math.comb(5, 3) + NOISE_TAIL
-    for t in (top, -NOISE_TAIL):
-        assert perturb(shares_of(t), params, rng_for(10)) == t
-    for t in (top + 1, -NOISE_TAIL - 1, 1 << 30):
-        with pytest.raises(OverflowError):
-            perturb(shares_of(t), params, rng_for(10))
+def noise_of(params, seed):
+    """The noise perturb adds with rng_for(seed): the sum of its partial noises."""
+    return int(partial_noise(params, rng_for(seed)).sum())
 
 
-def test_perturb_overflow_guard_at_32_bits():
-    # at n_users = MAX_USERS the guard's top, fold_bound(n), sits below
-    # 2**51: 32-bit shares of the largest count it admits decode, one more
-    # raises, and a count of 2**31 or more, whose lift wraps into the
-    # negative half of Z_2^52, raises too
-    params = NoiseParams(epsilon2=1e9, sensitivity=1.0, n_users=MAX_USERS)
-    top = fold_bound(MAX_USERS) // FIXED_POINT_SCALE
-    assert top < 1 << 31
-    assert perturb(shares_of(top), params, rng_for(10)) == top
-    for t in (top + 1, 1 << 31, (1 << 32) - NOISE_TAIL - 1):
-        with pytest.raises(OverflowError):
-            perturb(shares_of(t), params, rng_for(10))
-
-
-def test_perturb_lifts_32_bit_shares_to_the_64_bit_result():
-    # 32-bit count shares lifted by 2**20 into the 52-bit fold ring open to
-    # exactly the fixed-point total computed in int64 without any ring, the
-    # count times S plus the users' rounded noise draws; the counts include
-    # a negative total and C(MAX_USERS, 3)
+def test_perturb_opens_the_count_plus_the_partial_noises():
+    # the servers' noise shares open, with the count shares, to exactly the
+    # count plus the users' partial noises, drawn from the same seed; the
+    # counts include negative totals and C(MAX_USERS, 3)
     n_users = MAX_USERS
     params = NoiseParams(epsilon2=0.5, sensitivity=50.0, n_users=n_users)
     counts = [0, -1000, 1000, math.comb(500, 3), math.comb(n_users, 3)]
     for seed in range(100):
         t = counts[seed % len(counts)]
         got = perturb(shares_of(t, seed), params, rng_for(seed))
-        rng = rng_for(seed)
-        gam1 = rng.gamma(1.0 / n_users, params.scale, size=n_users)
-        gam2 = rng.gamma(1.0 / n_users, params.scale, size=n_users)
-        enc = np.rint((gam1 - gam2) * FIXED_POINT_SCALE).astype(np.int64)
-        total = np.int64(t) * FIXED_POINT_SCALE + enc.sum(dtype=np.int64)
-        assert got == int(total) / FIXED_POINT_SCALE
+        assert got == t + noise_of(params, seed)
 
 
-def test_perturb_lifts_32_bit_shares_of_the_largest_count():
-    # 32-bit shares of counts up to C(MAX_USERS, 3), the largest a count
-    # can reach, fold noise of the largest scale in the 52-bit ring: each
-    # server scales its share by 2**20 there, and the opened sum decodes to
-    # count + noise; negative totals decode too
-    n_users = MAX_USERS
-    params = NoiseParams(epsilon2=1.0, sensitivity=float(MAX_NOISE_SCALE), n_users=n_users)
-    counts = [0, -1000, 1000, math.comb(n_users, 3)]
-    for seed in range(40):
-        t = counts[seed % len(counts)]
-        shares = share(t, DealerRng(seed))
-        assert max(shares) < 1 << 32
-        got = perturb(shares, params, rng_for(seed))
-        rng = rng_for(seed)
-        gam1 = rng.gamma(1.0 / n_users, params.scale, size=n_users)
-        gam2 = rng.gamma(1.0 / n_users, params.scale, size=n_users)
-        real = t + float(np.sum(gam1 - gam2))
-        assert abs(got - real) <= n_users * 0.5 / FIXED_POINT_SCALE + 1e-6
+def test_perturb_decodes_the_largest_counts_at_the_largest_scales():
+    # dealt 32-bit shares of counts up to C(n, 3) open to count + noise at
+    # large scales: 1900 / 0.09 = 21,111 at n = 2000, and 16,150 at
+    # MAX_USERS, just below the largest it admits
+    for n_users, epsilon2, theta in ((2000, 0.09, 1900.0), (MAX_USERS, 0.1, 1615.0)):
+        params = NoiseParams(epsilon2=epsilon2, sensitivity=theta, n_users=n_users)
+        counts = [0, -1000, 1000, math.comb(n_users, 3)]
+        for seed in range(40):
+            t = counts[seed % len(counts)]
+            shares = share(t, DealerRng(seed))
+            assert max(shares) < 1 << 32
+            assert perturb(shares, params, rng_for(seed)) == t + noise_of(params, seed)
 
 
-def test_max_users_is_the_largest_n_with_a_52_bit_fold():
-    # the bound (C(n, 3) + 64 * 10**4) * 2**20 below 2**51, the signed
-    # range of the 52-bit fold ring, in plain ints; the count itself then
-    # stays below 2**31
+def test_perturb_overflow_guard():
+    # the opened value must lie in [-tail, C(n, 3) + tail]: with the noise
+    # of a seed known, shares of count - noise open to exactly the count, so
+    # counts at either end decode and counts one outside raise
+    params = NoiseParams(epsilon2=1.0, sensitivity=100.0, n_users=5)
+    top = math.comb(5, 3) + params.tail
+    for seed in range(10):
+        noise = noise_of(params, seed)
+        for t in (top, -params.tail):
+            assert perturb(shares_of(t - noise), params, rng_for(seed)) == t
+        for t in (top + 1, -params.tail - 1, 1 << 30):
+            with pytest.raises(OverflowError):
+                perturb(shares_of(t - noise), params, rng_for(seed))
+
+
+def test_perturb_overflow_guard_at_32_bits():
+    # at n_users = MAX_USERS and a scale near the largest it admits, the
+    # guard's top C(n, 3) + tail sits just below 2**31: shares that open to
+    # it decode, one more raises, and an opened 2**31 or more, which wraps
+    # into the negative half of Z_2^32, raises too
+    params = NoiseParams(epsilon2=0.1, sensitivity=1615.0, n_users=MAX_USERS)
+    top = math.comb(MAX_USERS, 3) + params.tail
+    assert (1 << 31) - 1000 < top < 1 << 31
+    noise = noise_of(params, 10)
+    assert perturb(shares_of(top - noise), params, rng_for(10)) == top
+    for t in (top + 1, 1 << 31, (1 << 32) - params.tail - 1):
+        with pytest.raises(OverflowError):
+            perturb(shares_of(t - noise), params, rng_for(10))
+
+
+def test_noise_params_bound_the_scale_by_the_room_the_count_leaves():
+    # the tail is the least t with P(|Z| > t) = 2 alpha**(t + 1) / (1 + alpha)
+    # at most 2**-92; C(n, 3) + tail below 2**31 admits theta = 1900 at
+    # eps2 = 0.18 and 0.09 on 2000 users, and at MAX_USERS, where C(n, 3)
+    # leaves about 10**6, a scale up to about 16,150
+    def log_tail(lam, t):
+        alpha = math.exp(-1 / lam)
+        return -(t + 1) / lam + math.log(2 / (1 + alpha))
+
+    for lam in (0.5, 5.0, 1055.5, 21111.1):
+        tail = NoiseParams(epsilon2=1.0, sensitivity=lam, n_users=10).tail
+        assert log_tail(lam, tail) <= -92 * math.log(2) < log_tail(lam, tail - 1)
+    for epsilon2 in (0.18, 0.09):
+        NoiseParams(epsilon2=epsilon2, sensitivity=1900.0, n_users=2000)
+    NoiseParams(epsilon2=1.0, sensitivity=16_100.0, n_users=MAX_USERS)
+    with pytest.raises(ValueError, match="noise scale"):
+        NoiseParams(epsilon2=1.0, sensitivity=16_200.0, n_users=MAX_USERS)
+
+
+def test_max_users_is_the_largest_n_whose_count_fits_31_bits():
+    # the count, at most C(n, 3), below 2**31, the signed range of Z_2^32
     def fits(n):
-        return (math.comb(n, 3) + 64 * 10**4) * 2**20 < 2**51
+        return math.comb(n, 3) < 2**31
 
     assert fits(MAX_USERS) and not fits(MAX_USERS + 1)
     assert MAX_USERS == 2345
-    assert math.comb(MAX_USERS, 3) < 2**31
     NoiseParams(epsilon2=1.0, sensitivity=1.0, n_users=MAX_USERS)
     with pytest.raises(ValueError, match="n_users"):
         NoiseParams(epsilon2=1.0, sensitivity=1.0, n_users=MAX_USERS + 1)

@@ -25,6 +25,7 @@ from conftest import (
     erdos_renyi,
     facebook_path,
     planted_hub,
+    relaxed_caveman,
     requires_facebook,
     upper_edges,
 )
@@ -212,9 +213,30 @@ def test_one_added_bit_moves_the_projected_count_by_less_than_theta():
         ws = np.flatnonzero((adj[u] == 0) & (g.degrees < theta) & (np.arange(g.n) != u))
         w = int(rng.choice(ws))
         values = g.degrees[u] + rng.uniform(-2, 2, size=g.n)
-        noisy = NoisyDegrees(values, float(values.max()))
-        added = Graph(g.n, np.concatenate((g.edges, [sorted((u, w))])))
-        change = projected_count(added, noisy, theta) - projected_count(g, noisy, theta)
+        assert abs(count_change_of_one_bit(g, values, theta, u, w)) <= theta - 1
+
+
+def count_change_of_one_bit(g, values, theta, u, w):
+    """How far adding the edge (u, w) moves the projected count, noisy degrees held."""
+    noisy = NoisyDegrees(values, float(values.max()))
+    added = Graph(g.n, np.concatenate((g.edges, [sorted((u, w))])))
+    return projected_count(added, noisy, theta) - projected_count(g, noisy, theta)
+
+
+def test_one_added_bit_moves_the_count_by_less_than_theta_on_a_caveman_graph():
+    # the same property where the projection cuts hundreds of rows of
+    # widely spread degrees: u's row is one of those cut, w keeps its whole
+    # row, and the noisy degrees are the true ones plus Laplace noise
+    rng = rng_for(79)
+    g = relaxed_caveman(500, seed=2)
+    adj = g.adj
+    for _ in range(30):
+        theta = int(rng.choice((10, 20, 40)))
+        assert np.sum(g.degrees > theta) >= 30
+        u = int(rng.choice(np.flatnonzero(g.degrees > theta)))
+        ws = np.flatnonzero((adj[u] == 0) & (g.degrees < theta) & (np.arange(g.n) != u))
+        values = g.degrees + rng.laplace(0.0, 2.0, size=g.n)
+        change = count_change_of_one_bit(g, values, theta, u, int(rng.choice(ws)))
         assert abs(change) <= theta - 1
 
 
@@ -383,6 +405,21 @@ def test_planted_hub_similarity_beats_random():
     assert kept_proj == t_true
     assert kept_proj >= np.mean(kept_rand)
     assert np.mean(kept_rand) < t_true  # random really does lose triangles
+
+
+def test_similarity_beats_random_on_a_caveman_graph():
+    # a graph the rule was not built for: communities of 5 to 80 nodes and
+    # cross edges, where theta = 10, 20 and 40 cut hundreds of rows.
+    # Similarity keeps at least as many triangles as random deletion does
+    # on average over five draws
+    g = relaxed_caveman(2000, seed=1)
+    exact = NoisyDegrees.exact(g.degrees)
+    for theta in (10, 20, 40):
+        assert np.sum(g.degrees > theta) >= 300
+        kept = exact_triangle_count(effective_graph(project(g, exact, theta=theta)))
+        rand = [exact_triangle_count(effective_graph(project_random(g, theta, rng_for(s))))
+                for s in range(5)]
+        assert kept >= np.mean(rand)
 
 
 def test_project_random_noop_and_theta_bound():

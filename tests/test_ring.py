@@ -18,7 +18,6 @@ from privtri import (
 from privtri import ring
 from privtri.ring import (
     _PAIR_BLOCK,
-    FOLD_BITS,
     MASK,
     MATMUL_MAX_INNER,
     RING_BITS,
@@ -62,7 +61,7 @@ def test_reconstruct_known_pairs():
 
 def test_signed_encoding_roundtrip():
     for v in [0, 1, -1, 12345, -12345, (1 << 30), -(1 << 31)]:
-        assert decode_signed(v & MASK) == v  # 32 bits by default
+        assert decode_signed(v & MASK) == v
 
 
 def test_dealer_streams_reproducible_and_independent():
@@ -97,13 +96,12 @@ def test_pair_index_is_pair_mask_order():
 
 
 def test_reconstruct_and_decode_at_every_width():
-    # shares reconstruct in the ring; values decode in the ring and in the
-    # fold ring perturbation decodes in, and bits above a width are dropped
+    # shares reconstruct in the ring; values decode in it, the count and
+    # its noise alike, and bits above the ring are dropped
     assert reconstruct(SharePair(MASK + 4, 4)) == 7
-    for bits in WIDTHS + (FOLD_BITS,):
-        for v in [0, 1, -1, 12345, -12345, (1 << (bits - 2)), -(1 << (bits - 1))]:
-            assert decode_signed(v & ((1 << bits) - 1), bits) == v
-            assert decode_signed(v & ((1 << 64) - 1), bits) == v
+    for v in [0, 1, -1, 12345, -12345, (1 << 30), (1 << 31) - 1, -(1 << 31)]:
+        assert decode_signed(v & MASK) == v
+        assert decode_signed(v & ((1 << 64) - 1)) == v
 
 
 def strict_upper(rng, n, dtype=np.uint32):
@@ -204,7 +202,7 @@ def test_limb_product_exact_at_largest_inner_dimension_with_mixed_signs(bits):
     got = square_pairs_of(signed)
     want = (signed @ signed.T).view(np.uint64)[pair_mask(4)] & np.uint64((1 << bits) - 1)
     assert np.array_equal(got, want)
-    assert decode_signed(int(got[0]), bits) == -inner
+    assert decode_signed(int(got[0])) == -inner
 
 
 @pytest.mark.parametrize("bits", WIDTHS)

@@ -13,6 +13,7 @@ from privtri import (
     SharedAdjacency,
     count,
     exact_triangle_count,
+    project,
     reconstruct,
     share_adjacency,
 )
@@ -20,7 +21,9 @@ from privtri import ring
 from privtri.ring import MASK, MATMUL_MAX_INNER, MAX_USERS, RING_BITS
 from privtri.secure_count import effective_edges, effective_graph
 
-from conftest import as_projected, complete_graph, erdos_renyi, projected_rows, upper_edges
+from conftest import (
+    as_projected, complete_graph, erdos_renyi, projected_rows, relaxed_caveman, upper_edges,
+)
 
 
 def secure_count_of(g: Graph, dealer_seed: int = 0) -> int:
@@ -120,6 +123,17 @@ def test_count_matches_oracle_on_random_graphs():
     for trial in range(10):
         g = erdos_renyi(30, 0.2, rng)
         assert secure_count_of(g, dealer_seed=trial) == exact_triangle_count(g)
+
+
+def test_count_matches_oracle_on_a_caveman_graph():
+    # 300 nodes in communities of 5 to 80 with cross edges, counted whole
+    # and after similarity projection at theta = 10, which cuts rows
+    g = relaxed_caveman(300, seed=3)
+    assert secure_count_of(g) == exact_triangle_count(g)
+    pg = project(g, NoisyDegrees.exact(g.degrees), theta=10)
+    assert np.sum(g.degrees > 10) >= 30
+    sa = share_adjacency(pg, DealerRng(4, 0))
+    assert reconstruct(count(sa, g.n, DealerRng(4, 1))) == exact_triangle_count(effective_graph(pg))
 
 
 def test_count_value_independent_of_dealer_seed():
