@@ -1,15 +1,14 @@
 """Undirected graphs as canonical edge lists, with an exact triangle oracle.
 
-Graphs are loaded from SNAP-style edge lists: one edge per line, two
-whitespace-separated decimal node ids, '#' comment lines ignored. Node ids
-are remapped to 0..n-1 in order of first appearance, so loading the same
-file twice gives the same graph and prefix truncation is reproducible.
-The file is read as bytes, about a megabyte per block, and each block
-goes through one vectorised tokenizer pass; dense ids are ranked through
-an id-indexed table. A line-by-line scan runs only when a block holds
-something other than '#' lines, ASCII digits and whitespace, or a line
-other than two ids of at most 18 digits: it names the first malformed
-line, or reads the ids int() takes that the tokenizer does not.
+Graphs are loaded from SNAP-style edge lists. A line holds two node ids
+separated by ASCII whitespace, or is blank, or is a '#' line; a node id is
+a run of at most 18 ASCII digits, and lines end in '\n', '\r\n' or '\r'.
+Node ids are remapped to 0..n-1 in order of first appearance, so loading
+the same file twice gives the same graph and prefix truncation is
+reproducible. The file is read as bytes, about a megabyte per block, and
+each block goes through one vectorised tokenizer pass; dense ids are
+ranked through an id-indexed table. The tokenizer refuses any other line
+itself, naming it by its line number.
 
 A Graph holds its edges once, as sorted pairs i < j, and its degrees;
 no n x n matrix is kept. The directed slots, each edge seen from both
@@ -27,6 +26,7 @@ each step reading the rows only from the word of its first edge's
 higher end on.
 """
 
+import operator
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -40,14 +40,12 @@ import numpy as np
 _GATHER_EDGES = 1024
 
 # Bytes of edge list per tokenizer pass in load_edge_list (about 70,000
-# SNAP lines; the pass's temporaries take a few bytes per byte of block),
-# and rows per block on the line-scan path.
+# SNAP lines; the pass's temporaries take a few bytes per byte of block).
 _BLOCK_CHARS = 1 << 20
-_SCAN_ROWS = 1 << 16
 
-# The bytes a block may hold once '\r' is read as '\n' and its '#' lines
-# are dropped: ASCII digits and the ASCII whitespace str.split() splits
-# on. Every id of at most _MAX_DIGITS digits is below 2**63.
+# The bytes a block may hold once its line breaks are read as '\n' and its
+# '#' lines are dropped: ASCII digits and ASCII whitespace. Every id of at
+# most _MAX_DIGITS digits is below 2**63.
 _TOKEN_BYTES = b"0123456789 \t\n\v\f"
 _LINE_SPACE = b" \t\v\f"
 _MAX_DIGITS = 18
@@ -61,7 +59,21 @@ _UNRANKED = np.iinfo(np.int64).max
 
 
 class EdgeListFormatError(ValueError):
-    """Edge-list line that is not two non-negative integers."""
+    """Edge-list line that is not blank, a '#' line or two node ids, each a
+    run of at most 18 ASCII digits; the message gives the line's number."""
+
+
+def check_int(name: str, value, least: int) -> int:
+    """value as an int; raises TypeError naming name unless value is
+    integral, ValueError unless it is at least least (0 or 1)."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        kind = "positive" if least else "non-negative"
+        raise ValueError(f"{name} must be a {kind} integer, got {value}")
+    return value
 
 
 class Slots(NamedTuple):
@@ -152,49 +164,44 @@ class Graph:
 def load_edge_list(path, limit_n: int | None = None) -> Graph:
     r"""Load a SNAP edge list into a Graph.
 
-    Duplicate and reversed-duplicate edges collapse to one undirected edge;
-    self-loop lines are dropped. With limit_n, only edges among the first
-    limit_n distinct node ids encountered (in file order, u before v) are
-    kept; nodes whose edges all leave the prefix stay as isolated nodes.
-    A node id is any non-negative integer Python's int() reads.
+    Every line is blank, a '#' line (whose first byte other than ASCII
+    whitespace is '#'), or two node ids separated by ASCII whitespace. A
+    node id is a run of at most 18 ASCII digits, and lines end in '\n',
+    '\r\n' or '\r'. Duplicate and reversed-duplicate edges collapse to one
+    undirected edge; self-loop lines are dropped. With limit_n, only edges
+    among the first limit_n distinct node ids encountered (in file order,
+    u before v) are kept; nodes whose edges all leave the prefix stay as
+    isolated nodes.
 
     The file is read as bytes in blocks of about _BLOCK_CHARS, each cut
-    at a line break ('\n' or '\r') and read by one vectorised tokenizer
-    pass, so memory stays near one block plus the admitted ids and kept
-    edges. The tokenizer takes a block whose '#' lines are dropped and
-    whose other bytes are ASCII digits and whitespace, with 0 or 2 digit
-    runs of at most 18 digits per line. Dense ids (the largest below a
-    small multiple of the ids read) are ranked through an id-indexed
-    table, others by sorting. Only when a block breaks those rules (a bad
-    line, a '#' after data, an id of 19 digits or more, '+5', '1_0',
-    non-ASCII digits or whitespace) does a line scan run from the top of
-    the file: it names the first bad line, or, when every line is valid,
-    reads the ids itself.
+    at a line break and read by one vectorised tokenizer pass, so memory
+    stays near one block plus the admitted ids and kept edges. Dense ids
+    (the largest below a small multiple of the ids read) are ranked
+    through an id-indexed table, others by sorting.
 
-    Raises EdgeListFormatError naming the offending line, or ValueError if
-    no nodes survive.
+    Raises EdgeListFormatError naming the first line that is none of the
+    three, UnicodeDecodeError if that line or a '#' line is not UTF-8,
+    TypeError unless limit_n is None or an integer, or ValueError if
+    limit_n is below 1 or no nodes are found.
     """
-    if limit_n is not None and limit_n < 1:
-        raise ValueError("limit_n must be positive")
-    try:
-        n, edges = _rank_blocks(_parsed_blocks(path), limit_n)
-    except ValueError:
-        n, edges = _rank_blocks(_scanned_blocks(path), limit_n)
+    if limit_n is not None:
+        limit_n = check_int("limit_n", limit_n, 1)
+    n, edges = _rank_blocks(_parsed_blocks(path), limit_n)
     if n == 0:
         raise ValueError(f"no nodes found in {path}")
     return Graph(n, edges)
 
 
 def _rank_blocks(blocks, limit_n: int | None) -> tuple[int, np.ndarray]:
-    """(n, edges) from blocks of (m, 2) node ids, in file order.
+    """(n, edges) from blocks of (m, 2) int64 node ids, in file order.
 
     Ids are ranked by first appearance (u before v) while fewer than
     limit_n are known; edges are the rank pairs of rows whose two ids are
-    both ranked. An int64 block whose largest id is below _TABLE_PER_ID
-    times the ids read so far, plus _TABLE_MIN, is ranked through an
-    id-indexed table: np.minimum.at finds each new id's first position
-    and one gather maps ids to ranks. Other blocks (sparse ids, and the
-    line scan's object ids) are ranked by sorting the ranked ids.
+    both ranked. A block whose largest id is below _TABLE_PER_ID times
+    the ids read so far, plus _TABLE_MIN, is ranked through an id-indexed
+    table: np.minimum.at finds each new id's first position and one
+    gather maps ids to ranks. A block of sparse ids is ranked by sorting
+    the ranked ids.
     """
     seen = np.empty(0, dtype=np.int64)  # ranked ids, in rank order
     table = np.empty(0, dtype=np.int64)  # table[id]: rank of id, or _UNRANKED
@@ -205,7 +212,7 @@ def _rank_blocks(blocks, limit_n: int | None) -> tuple[int, np.ndarray]:
         read += flat.size
         room = flat.size if limit_n is None else limit_n - seen.size
         top = flat.max()
-        if flat.dtype != object and top < _TABLE_PER_ID * read + _TABLE_MIN:
+        if top < _TABLE_PER_ID * read + _TABLE_MIN:
             if top >= table.size:
                 table = np.full(max(top + 1, 2 * table.size), _UNRANKED)
                 inside = seen < table.size
@@ -235,57 +242,74 @@ def _rank_blocks(blocks, limit_n: int | None) -> tuple[int, np.ndarray]:
 
 
 def _parsed_blocks(path):
-    """The file's (m, 2) int64 node ids, one _read_ids pass per block.
+    r"""The file's (m, 2) int64 node ids, one _read_ids pass per block.
 
     Each block ends at the last line break of about _BLOCK_CHARS bytes
-    read; the part after it starts the next block. A file smaller than
+    read, a '\r' only if a byte follows it, so that no cut splits a
+    '\r\n'; the part after it starts the next block. A file smaller than
     _BLOCK_CHARS is read in reads of its own size, since a sized read
-    allocates its full size first. Raises ValueError at the first block
-    that _read_ids does not read.
+    allocates its full size first.
     """
     with open(path, "rb") as fh:
         step = min(_BLOCK_CHARS, os.fstat(fh.fileno()).st_size) or _BLOCK_CHARS
         rest = b""
+        lines = 0  # line breaks before the block
         while True:
             chunk = fh.read(step)
             block = rest + chunk
-            cut = max(block.rfind(b"\n"), block.rfind(b"\r")) + 1 if chunk else len(block)
+            cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, -1)) + 1 if chunk else len(block)
             block, rest = block[:cut], block[cut:]
-            ids = _read_ids(block)
+            ids, breaks = _read_ids(block, lines)
+            lines += breaks
             if ids.size:
                 yield ids
             if not chunk:
                 return
 
 
-def _read_ids(block: bytes) -> np.ndarray:
-    r"""The (m, 2) int64 ids of a block of whole lines, by one tokenizer pass.
+def _read_ids(block: bytes, lines: int) -> tuple[np.ndarray, int]:
+    r"""The (m, 2) int64 ids of a block of whole lines, by one tokenizer
+    pass, and the number of line breaks in the block.
 
-    '\r' counts as a line break, as in the line scan's text mode, and '#'
-    lines are dropped. Raises ValueError unless what is left is ASCII
-    digits and whitespace, with 0 or 2 digit runs on every line and no
-    run longer than _MAX_DIGITS; such a block is read as the line scan
-    would read it.
+    '\r\n' and '\r' are read as '\n', and '#' lines are dropped but for
+    their line breaks. What is left must be ASCII digits and whitespace, with
+    0 or 2 digit runs on every line and no run longer than _MAX_DIGITS.
+    Otherwise raises EdgeListFormatError naming the first line that is
+    not, numbered after the lines line breaks before the block. The line
+    is located only then: it holds the first byte outside those bytes or
+    the first run that breaks those rules, whichever comes first.
     """
     if b"\r" in block:
-        block = block.replace(b"\r", b"\n")
+        block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     if b"#" in block:
         if not block.isascii():
-            block.decode("utf-8")  # the line scan reads '#' lines as UTF-8 too
+            block.decode("utf-8")  # '#' lines are dropped unread, but must be UTF-8
         block = _drop_comment_lines(block)
     if not block or block.isspace():
-        return np.empty((0, 2), dtype=np.int64)
-    if block.translate(None, _TOKEN_BYTES) or not _two_runs_per_line(block):
-        raise ValueError("block needs the line scan")
-    return np.fromstring(block, dtype=np.int64, sep=" ").reshape(-1, 2)
+        return np.empty((0, 2), dtype=np.int64), block.count(b"\n")
+    events, bad = _digit_runs(block)
+    if block.translate(None, _TOKEN_BYTES):
+        bad = min(bad, len(block) - len(block.lstrip(_TOKEN_BYTES)))
+    if bad < len(block):
+        first = block.rfind(b"\n", 0, bad) + 1
+        lineno = lines + 1 + block.count(b"\n", 0, first)
+        line = block[first:].partition(b"\n")[0].strip().decode("utf-8")
+        raise EdgeListFormatError(f"line {lineno}: expected two node ids, got {line!r}")
+    ids = np.fromstring(block, dtype=np.int64, sep=" ").reshape(-1, 2)
+    # every event is a line break or the first digit of one id
+    return ids, events - ids.size
 
 
-def _two_runs_per_line(block: bytes) -> bool:
-    r"""Whether each '\n'-ended line of block, all ASCII digits and
-    whitespace, holds 0 or 2 digit runs, none longer than _MAX_DIGITS.
+def _digit_runs(block: bytes) -> tuple[int, int]:
+    r"""(events, bad) for a block of '\n'-ended lines.
 
-    A function of its own so that its block-sized temporaries are freed
-    before np.fromstring allocates the ids.
+    events counts the line breaks and digit-run starts of block. bad is
+    the position of a run in the first line that holds other than 0 or 2
+    runs or a run longer than _MAX_DIGITS, or len(block) if no line does.
+    Every byte from '0' up is read as a digit, so runs are exact on the
+    lines that are ASCII digits and whitespace. A function of its own so
+    that its block-sized temporaries are freed before np.fromstring
+    allocates the ids.
     """
     a = np.frombuffer(block, dtype=np.uint8)
     digit = a >= ord("0")
@@ -296,13 +320,17 @@ def _two_runs_per_line(block: bytes) -> bool:
     # starts: a line of 0 or 2 runs leaves every True with one True
     # neighbour, so a True whose two neighbours are equal breaks the rule
     starts = np.concatenate(([False], np.compress(event, digit), [False]))
-    if np.any(starts[1:-1] & (starts[:-2] == starts[2:])):
-        return False
+    lonely = starts[1:-1] & (starts[:-2] == starts[2:])
     long, width = digit, 1  # long[i]: bytes i..i+width-1 are all digits
     while width <= _MAX_DIGITS:
         step = min(width, _MAX_DIGITS + 1 - width)
         long, width = long[step:] & long[:-step], width + step
-    return not long.any()
+    bad = a.size
+    if lonely.any():
+        bad = int(np.flatnonzero(event)[lonely.argmax()])
+    if long.any():
+        bad = min(bad, int(long.argmax()))
+    return starts.size - 2, bad
 
 
 def _drop_comment_lines(block: bytes) -> bytes:
@@ -324,35 +352,6 @@ def _drop_comment_lines(block: bytes) -> bytes:
             start = len(block)
     kept.append(block[start:])
     return b"".join(kept)
-
-
-def _scanned_blocks(path):
-    """The file's node ids as (m, 2) object arrays, one Python pass per line.
-
-    The reference reading rules: strip, skip blank and '#' lines, exactly
-    two int() tokens, no negative id. Raises EdgeListFormatError naming
-    the first line that breaks them.
-    """
-    pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            try:
-                u, v = map(int, text.split())
-            except ValueError:
-                raise EdgeListFormatError(
-                    f"line {lineno}: expected two node ids, got {text!r}"
-                ) from None
-            if u < 0 or v < 0:
-                raise EdgeListFormatError(f"line {lineno}: negative node id")
-            pairs.append((u, v))
-            if len(pairs) == _SCAN_ROWS:
-                yield np.array(pairs, dtype=object)
-                pairs = []
-    if pairs:
-        yield np.array(pairs, dtype=object)
 
 
 def exact_triangle_count(g: Graph) -> int:

@@ -16,7 +16,6 @@ Mechanisms:
 """
 
 import math
-import operator
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,9 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import central_lap
-from .graph import Graph, exact_triangle_count, load_edge_list
+from .graph import Graph, check_int, exact_triangle_count, load_edge_list
 from .perturbation import NoiseParams, perturb
-from .projection import NoisyDegrees, check_theta, max_private, project, project_random
+from .projection import NoisyDegrees, max_private, project, project_random
 from .ring import DealerRng, reconstruct
 from .secure_count import count, effective_graph, share_adjacency
 
@@ -78,19 +77,20 @@ class ExperimentConfig:
             raise ValueError("epsilon must be positive and finite")
         if not 0 < self.epsilon_split < 1:
             raise ValueError("epsilon_split must be in (0, 1)")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        if self.n_limit is not None and self.n_limit < 1:
-            raise ValueError("n_limit must be positive")
+        # integer fields are checked before the graph is loaded; seeds feed
+        # np.random.SeedSequence, which takes only non-negative integers
+        check_int("trials", self.trials, 1)
+        if self.n_limit is not None:
+            check_int("n_limit", self.n_limit, 1)
         if self.workers != 1:
             raise ValueError("trials run in one process; workers must be 1")
-        _check_seed("seed", self.seed)
+        check_int("seed", self.seed, 0)
         if self.dealer_seed is not None:
-            _check_seed("dealer_seed", self.dealer_seed)
+            check_int("dealer_seed", self.dealer_seed, 0)
         if self.theta_override is not None:
             if self.mechanism != "project-compare":
                 raise ValueError("theta override applies to project-compare only")
-            thetas = tuple(check_theta(t) for t in self.theta_override)
+            thetas = tuple(check_int("theta", t, 1) for t in self.theta_override)
             object.__setattr__(self, "theta_override", thetas)
         if self.mechanism == "project-compare" and not self.theta_override:
             raise ValueError("project-compare needs explicit theta values")
@@ -104,20 +104,6 @@ class ExperimentConfig:
         # epsilon - epsilon1 rather than (1 - split) * epsilon, so the
         # budget identity epsilon1 + epsilon2 == epsilon holds exactly
         return self.epsilon - self.epsilon1
-
-
-def _check_seed(name: str, value) -> None:
-    """Raises TypeError unless value is an integer, ValueError if it is negative.
-
-    Seeds feed np.random.SeedSequence, which takes only non-negative
-    integers; checked with the config, before the graph is loaded.
-    """
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
-    if value < 0:
-        raise ValueError(f"{name} must be a non-negative integer, got {value}")
 
 
 @dataclass(frozen=True, slots=True)

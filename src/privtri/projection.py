@@ -28,12 +28,11 @@ sorted order, so either sort keeps the same slots.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, check_int
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,7 +124,7 @@ def project(g: Graph, noisy: NoisyDegrees, theta: int | None = None) -> Projecte
         raise ValueError("noisy degrees do not match graph size")
     if theta is None:
         theta = effective_theta(noisy)
-    theta = check_theta(theta)
+    theta = check_int("theta", theta, 1)
     over, d_rows, start = _over_theta_slots(g, theta)
     key = np.abs(noisy.values[g.slots.tail[over]] - noisy.values[g.slots.head[over]])
     return _keep_lowest(g, theta, over, d_rows, start, np.argsort(key, kind="stable"))
@@ -139,7 +138,7 @@ def project_random(g: Graph, theta: int, rng) -> ProjectedGraph:
     key, ties to the lower neighbor index. theta is checked as in project,
     before anything is drawn.
     """
-    theta = check_theta(theta)
+    theta = check_int("theta", theta, 1)
     over, d_rows, start = _over_theta_slots(g, theta)
     key = rng.random(over.size)
     by_key = np.argsort(key)
@@ -147,17 +146,6 @@ def project_random(g: Graph, theta: int, rng) -> ProjectedGraph:
     if np.any(ranked[1:] == ranked[:-1]):
         by_key = np.argsort(key, kind="stable")
     return _keep_lowest(g, theta, over, d_rows, start, by_key)
-
-
-def check_theta(theta) -> int:
-    """theta as an int; raises TypeError unless integral, ValueError unless >= 1."""
-    try:
-        theta = operator.index(theta)
-    except TypeError:
-        raise TypeError(f"theta must be an integer, got {theta!r}") from None
-    if theta < 1:
-        raise ValueError(f"theta must be positive, got {theta}")
-    return theta
 
 
 def _over_theta_slots(g: Graph, theta: int):

@@ -41,11 +41,10 @@ MASK = (1 << RING_BITS) - 1
 # is at most (2**16 - 1)**2 < 2**32, and with inner dimension n every
 # partial sum of an entry of one BLAS product of limb matrices is a
 # non-negative integer below n * 2**32. float64 holds every integer up to
-# 2**53 exactly, so n < 2**19 keeps each product exact in whatever order
-# BLAS adds, with room to spare; _square_pairs sums the products in
-# integers.
+# 2**53 exactly, so any n below 2**19, and so every n up to MAX_USERS,
+# keeps each product exact in whatever order BLAS adds; _square_pairs sums
+# the products in integers.
 _LIMB_BITS = 16
-MATMUL_MAX_INNER = 1 << 19
 # pairs _square_pairs gathers and adds at a time: 64 KB of float64 and
 # 64 KB of int64, plus one row, small enough to come from the heap
 _PAIR_BLOCK = 1 << 13
@@ -173,7 +172,8 @@ def _square_pairs(limbs: np.ndarray, acc: np.ndarray) -> np.ndarray:
     two BLAS products M, each written into acc, suffice: the pair entries
     of S0 @ S0.T (numpy runs it as a symmetric rank-k update, at half the
     work), then those of M = S0 @ S1.T and of M.T, shifted by 16. Every
-    entry of M is an exact integer below 2**53 (see MATMUL_MAX_INNER).
+    entry of M is an exact integer below 2**53 while N is below 2**19, as
+    in every ring_square of at most MAX_USERS users (see _LIMB_BITS).
     Each product goes straight into the output, one band of about
     _PAIR_BLOCK pairs at a time: the band's pair entries are gathered,
     converted through int64, shifted and added in uint32, which wraps mod
@@ -228,16 +228,11 @@ def ring_square(v: np.ndarray, n: int) -> np.ndarray:
     read mod 2**32) and the diagonal, left over from the last product, is
     reset to zero. Limb l of V_s is then 16-bit word l of each entry, and
     each is copied whole into its float64 matrix. _square_pairs sums the
-    limb products (V_s is symmetric, so V_s @ V_s = V_s @ V_s.T). Raises
-    ValueError if n >= MATMUL_MAX_INNER, where float64 limb sums would no
-    longer be exact, or if v is not of shape (C(n, 2),): a shorter vector
+    limb products (V_s is symmetric, so V_s @ V_s = V_s @ V_s.T); they
+    are exact for every n up to MAX_USERS, which count does not exceed.
+    Raises ValueError if v is not of shape (C(n, 2),): a shorter vector
     would broadcast through the scatter.
     """
-    if n >= MATMUL_MAX_INNER:
-        raise ValueError(
-            f"inner dimension {n} >= {MATMUL_MAX_INNER}: float64 limb sums "
-            "would no longer be exact"
-        )
     shape = (n * (n - 1) // 2,)
     if v.shape != shape:
         raise ValueError(f"the operand must have shape {shape}, got {v.shape}")

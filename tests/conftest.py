@@ -1,6 +1,7 @@
 """Shared test helpers: independent oracles, small graph builders, data paths."""
 
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -20,13 +21,20 @@ def brute_triangles(g: Graph) -> int:
     return int(np.einsum("ij,ik,jk->", a, a, a)) // 6
 
 
+# one data line, once stripped of ASCII whitespace: two runs of 1 to 18
+# ASCII digits separated by ASCII whitespace
+_ID_PAIR = re.compile(r"([0-9]{1,18})[ \t\v\f]+([0-9]{1,18})")
+
+
 def reference_load(path, limit_n: int | None = None) -> tuple[int, np.ndarray]:
     """Independent edge-list parser: (n, adj) by one Python pass per line.
 
-    The per-line reading rules load_edge_list must reproduce: strip, skip
-    blank and '#' lines, exactly two int() tokens, no negative id, ids
+    The per-line reading rules load_edge_list must reproduce: the file is
+    UTF-8 text whose lines end in '\n', '\r\n' or '\r'; strip ASCII
+    whitespace, skip blank and '#' lines, and read every other line as
+    two ids of 1 to 18 ASCII digits separated by ASCII whitespace. Ids are
     admitted in first-appearance order (u before v) while fewer than
-    limit_n are known. Raises EdgeListFormatError with the messages
+    limit_n are known. Raises EdgeListFormatError with the message
     load_edge_list uses, or ValueError when no node is found.
     """
     id_map: dict[int, int] = {}
@@ -39,21 +47,15 @@ def reference_load(path, limit_n: int | None = None) -> tuple[int, np.ndarray]:
 
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
-            text = line.strip()
+            text = line.strip(" \t\n\r\v\f")
             if not text or text.startswith("#"):
                 continue
-            parts = text.split()
-            try:
-                if len(parts) != 2:
-                    raise ValueError
-                raw_u, raw_v = int(parts[0]), int(parts[1])
-            except ValueError:
+            ids = _ID_PAIR.fullmatch(text)
+            if ids is None:
                 raise EdgeListFormatError(
                     f"line {lineno}: expected two node ids, got {text!r}"
-                ) from None
-            if raw_u < 0 or raw_v < 0:
-                raise EdgeListFormatError(f"line {lineno}: negative node id")
-            u, v = admit(raw_u), admit(raw_v)
+                )
+            u, v = admit(int(ids[1])), admit(int(ids[2]))
             if u is not None and v is not None and u != v:
                 edges.add((min(u, v), max(u, v)))
     n = len(id_map)
@@ -226,8 +228,9 @@ def relaxed_caveman(n: int, seed: int) -> Graph:
     return Graph(n, np.concatenate(blocks))
 
 
-def write_lines(path: Path, lines) -> Path:
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def write_lines(path: Path, lines, newline: str = "\n") -> Path:
+    """lines as UTF-8 text, each ended by newline."""
+    path.write_bytes("".join(line + newline for line in lines).encode())
     return path
 
 

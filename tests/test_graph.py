@@ -94,36 +94,22 @@ def random_edge_file(path, rng, pool) -> None:
 
 
 def id_pool(rng, ids: str) -> list[int]:
-    """Node ids for random_edge_file; the wide pools also hold 0..3.
+    """Node ids for random_edge_file.
 
-    'int64': up to 10**12, plus 18-digit ids, all read by the tokenizer
-    and ranked by sorting. 'dense': below 300, as in the proxy, ranked
-    through the id table. 'beyond-int64': from 2**63 up, plus 19-digit
-    ids below it, which only the line scan reads.
+    'int64': up to 10**12, plus 18-digit ids and 0..3, ranked by sorting.
+    'dense': below 300, as in the proxy, ranked through the id table.
     """
     if ids == "dense":
         return [int(x) for x in rng.integers(0, 300, size=16)]
-    if ids == "int64":
-        wide = rng.integers(0, 10**12 + 1, size=10).tolist() + [10**17, 10**18 - 1]
-    else:
-        wide = [(1 << 63) + x for x in rng.integers(0, 10**12 + 1, size=10).tolist()]
-        wide += [10**18, (1 << 63) - 1]
+    wide = rng.integers(0, 10**12 + 1, size=10).tolist() + [10**17, 10**18 - 1]
     return [int(x) for x in wide] + list(range(4))
 
 
-def scan_must_not_run(path):
-    raise AssertionError(f"line scan ran on {path}, which the tokenizer reads")
-
-
 @pytest.mark.parametrize("block_chars", [graph._BLOCK_CHARS, 40], ids=["one-block", "many-blocks"])
-@pytest.mark.parametrize("ids", ["int64", "dense", "beyond-int64"])
+@pytest.mark.parametrize("ids", ["int64", "dense"])
 def test_load_matches_reference_parser_on_random_files(tmp_path, monkeypatch, block_chars, ids):
-    # 40 bytes split a file into many tokenizer blocks; ids of 19 digits
-    # and more go through the line scan, in blocks of 7 rows
+    # 40 bytes split a file into many tokenizer blocks
     monkeypatch.setattr(graph, "_BLOCK_CHARS", block_chars)
-    monkeypatch.setattr(graph, "_SCAN_ROWS", 7)
-    if ids != "beyond-int64":
-        monkeypatch.setattr(graph, "_scanned_blocks", scan_must_not_run)
     rng = np.random.default_rng(2024)
     path = tmp_path / "random.txt"
     for _ in range(60):
@@ -142,7 +128,6 @@ def test_load_switches_between_rank_table_and_sort(tmp_path, monkeypatch, block_
     # through the id table, 10**12 ids through the sort, and a small id
     # the sort ranked (3, 7) must be in the table the next small block uses
     monkeypatch.setattr(graph, "_BLOCK_CHARS", block_chars)
-    monkeypatch.setattr(graph, "_scanned_blocks", scan_must_not_run)
     big = 10**12
     lines = ["0 9", f"{big} 3", "3 4", "9 5", f"{big} 0", f"{big + 1} 7", "7 8", "4 7"]
     lines += [f"{u} {u + 2}" for u in range(10, 30)] + [f"{big + 1} 29", "29 0"]
@@ -158,13 +143,12 @@ def test_load_switches_between_rank_table_and_sort(tmp_path, monkeypatch, block_
 def test_blocks_end_at_any_line_break(tmp_path, monkeypatch):
     # a file with bare '\r' line breaks is still read a block at a time
     monkeypatch.setattr(graph, "_BLOCK_CHARS", 16)
-    monkeypatch.setattr(graph, "_scanned_blocks", scan_must_not_run)
     sizes = []
     read_ids = graph._read_ids
 
-    def sized_read_ids(block):
+    def sized_read_ids(block, lines):
         sizes.append(len(block))
-        return read_ids(block)
+        return read_ids(block, lines)
 
     monkeypatch.setattr(graph, "_read_ids", sized_read_ids)
     path = tmp_path / "cr.txt"
@@ -174,10 +158,8 @@ def test_blocks_end_at_any_line_break(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("limit_n", [100, 500, None])
-def test_proxy_file_never_takes_the_line_scan(proxy_graph_file, monkeypatch, limit_n):
-    # the benchmark loads this file on every round; the line scan reading
-    # it would pass every other test while slowing each round many times
-    monkeypatch.setattr(graph, "_scanned_blocks", scan_must_not_run)
+def test_proxy_file_loads_as_the_reference_reads_it(proxy_graph_file, limit_n):
+    # the benchmark loads this file on every round
     n, adj = reference_load(proxy_graph_file, limit_n)
     g = load_edge_list(proxy_graph_file, limit_n)
     assert g.n == n
@@ -195,39 +177,38 @@ def test_malformed_line_names_line_number(tmp_path, monkeypatch):
         (["0 1", "-1 2", "x y"], 2),  # the first bad line, not the first unparsable one
         (["# header", "0 1 # note", "1 2"], 2),
         (["# header", "", "5", "0 1"], 3),
+        # with '\r\n' endings the first 16-byte read ends in the first '\r'
+        (["# 3456789012345", "0 1", "2 3 4"], 3),
     ]
     cases += [(["0 1", f"{token} 1"], 2) for token in ("1.5", "1.", "1e3", "0x1", "inf", "\ufeff0")]
+    # ids int() reads that are not runs of at most 18 ASCII digits
+    for token in ("1_0", "\uff15", "+5", "-0", str(10**18), str(1 << 63), str(1 << 70)):
+        cases += [(["0 1", f"{token} 1"], 2), (["0 1", "# c", f"2 {token}"], 3)]
     cases += [(good + [bad] + good, 41) for bad in ("7 x", "-7 1", "7 8 # c", "7 8 9", "7 8 9 10")]
     # 16 bytes per block put most bad lines past the first tokenizer block
     for block_chars in (graph._BLOCK_CHARS, 16):
         monkeypatch.setattr(graph, "_BLOCK_CHARS", block_chars)
-        for lines, lineno in cases:
-            path = write_lines(tmp_path / "bad.txt", lines)
-            with pytest.raises(EdgeListFormatError, match=f"^line {lineno}:") as got:
-                load_edge_list(path)
-            with pytest.raises(EdgeListFormatError) as want:
-                reference_load(path)
-            assert str(got.value) == str(want.value)
+        for newline in ("\n", "\r\n", "\r"):
+            for lines, lineno in cases:
+                path = write_lines(tmp_path / "bad.txt", lines, newline)
+                with pytest.raises(EdgeListFormatError, match=f"^line {lineno}:") as got:
+                    load_edge_list(path)
+                with pytest.raises(EdgeListFormatError) as want:
+                    reference_load(path)
+                assert str(got.value) == str(want.value)
 
 
 def test_comment_lines_must_be_utf8(tmp_path):
     # the tokenizer drops '#' lines unread, but the file is UTF-8 throughout
     path = tmp_path / "latin1.txt"
-    path.write_bytes(b"# caf\xe9\n0 1\n")
-    with pytest.raises(UnicodeDecodeError):
-        load_edge_list(path)
+    for data in (b"# caf\xe9\n0 1\n", b"0 1\n1 caf\xe9\n"):
+        path.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError):
+            load_edge_list(path)
+        with pytest.raises(UnicodeDecodeError):
+            reference_load(path)
     path.write_bytes("# café\n0 1\n".encode())
     assert load_edge_list(path).n == 2
-
-
-@pytest.mark.parametrize("token", ["1_0", "\uff15", str(1 << 63), str(1 << 70), "+5", "-0"])
-def test_node_ids_are_what_int_reads(tmp_path, token):
-    # int() reads these; the ones the tokenizer rejects go through the line scan
-    path = write_lines(tmp_path / "ok.txt", ["0 1", f"{token} 1", f"2 {token}"])
-    n, adj = reference_load(path)
-    g = load_edge_list(path)
-    assert g.n == n
-    assert np.array_equal(g.adj, adj)
 
 
 def test_empty_graph_errors(tmp_path):
@@ -255,6 +236,10 @@ def test_limit_n_keeps_prefix_ids(tmp_path):
     assert g.n == 3
     assert exact_triangle_count(g) == 1
     assert int(g.degrees.sum()) // 2 == 3
+    assert load_edge_list(path, limit_n=np.int64(3)).n == 3
+    for bad, error in ((1.5, TypeError), (2.0, TypeError), (0, ValueError)):
+        with pytest.raises(error, match="limit_n"):
+            load_edge_list(path, limit_n=bad)
 
 
 def test_limit_n_admits_first_endpoint_of_dropped_edge(tmp_path):

@@ -55,6 +55,7 @@ def test_config_validation(k4_graph_file):
     ("dealer_seed", -1, ValueError), ("dealer_seed", 1.0, TypeError),
     ("theta_override", (2.5,), TypeError), ("theta_override", (10, 0), ValueError),
     ("theta_override", (), ValueError),
+    ("trials", 2.5, TypeError), ("n_limit", 1.5, TypeError), ("n_limit", 2.0, TypeError),
 ])
 def test_config_rejects_bad_seeds_and_thetas_before_the_load(tmp_path, field, value, error):
     # the graph file does not exist, so a config that got past its checks

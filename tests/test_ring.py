@@ -19,7 +19,6 @@ from privtri import ring
 from privtri.ring import (
     _PAIR_BLOCK,
     MASK,
-    MATMUL_MAX_INNER,
     RING_BITS,
     _square_pairs,
     decode_signed,
@@ -34,6 +33,9 @@ from conftest import as_projected, complete_graph, erdos_renyi
 WIDTHS = (RING_BITS,)
 # no pairs, one, the smallest with a triangle, and sizes around 128 and 256
 SIZES = [0, 1, 2, 3, 127, 128, 129, 257]
+# an inner dimension below 2**19, where every partial sum of a limb product
+# is below 2**51 and so exact in float64; a count has at most MAX_USERS rows
+LIMB_EXACT_INNER = (1 << 19) - 1
 
 
 def test_share_zero_with_known_mask():
@@ -159,15 +161,6 @@ def test_ring_matmul_rejects_operands_outside_its_contract():
             ring_square(u, n + 1)
 
 
-def test_ring_matmul_refuses_inexact_inner_dimension():
-    # the size check comes before the length check and before any scatter
-    empty = np.zeros(0, dtype=np.uint64)
-    for n in (MATMUL_MAX_INNER, MATMUL_MAX_INNER + 1):
-        with pytest.raises(ValueError, match="inner dimension"):
-            ring_square(empty, n)
-        assert n not in ring._workspace
-
-
 def square_pairs_of(a):
     """_square_pairs of the 16-bit limbs of a, read as uint32, as float64."""
     words = a.astype(np.uint32)
@@ -178,9 +171,9 @@ def square_pairs_of(a):
 @pytest.mark.parametrize("bits", WIDTHS)
 def test_limb_product_exact_at_largest_inner_dimension_at_every_width(bits):
     # _square_pairs is the arithmetic of every ring_square call. All-ones
-    # limbs at inner dimension MATMUL_MAX_INNER - 1 give the largest sums
-    # it admits; a row of other values mixes limbs
-    a = np.full((3, MATMUL_MAX_INNER - 1), MASK, dtype=np.uint64)
+    # limbs at inner dimension LIMB_EXACT_INNER give the largest sums at
+    # that dimension; a row of other values mixes limbs
+    a = np.full((3, LIMB_EXACT_INNER), MASK, dtype=np.uint64)
     a[2] = np.random.default_rng(109).integers(0, MASK, size=a.shape[1], dtype=np.uint64)
     got = square_pairs_of(a)
     assert got.dtype == np.uint32
@@ -191,10 +184,10 @@ def test_limb_product_exact_at_largest_inner_dimension_at_every_width(bits):
 def test_limb_product_exact_at_largest_inner_dimension_with_mixed_signs(bits):
     # shares are uniform, so half of them read as negative in two's
     # complement: rows of -1, of 1, of both signed extremes and of random
-    # signed values at inner dimension MATMUL_MAX_INNER - 1 square to the
+    # signed values at inner dimension LIMB_EXACT_INNER square to the
     # signed products mod 2**32; int64 @ wraps mod 2**64, so it gives the
-    # reference, and -1 times 1 sums to exactly -(MATMUL_MAX_INNER - 1)
-    inner, half = MATMUL_MAX_INNER - 1, 1 << (bits - 1)
+    # reference, and -1 times 1 sums to exactly -LIMB_EXACT_INNER
+    inner, half = LIMB_EXACT_INNER, 1 << (bits - 1)
     signed = np.empty((4, inner), dtype=np.int64)
     signed[0], signed[1] = -1, 1
     signed[2] = np.where(np.arange(inner) % 2, -half, half - 1)

@@ -18,7 +18,7 @@ from privtri import (
     share_adjacency,
 )
 from privtri import ring
-from privtri.ring import MASK, MATMUL_MAX_INNER, MAX_USERS, RING_BITS
+from privtri.ring import MASK, MAX_USERS, RING_BITS
 from privtri.secure_count import effective_edges, effective_graph
 
 from conftest import (
@@ -287,12 +287,12 @@ def test_count_matches_plain_triple_sum():
 
 
 def test_count_refuses_inexact_size_before_dealing():
-    # above MAX_USERS users the count or its noise fold would not fit the
-    # ring; count refuses before any dealer draw, well below the limit of
-    # ring_square's own float64 check
+    # above MAX_USERS users the count would not fit the signed range of
+    # the ring; count refuses before any dealer draw, also at 2**19 users,
+    # where ring_square's float64 limb sums would no longer be exact
     tiny = np.zeros(1, dtype=np.uint32)
     dealer = DealerRng(3)
-    for n in (MAX_USERS + 1, MATMUL_MAX_INNER):
+    for n in (MAX_USERS + 1, 1 << 19):
         with pytest.raises(ValueError, match=f"at most {MAX_USERS}"):
             count(SharedAdjacency(n, tiny, tiny), n, dealer)
     assert np.array_equal(dealer.elements(4), DealerRng(3).elements(4))
