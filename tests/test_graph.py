@@ -181,9 +181,8 @@ def test_malformed_line_names_line_number(tmp_path, monkeypatch):
         (["# 3456789012345", "0 1", "2 3 4"], 3),
     ]
     cases += [(["0 1", f"{token} 1"], 2) for token in ("1.5", "1.", "1e3", "0x1", "inf", "\ufeff0")]
-    # ids int() reads that are not runs of at most 18 ASCII digits
-    for token in ("1_0", "\uff15", "+5", "-0", str(10**18), str(1 << 63), str(1 << 70)):
-        cases += [(["0 1", f"{token} 1"], 2), (["0 1", "# c", f"2 {token}"], 3)]
+    # 19 digits, still below 2**63; the other ids int() reads are refused below
+    cases += [(["0 1", f"{10**18} 1"], 2), (["0 1", "# c", f"2 {10**18}"], 3)]
     cases += [(good + [bad] + good, 41) for bad in ("7 x", "-7 1", "7 8 # c", "7 8 9", "7 8 9 10")]
     # 16 bytes per block put most bad lines past the first tokenizer block
     for block_chars in (graph._BLOCK_CHARS, 16):
@@ -191,6 +190,26 @@ def test_malformed_line_names_line_number(tmp_path, monkeypatch):
         for newline in ("\n", "\r\n", "\r"):
             for lines, lineno in cases:
                 path = write_lines(tmp_path / "bad.txt", lines, newline)
+                with pytest.raises(EdgeListFormatError, match=f"^line {lineno}:") as got:
+                    load_edge_list(path)
+                with pytest.raises(EdgeListFormatError) as want:
+                    reference_load(path)
+                assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("token", ["1_0", "\uff15", str(1 << 63), str(1 << 70), "+5", "-0"])
+def test_node_ids_are_what_int_reads(tmp_path, monkeypatch, token):
+    # int() reads these, but a node id is a run of at most 18 ASCII digits:
+    # the loader refuses each as the reference parser does, as a first or a
+    # second id, in any block and under any line ending
+    for block_chars in (graph._BLOCK_CHARS, 16):
+        monkeypatch.setattr(graph, "_BLOCK_CHARS", block_chars)
+        for newline in ("\n", "\r\n", "\r"):
+            for lines, lineno in (
+                (["0 1", f"{token} 1", f"2 {token}"], 2),
+                (["0 1", "# c", f"2 {token}"], 3),
+            ):
+                path = write_lines(tmp_path / "int.txt", lines, newline)
                 with pytest.raises(EdgeListFormatError, match=f"^line {lineno}:") as got:
                     load_edge_list(path)
                 with pytest.raises(EdgeListFormatError) as want:
