@@ -42,8 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="INT[,INT...]",
                        help="projection bounds for project-compare sweeps")
     run_p.add_argument("--output", default=None, help="CSV output path")
-    run_p.add_argument("--allow-large", action="store_true",
-                       help="run cargo beyond the desk-scale node limit")
     run_p.add_argument("--zero-timings", action="store_true",
                        help="write 0.0 timings for bit-reproducible CSVs")
     run_p.add_argument("--dealer-seed", type=int, default=None,
@@ -66,7 +64,6 @@ def main(argv=None) -> int:
             output_path=args.output,
             dealer_seed=args.dealer_seed,
             zero_timings=args.zero_timings,
-            allow_large=args.allow_large,
         )
         records = run(cfg)
     except (ValueError, OSError) as exc:

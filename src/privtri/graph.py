@@ -180,9 +180,9 @@ def load_edge_list(path, limit_n: int | None = None) -> Graph:
     through an id-indexed table, others by sorting.
 
     Raises EdgeListFormatError naming the first line that is none of the
-    three, UnicodeDecodeError if that line or a '#' line is not UTF-8,
-    TypeError unless limit_n is None or an integer, or ValueError if
-    limit_n is below 1 or no nodes are found.
+    three, UnicodeDecodeError naming the line if that line or a '#' line
+    is not UTF-8, TypeError unless limit_n is None or an integer, or
+    ValueError if limit_n is below 1 or no nodes are found.
     """
     if limit_n is not None:
         limit_n = check_int("limit_n", limit_n, 1)
@@ -283,7 +283,7 @@ def _read_ids(block: bytes, lines: int) -> tuple[np.ndarray, int]:
         block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     if b"#" in block:
         if not block.isascii():
-            block.decode("utf-8")  # '#' lines are dropped unread, but must be UTF-8
+            _decode(block, lines + 1)  # '#' lines are dropped unread, but must be UTF-8
         block = _drop_comment_lines(block)
     if not block or block.isspace():
         return np.empty((0, 2), dtype=np.int64), block.count(b"\n")
@@ -293,11 +293,22 @@ def _read_ids(block: bytes, lines: int) -> tuple[np.ndarray, int]:
     if bad < len(block):
         first = block.rfind(b"\n", 0, bad) + 1
         lineno = lines + 1 + block.count(b"\n", 0, first)
-        line = block[first:].partition(b"\n")[0].strip().decode("utf-8")
+        line = _decode(block[first:].partition(b"\n")[0].strip(), lineno)
         raise EdgeListFormatError(f"line {lineno}: expected two node ids, got {line!r}")
     ids = np.fromstring(block, dtype=np.int64, sep=" ").reshape(-1, 2)
     # every event is a line break or the first digit of one id
     return ids, events - ids.size
+
+
+def _decode(text: bytes, lineno: int) -> str:
+    """text, which starts on line lineno, as UTF-8; a UnicodeDecodeError
+    keeps its position and gains the number of the line that holds it."""
+    try:
+        return text.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno += text.count(b"\n", 0, exc.start)
+        reason = f"line {lineno}: {exc.reason}"
+        raise UnicodeDecodeError(exc.encoding, exc.object, exc.start, exc.end, reason) from None
 
 
 def _digit_runs(block: bytes) -> tuple[int, int]:

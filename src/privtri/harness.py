@@ -26,13 +26,10 @@ from .baselines import central_lap
 from .graph import Graph, check_int, exact_triangle_count, load_edge_list
 from .perturbation import NoiseParams, perturb
 from .projection import NoisyDegrees, max_private, project, project_random
-from .ring import DealerRng, reconstruct
+from .ring import MAX_USERS, DealerRng, reconstruct
 from .secure_count import count, effective_graph, share_adjacency
 
 MECHANISMS = ("cargo", "central", "exact", "project-compare")
-
-# O(n^3) BLAS work in the count: refuse big inputs unless explicitly allowed
-MAX_CARGO_NODES = 2000
 
 # per-trial substream tags
 _NOISE_STREAM = 0
@@ -68,7 +65,6 @@ class ExperimentConfig:
     # trials run in one process; kept only until the benchmark stops passing it
     workers: int = 1
     zero_timings: bool = False
-    allow_large: bool = False
 
     def __post_init__(self):
         if self.mechanism not in MECHANISMS:
@@ -196,17 +192,17 @@ def _cargo_trial(g: Graph, t_true: int, cfg: ExperimentConfig, trial: int) -> Tr
 
 
 def run_cargo(cfg: ExperimentConfig) -> list[TrialRecord]:
-    """Full pipeline, cfg.trials times with per-trial derived seeds."""
-    limit_n = cfg.n_limit
-    if not cfg.allow_large:
-        # one node past the limit is enough to refuse, and the load
-        # stays desk-sized; a graph within the limit loads unchanged
-        limit_n = min(limit_n or MAX_CARGO_NODES + 1, MAX_CARGO_NODES + 1)
-    g = load_edge_list(cfg.graph_path, limit_n)
-    if g.n > MAX_CARGO_NODES and not cfg.allow_large:
+    """Full pipeline, cfg.trials times with per-trial derived seeds.
+
+    The graph is loaded up to MAX_USERS + 1 nodes, whatever cfg.n_limit
+    asks, so a graph the ring cannot count is refused before the oracle
+    and before any dense work.
+    """
+    g = load_edge_list(cfg.graph_path, min(cfg.n_limit or MAX_USERS + 1, MAX_USERS + 1))
+    if g.n > MAX_USERS:
         raise ValueError(
-            f"more than {MAX_CARGO_NODES} nodes, the desk-scale limit for "
-            "the cargo count; pass allow_large to run anyway"
+            f"more than {MAX_USERS} nodes: a larger triangle count does not "
+            "fit Z_2^32; cut the graph with n_limit (--n)"
         )
     t_true = exact_triangle_count(g)
     return [_cargo_trial(g, t_true, cfg, trial) for trial in range(cfg.trials)]

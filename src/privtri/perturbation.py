@@ -65,7 +65,10 @@ class NoiseParams:
                 f"sensitivity must be positive and finite, got {self.sensitivity}"
             )
         if not 1 <= self.n_users <= MAX_USERS:
-            raise ValueError(f"n_users out of range: {self.n_users}")
+            raise ValueError(
+                f"n_users must be in [1, {MAX_USERS}], got {self.n_users}: a count "
+                "over more users does not fit the signed range of Z_2^32"
+            )
         # the tail is about 64 scales, so a scale of 2**31 or more never
         # fits, and an infinite one is refused before the tail is taken
         half = 1 << (RING_BITS - 1)

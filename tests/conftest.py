@@ -234,6 +234,46 @@ def write_lines(path: Path, lines, newline: str = "\n") -> Path:
     return path
 
 
+def write_path(path: Path, n: int) -> Path:
+    """The path graph 0 - 1 - ... - (n-1) as an edge list of n - 1 lines."""
+    return write_lines(path, [f"{i} {i + 1}" for i in range(n - 1)])
+
+
+class ReachedCount(Exception):
+    """Raised by the cargo_calls stub of count, to stop a cargo run there."""
+
+
+@pytest.fixture
+def cargo_calls(monkeypatch) -> dict[str, list]:
+    """What harness.run_cargo hands its loader, oracle and count.
+
+    'load' gets every Graph load_edge_list returns, 'oracle' the n of
+    every exact_triangle_count call and 'count' the n of every count
+    call. The loader and the oracle run as usual; count only records its
+    n and raises ReachedCount.
+    """
+    from privtri import graph, harness
+
+    calls = {"load": [], "oracle": [], "count": []}
+
+    def load(path, limit_n=None):
+        calls["load"].append(graph.load_edge_list(path, limit_n))
+        return calls["load"][-1]
+
+    def oracle(g):
+        calls["oracle"].append(g.n)
+        return graph.exact_triangle_count(g)
+
+    def count(sa, n, dealer, channel=None):
+        calls["count"].append(n)
+        raise ReachedCount
+
+    monkeypatch.setattr(harness, "load_edge_list", load)
+    monkeypatch.setattr(harness, "exact_triangle_count", oracle)
+    monkeypatch.setattr(harness, "count", count)
+    return calls
+
+
 def facebook_path() -> Path | None:
     """Real SNAP edge list, if the user has dropped one in; else None."""
     env = os.environ.get("PRIVTRI_DATA")

@@ -30,11 +30,11 @@ from privtri import (
     run_project_compare,
     share_adjacency,
 )
-from privtri.harness import MAX_CARGO_NODES
 from privtri.projection import effective_theta
+from privtri.ring import MAX_USERS
 from privtri.secure_count import SharedAdjacency, count
 
-from conftest import as_projected, erdos_renyi, facebook_path, noise_sums, write_lines
+from conftest import as_projected, erdos_renyi, facebook_path, noise_sums, write_path
 
 # two-sample Kolmogorov-Smirnov critical coefficient at the 1% level
 KS_COEFF_1PCT = 1.62762
@@ -215,16 +215,15 @@ def test_criterion_8_determinism(proxy_graph_file, tmp_path):
         assert [r.t_projected for r in rec_a] == [r.t_projected for r in rec_b]
 
 
-def test_criterion_9_full_scale_out_of_scope(tmp_path):
-    with criterion(9, "full-size runs declared out of desk scale (guarded)"):
+def test_criterion_9_full_scale_out_of_scope(tmp_path, cargo_calls):
+    with criterion(9, "graphs over the ring's MAX_USERS refused before any count"):
         # graphs at published-benchmark sizes would need O(n^3) BLAS flops
         # on (n, n) shared matrices and O(n^2) openings per count, plus an
         # external comparator; the desk-scale suite substitutes oracle
-        # equivalence and closed-form noise checks, and the runner refuses
-        # oversized inputs unless forced
-        path = write_lines(
-            tmp_path / "big.txt",
-            [f"{i} {i + 1}" for i in range(MAX_CARGO_NODES + 1)],
-        )
-        with pytest.raises(ValueError, match="allow_large"):
+        # equivalence and closed-form noise checks. A count over more than
+        # MAX_USERS = 2345 users does not fit Z_2^32, so the runner refuses
+        # such a graph while loading it, before the oracle and the count
+        path = write_path(tmp_path / "big.txt", MAX_USERS + 1)
+        with pytest.raises(ValueError, match="more than 2345 nodes"):
             run_cargo(ExperimentConfig(graph_path=path, mechanism="cargo", trials=1))
+        assert cargo_calls["oracle"] == cargo_calls["count"] == []

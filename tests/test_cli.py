@@ -5,6 +5,9 @@ from pathlib import Path
 import pytest
 
 from privtri.cli import build_parser, main
+from privtri.ring import MAX_USERS
+
+from conftest import write_path
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -78,12 +81,17 @@ def test_cli_rejects_non_finite_epsilon(k4_graph_file, tmp_path, capsys, mechani
     assert not out.exists()
 
 
-def test_cli_guard_refuses_large_cargo(tmp_path, capsys):
-    path = tmp_path / "big.txt"
-    path.write_text("\n".join(f"{i} {i + 1}" for i in range(2000)) + "\n")
-    code = main(["run", "--graph", str(path), "--trials", "1"])
-    assert code == 1
-    assert "allow_large" in capsys.readouterr().err
+def test_cli_guard_refuses_large_cargo(tmp_path, capsys, cargo_calls):
+    # a file over MAX_USERS = 2345 nodes is refused before the oracle and
+    # the count, whatever --n asks; the error says how to cut the graph
+    path = write_path(tmp_path / "big.txt", MAX_USERS + 1)
+    for n in ([], ["--n", str(MAX_USERS + 1)], ["--n", str(10**6)]):
+        code = main(["run", "--graph", str(path), "--trials", "1", *n])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "more than 2345 nodes" in err and "--n" in err
+    assert [g.n for g in cargo_calls["load"]] == [MAX_USERS + 1] * 3
+    assert cargo_calls["oracle"] == cargo_calls["count"] == []
 
 
 def test_cli_rejects_unknown_mechanism(k4_graph_file):

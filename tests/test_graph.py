@@ -217,15 +217,30 @@ def test_node_ids_are_what_int_reads(tmp_path, monkeypatch, token):
                 assert str(got.value) == str(want.value)
 
 
-def test_comment_lines_must_be_utf8(tmp_path):
-    # the tokenizer drops '#' lines unread, but the file is UTF-8 throughout
+def test_comment_lines_must_be_utf8(tmp_path, monkeypatch):
+    # the tokenizer drops '#' lines unread, but the file is UTF-8 throughout;
+    # the error names the line of the bad byte, also past the first block
     path = tmp_path / "latin1.txt"
-    for data in (b"# caf\xe9\n0 1\n", b"0 1\n1 caf\xe9\n"):
-        path.write_bytes(data)
-        with pytest.raises(UnicodeDecodeError):
-            load_edge_list(path)
-        with pytest.raises(UnicodeDecodeError):
-            reference_load(path)
+    good = b"".join(b"%d %d\n" % (i, i + 1) for i in range(10))
+    cases = [
+        (b"# caf\xe9\n0 1\n", 1),
+        (b"0 1\n1 caf\xe9\n", 2),
+        (b"0 1\n1 \xe9\n", 2),
+        (b"0 1\n# caf\xe9\n1 2\n", 2),
+        (good + b"1 \xe9\n" + good, 11),
+        (good + b"0 1\r\n# caf\xe9\n" + good, 12),
+    ]
+    # 16 bytes per block put the last two bad lines past the first block
+    for block_chars in (graph._BLOCK_CHARS, 16):
+        monkeypatch.setattr(graph, "_BLOCK_CHARS", block_chars)
+        for data, lineno in cases:
+            path.write_bytes(data)
+            with pytest.raises(UnicodeDecodeError) as got:
+                load_edge_list(path)
+            assert got.value.reason.startswith(f"line {lineno}: ")
+            assert got.value.object[got.value.start] == 0xE9
+            with pytest.raises(UnicodeDecodeError):
+                reference_load(path)
     path.write_bytes("# café\n0 1\n".encode())
     assert load_edge_list(path).n == 2
 

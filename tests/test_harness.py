@@ -17,7 +17,9 @@ from privtri import (
     run_project_compare,
     summarize,
 )
-from conftest import write_lines
+from privtri.ring import MAX_USERS
+
+from conftest import ReachedCount, write_lines, write_path
 
 
 def test_budget_split_is_exact():
@@ -115,40 +117,56 @@ def test_cargo_dealer_seed_moves_masks_not_values(proxy_graph_file):
         assert a.t_noisy == b.t_noisy  # noise stream untouched
 
 
-def test_cargo_desk_scale_guard(tmp_path, monkeypatch):
-    monkeypatch.setattr(harness, "MAX_CARGO_NODES", 10)
-    path = write_lines(tmp_path / "path12.txt", [f"{i} {i + 1}" for i in range(11)])
-    with pytest.raises(ValueError, match="allow_large"):
+def test_cargo_desk_scale_guard(tmp_path, cargo_calls):
+    # the one node limit of a cargo run is the ring's MAX_USERS = 2345,
+    # whatever mechanism the config names; the error says how to cut
+    path = write_path(tmp_path / "path2346.txt", MAX_USERS + 1)
+    for mechanism in ("cargo", "exact"):
+        cfg = ExperimentConfig(graph_path=path, mechanism=mechanism, trials=1)
+        with pytest.raises(ValueError, match=r"2345 nodes: .* Z_2\^32; .* n_limit \(--n\)"):
+            run_cargo(cfg)
+    assert cargo_calls["oracle"] == cargo_calls["count"] == []
+    # cut to MAX_USERS nodes, the same file runs up to the count
+    with pytest.raises(ReachedCount):
+        run_cargo(ExperimentConfig(graph_path=path, n_limit=MAX_USERS, trials=1))
+    assert cargo_calls["oracle"] == cargo_calls["count"] == [MAX_USERS]
+
+
+def test_cargo_runs_a_2001_node_graph_up_to_the_count(tmp_path, cargo_calls):
+    # MAX_USERS is the only node limit: a graph between 2000 nodes and it
+    # reaches the count whole, with no flag
+    path = write_path(tmp_path / "path2001.txt", 2001)
+    with pytest.raises(ReachedCount):
         run_cargo(ExperimentConfig(graph_path=path, trials=1))
-    # the guard holds whatever mechanism the config names
-    with pytest.raises(ValueError, match="allow_large"):
-        run_cargo(ExperimentConfig(graph_path=path, mechanism="exact", trials=1))
-    records = run_cargo(ExperimentConfig(graph_path=path, trials=1, allow_large=True))
-    assert records[0].t_true == 0
-    assert records[0].d_max_true == 2
+    assert [g.n for g in cargo_calls["load"]] == [2001]
+    assert cargo_calls["count"] == [2001]
 
 
-def test_cargo_guard_refuses_before_the_dense_load(tmp_path, monkeypatch):
-    # the loader stops one node past the limit, so an oversized file never
-    # becomes a dense n x n graph; a graph within the limit loads unchanged
-    monkeypatch.setattr(harness, "MAX_CARGO_NODES", 10)
-    loaded = []
-
-    def spy(path, limit_n=None):
-        g = load_edge_list(path, limit_n)
-        loaded.append(g)
-        return g
-
-    monkeypatch.setattr(harness, "load_edge_list", spy)
-    path = write_lines(tmp_path / "path100.txt", [f"{i} {i + 1}" for i in range(99)])
-    for n_limit in (None, 11, 50):
-        with pytest.raises(ValueError, match="allow_large"):
+def test_cargo_guard_refuses_before_the_dense_load(tmp_path, cargo_calls):
+    # the loader stops one node past MAX_USERS whatever n_limit asks, so
+    # neither the oracle nor the count sees a graph the ring cannot hold;
+    # a graph within the limit loads unchanged
+    path = write_path(tmp_path / "path2346.txt", MAX_USERS + 1)
+    for n_limit in (None, MAX_USERS + 1, 10**6):
+        with pytest.raises(ValueError, match="more than 2345 nodes"):
             run_cargo(ExperimentConfig(graph_path=path, n_limit=n_limit, trials=1))
-    assert max(g.n for g in loaded) == 11
+    assert [g.n for g in cargo_calls["load"]] == [MAX_USERS + 1] * 3
+    assert cargo_calls["oracle"] == cargo_calls["count"] == []
     small = write_lines(tmp_path / "k4.txt", ["0 1", "0 2", "0 3", "1 2", "1 3", "2 3"])
-    records = run_cargo(ExperimentConfig(graph_path=small, trials=1))
-    assert records[0].t_true == 4
-    assert np.array_equal(loaded[-1].adj, load_edge_list(small).adj)
+    with pytest.raises(ReachedCount):
+        run_cargo(ExperimentConfig(graph_path=small, trials=1))
+    assert np.array_equal(cargo_calls["load"][-1].adj, load_edge_list(small).adj)
+    assert cargo_calls["oracle"] == cargo_calls["count"] == [4]
+
+
+def test_cargo_stops_at_the_ring_limit_before_count(tmp_path, cargo_calls):
+    # a 200,000-node file is read only up to MAX_USERS + 1 nodes and
+    # refused before the oracle, not loaded whole and counted first
+    path = write_path(tmp_path / "path200000.txt", 200_000)
+    with pytest.raises(ValueError, match="more than 2345 nodes"):
+        run_cargo(ExperimentConfig(graph_path=path, trials=1))
+    assert [g.n for g in cargo_calls["load"]] == [MAX_USERS + 1]
+    assert cargo_calls["oracle"] == cargo_calls["count"] == []
 
 
 def test_cargo_bad_noise_scale_fails_before_count(k4_graph_file, monkeypatch):
@@ -163,7 +181,7 @@ def test_cargo_bad_noise_scale_fails_before_count(k4_graph_file, monkeypatch):
 
 
 def test_cargo_at_max_users_refuses_a_scale_above_its_room_before_count(tmp_path, monkeypatch):
-    # allow_large admits MAX_USERS = 2345 nodes, whose count bound C(n, 3)
+    # cargo admits MAX_USERS = 2345 nodes, whose count bound C(n, 3)
     # leaves about 10^6 below 2^31: room for a scale up to about 16,150.
     # theta >= 1 and epsilon2 = 4.5e-5 put it above 22,000, and NoiseParams
     # refuses that before any count
@@ -171,22 +189,10 @@ def test_cargo_at_max_users_refuses_a_scale_above_its_room_before_count(tmp_path
         raise AssertionError("count ran before the noise parameters were checked")
 
     monkeypatch.setattr(harness, "count", unreachable)
-    path = write_lines(tmp_path / "path2345.txt", [f"{i} {i + 1}" for i in range(2344)])
-    cfg = ExperimentConfig(graph_path=path, epsilon=5e-5, trials=1, allow_large=True)
+    path = write_path(tmp_path / "path2345.txt", MAX_USERS)
+    cfg = ExperimentConfig(graph_path=path, epsilon=5e-5, trials=1)
     with pytest.raises(ValueError, match="noise scale .* over 2345 users"):
         run_cargo(cfg)
-
-
-def test_allow_large_stops_at_the_ring_limit_before_count(tmp_path, monkeypatch):
-    # allow_large lifts the desk-scale limit but not the ring's: a graph of
-    # MAX_USERS + 1 = 2346 nodes is refused before any count
-    def unreachable(*args, **kwargs):
-        raise AssertionError("count ran on a graph the ring cannot hold")
-
-    monkeypatch.setattr(harness, "count", unreachable)
-    path = write_lines(tmp_path / "path2346.txt", [f"{i} {i + 1}" for i in range(2345)])
-    with pytest.raises(ValueError, match="n_users"):
-        run_cargo(ExperimentConfig(graph_path=path, trials=1, allow_large=True))
 
 
 def test_relative_error_trend_with_epsilon(proxy_graph_file):

@@ -302,10 +302,15 @@ class RecordingDealer(DealerRng):
     def __init__(self, *seed):
         super().__init__(*seed)
         self.draws = []
+        self.words = []
 
     def elements(self, shape):
         self.draws.append(super().elements(shape))
         return self.draws[-1]
+
+    def element(self):
+        self.words.append(super().element())
+        return self.words[-1]
 
 
 def test_count_pair_vectors_are_uint32_in_the_32_bit_ring():
@@ -329,6 +334,95 @@ def test_count_pair_vectors_are_uint32_in_the_32_bit_ring():
             assert np.array_equal(draw, fresh.elements(comb(n, 2)))
         assert channel.dtypes == [np.uint32]
         assert reconstruct(t) == exact_triangle_count(g)
+
+
+class NegatedMaskDealer(RecordingDealer):
+    """A broken dealer whose x2 is the negated user masks s1: the count
+    stays exact, but server 1's e - s1 + x1 is then the bits themselves."""
+
+    def __init__(self, masks, *seed):
+        super().__init__(*seed)
+        self.masks = masks
+
+    def elements(self, shape):
+        draw = super().elements(shape)
+        if len(self.draws) == 2:
+            draw = self.draws[-1] = np.uint32(0) - self.masks
+        return draw
+
+
+# the hiding audit: dealer seeds per graph, and the two-sided normal
+# quantile at 10^-6, the level of each of its two-sample tests
+HIDING_SEEDS = 1000
+HIDING_Z = 4.8916
+
+
+def server_views(g: Graph, make_dealer, first_seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each server's view of count on g, one row per dealer seed from
+    first_seed on.
+
+    Server 1 holds its user shares s1, its dealer values x1, w1 and tx1,
+    and the opened e. Server 2 holds s2, x2 and e, and its dealer values
+    w2 = P_x - w1 and tx2 = T(x) - tx1, rebuilt from the recorded draws.
+    Each view ends with what its server can combine: e - s1 + x1 for
+    server 1 and e - s2 + x2 for server 2. make_dealer(sa, seed) gives
+    the count's dealer. Two (HIDING_SEEDS, 5 m + 1) uint32 arrays.
+    """
+    third = pow(3, -1, 1 << 32)
+    views = ([], [])
+    for seed in range(first_seed, first_seed + HIDING_SEEDS):
+        sa = share_adjacency(as_projected(g), DealerRng(seed, 0))
+        dealer, channel = make_dealer(sa, seed), CallCountingChannel()
+        count(sa, g.n, dealer, channel)
+        x1, x2, w1 = dealer.draws
+        tx1 = dealer.words[0] & MASK
+        e = np.array(channel.values, dtype=np.uint32)
+        x = x1 + x2
+        px = ring.ring_square(x, g.n)
+        tx2 = (third * int(np.dot(x, px)) - tx1) & MASK
+        views[0].append(np.concatenate((sa.s1, x1, w1, [tx1], e, e - sa.s1 + x1)))
+        views[1].append(np.concatenate((sa.s2, x2, px - w1, [tx2], e, e - sa.s2 + x2)))
+    return tuple(np.array(v, dtype=np.uint32) for v in views)
+
+
+def flagged(view_a: np.ndarray, view_b: np.ndarray) -> np.ndarray:
+    """The coordinates whose low or top bit is set at rates that differ
+    between two views, by a two-proportion z-test at HIDING_Z."""
+    z = np.zeros(view_a.shape[1])
+    for shift in (0, RING_BITS - 1):
+        pa = (view_a >> shift & 1).mean(axis=0)
+        pb = (view_b >> shift & 1).mean(axis=0)
+        pool = (pa + pb) / 2
+        se = np.sqrt(pool * (1 - pool) * 2 / HIDING_SEEDS)
+        z = np.maximum(z, np.abs(pa - pb) / np.where(se > 0, se, np.inf))
+    return np.flatnonzero(z > HIDING_Z)
+
+
+def test_count_views_hide_the_bits():
+    # the simulation paradigm of semi-honest security (Goldreich,
+    # Foundations of Cryptography II, 2004; Lindell, "How to Simulate It",
+    # 2017): each server's view must be distributed alike whatever the
+    # bits are, so the views on the empty and the complete graph at n = 8
+    # are compared coordinate by coordinate, each graph under its own
+    # dealer seeds. It catches correlations and proves nothing
+    empty, full = Graph(8, []), complete_graph(8)
+    m = comb(8, 2)
+
+    def honest(sa, seed):
+        return RecordingDealer(seed, 1)
+
+    views = zip(server_views(empty, honest, 0), server_views(full, honest, HIDING_SEEDS))
+    for a, b in views:
+        assert a.shape == (HIDING_SEEDS, 5 * m + 1)
+        assert flagged(a, b).size == 0
+
+    # positive control: a dealer that reuses the user masks for x2 lets
+    # server 1 read every bit from e - s1 + x1, its last m coordinates
+    def leaky(sa, seed):
+        return NegatedMaskDealer(sa.s1, seed, 1)
+
+    server1 = server_views(empty, leaky, 0)[0], server_views(full, leaky, HIDING_SEEDS)[0]
+    assert flagged(*server1).tolist() == list(range(4 * m + 1, 5 * m + 1))
 
 
 @pytest.mark.parametrize("bits", [RING_BITS])
