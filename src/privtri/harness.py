@@ -2,9 +2,7 @@
 
 A run is fully determined by its config, including the master seed: every
 trial derives its own noise and dealer substreams from (seed, trial), so a
-trial's record does not depend on how many trials the run has. The dealer
-seed can be varied independently of the noise seed to check that share
-masking never moves the reconstructed count.
+trial's record does not depend on how many trials the run has.
 
 Mechanisms:
   cargo            private max degree -> projection -> secret-shared
@@ -28,8 +26,6 @@ from .perturbation import NoiseParams, perturb
 from .projection import NoisyDegrees, max_private, project, project_random
 from .ring import MAX_USERS, DealerRng, reconstruct
 from .secure_count import count, effective_graph, share_adjacency
-
-MECHANISMS = ("cargo", "central", "exact", "project-compare")
 
 # per-trial substream tags
 _NOISE_STREAM = 0
@@ -61,7 +57,6 @@ class ExperimentConfig:
     trials: int = 10
     seed: int = 0
     output_path: str | Path | None = None
-    dealer_seed: int | None = None
     # trials run in one process; kept only until the benchmark stops passing it
     workers: int = 1
     zero_timings: bool = False
@@ -73,16 +68,14 @@ class ExperimentConfig:
             raise ValueError("epsilon must be positive and finite")
         if not 0 < self.epsilon_split < 1:
             raise ValueError("epsilon_split must be in (0, 1)")
-        # integer fields are checked before the graph is loaded; seeds feed
-        # np.random.SeedSequence, which takes only non-negative integers
+        # integer fields are checked before the graph is loaded; the seed
+        # feeds np.random.SeedSequence, which takes only non-negative integers
         check_int("trials", self.trials, 1)
         if self.n_limit is not None:
             check_int("n_limit", self.n_limit, 1)
         if self.workers != 1:
             raise ValueError("trials run in one process; workers must be 1")
         check_int("seed", self.seed, 0)
-        if self.dealer_seed is not None:
-            check_int("dealer_seed", self.dealer_seed, 0)
         if self.theta_override is not None:
             if self.mechanism != "project-compare":
                 raise ValueError("theta override applies to project-compare only")
@@ -121,14 +114,11 @@ class TrialRecord:
     t_projected: int | None = None
 
 
-def _noise_rng(cfg: ExperimentConfig, trial: int):
-    seq = np.random.SeedSequence([cfg.seed, trial, _NOISE_STREAM])
+# unannotated: naming np.random.Generator at import would load numpy.random,
+# about 6 MB, in every process that imports privtri
+def _rng(cfg: ExperimentConfig, *path: int):
+    seq = np.random.SeedSequence([cfg.seed, *path])
     return np.random.Generator(np.random.PCG64(seq))
-
-
-def _dealer(cfg: ExperimentConfig, trial: int) -> DealerRng:
-    base = cfg.seed if cfg.dealer_seed is None else cfg.dealer_seed
-    return DealerRng(base, trial, _DEALER_STREAM)
 
 
 def _record(
@@ -164,8 +154,8 @@ def _record(
 
 
 def _cargo_trial(g: Graph, t_true: int, cfg: ExperimentConfig, trial: int) -> TrialRecord:
-    noise_rng = _noise_rng(cfg, trial)
-    dealer = _dealer(cfg, trial)
+    noise_rng = _rng(cfg, trial, _NOISE_STREAM)
+    dealer = DealerRng(cfg.seed, trial, _DEALER_STREAM)
 
     t0 = time.perf_counter()
     noisy = max_private(g.degrees, cfg.epsilon1, noise_rng)
@@ -213,7 +203,7 @@ def run_central(cfg: ExperimentConfig) -> list[TrialRecord]:
     t_true = exact_triangle_count(g)
     records = []
     for trial in range(cfg.trials):
-        rng = _noise_rng(cfg, trial)
+        rng = _rng(cfg, trial, _NOISE_STREAM)
         t0 = time.perf_counter()
         t_noisy = central_lap(t_true, g.d_max, cfg.epsilon, rng)
         elapsed = time.perf_counter() - t0
@@ -244,8 +234,7 @@ def run_project_compare(cfg: ExperimentConfig) -> list[TrialRecord]:
     records = []
     for theta in cfg.theta_override:
         for trial in range(cfg.trials):
-            seq = np.random.SeedSequence([cfg.seed, trial, _PROJECT_STREAM, theta])
-            rng = np.random.Generator(np.random.PCG64(seq))
+            rng = _rng(cfg, trial, _PROJECT_STREAM, theta)
             for method in ("project", "random"):
                 t0 = time.perf_counter()
                 if method == "project":
@@ -263,15 +252,17 @@ def run_project_compare(cfg: ExperimentConfig) -> list[TrialRecord]:
     return records
 
 
+MECHANISMS = {
+    "cargo": run_cargo,
+    "central": run_central,
+    "exact": run_exact,
+    "project-compare": run_project_compare,
+}
+
+
 def run(cfg: ExperimentConfig) -> list[TrialRecord]:
     """Dispatch on mechanism; write CSV when an output path is set."""
-    runner = {
-        "cargo": run_cargo,
-        "central": run_central,
-        "exact": run_exact,
-        "project-compare": run_project_compare,
-    }[cfg.mechanism]
-    records = runner(cfg)
+    records = MECHANISMS[cfg.mechanism](cfg)
     if cfg.output_path is not None:
         emit_csv(records, cfg.output_path)
     return records

@@ -81,9 +81,9 @@ class DealerRng:
         seq = np.random.SeedSequence([int(seed), *map(int, path)])
         self._raw = np.random.PCG64(seq).random_raw
 
-    def element(self) -> int:
-        """One raw 64-bit draw; callers reduce it to the ring they need."""
-        return self._raw()
+    def element(self) -> RingElement:
+        """One element of Z_2^32: the low half of the next raw 64-bit word."""
+        return self._raw() & MASK
 
     def elements(self, shape) -> np.ndarray:
         """Uniform uint32 array of Z_2^32.
@@ -98,7 +98,7 @@ class DealerRng:
 
 def share(secret: int, rng: DealerRng) -> SharePair:
     """Split a secret into two uniform additive shares: (mask, secret - mask)."""
-    mask = rng.element() & MASK
+    mask = rng.element()
     return SharePair(mask, (secret - mask) & MASK)
 
 

@@ -135,7 +135,7 @@ def count(
     # was mapped and page-faulted in anew on every count
     m = n * (n - 1) // 2
     x1, x2, w1 = (dealer.elements(m) for _ in range(3))
-    tx1 = dealer.element() & MASK
+    tx1 = dealer.element()
     x = x1 + x2
     w2 = ring_square(x, n)
     tx2 = (third * int(np.dot(x, w2)) - tx1) & MASK

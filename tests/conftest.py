@@ -274,6 +274,30 @@ def cargo_calls(monkeypatch) -> dict[str, list]:
     return calls
 
 
+def cargo_under_two_dealers(monkeypatch, cfg):
+    """run_cargo(cfg) with the run's own dealer, then with another one.
+
+    The other dealer reads every stream one path step further, so it deals
+    other masks from the same seed. Returns each run's records and the
+    users' share masks s1 of each of its trials.
+    """
+    from privtri import DealerRng, harness
+    from privtri.secure_count import share_adjacency
+
+    masks = []
+
+    def spy(pg, dealer):
+        sa = share_adjacency(pg, dealer)
+        masks.append(sa.s1)
+        return sa
+
+    monkeypatch.setattr(harness, "share_adjacency", spy)
+    runs = [harness.run_cargo(cfg)]
+    monkeypatch.setattr(harness, "DealerRng", lambda seed, *path: DealerRng(seed, *path, 7))
+    runs.append(harness.run_cargo(cfg))
+    return runs, (masks[:cfg.trials], masks[cfg.trials:])
+
+
 def facebook_path() -> Path | None:
     """Real SNAP edge list, if the user has dropped one in; else None."""
     env = os.environ.get("PRIVTRI_DATA")

@@ -34,7 +34,14 @@ from privtri.projection import effective_theta
 from privtri.ring import MAX_USERS
 from privtri.secure_count import SharedAdjacency, count
 
-from conftest import as_projected, erdos_renyi, facebook_path, noise_sums, write_path
+from conftest import (
+    as_projected,
+    cargo_under_two_dealers,
+    erdos_renyi,
+    facebook_path,
+    noise_sums,
+    write_path,
+)
 
 # two-sample Kolmogorov-Smirnov critical coefficient at the 1% level
 KS_COEFF_1PCT = 1.62762
@@ -198,21 +205,22 @@ def test_criterion_7_utility_gap_band(proxy_graph_file):
         assert mean_rel < 0.1, f"relative error {mean_rel:.4f}"
 
 
-def test_criterion_8_determinism(proxy_graph_file, tmp_path):
+def test_criterion_8_determinism(proxy_graph_file, tmp_path, monkeypatch):
     with criterion(8, "seeded runs are bit-reproducible; masks never move values"):
-        base = dict(
+        cfg = ExperimentConfig(
             graph_path=proxy_graph_file, mechanism="cargo", n_limit=60,
             epsilon=2.0, trials=3, seed=8801, zero_timings=True,
         )
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit_csv(run_cargo(ExperimentConfig(**base)), out_a)
-        emit_csv(run_cargo(ExperimentConfig(**base)), out_b)
+        emit_csv(run_cargo(cfg), out_a)
+        emit_csv(run_cargo(cfg), out_b)
         assert out_a.read_bytes() == out_b.read_bytes()
 
-        rec_a = run_cargo(ExperimentConfig(**base, dealer_seed=1))
-        rec_b = run_cargo(ExperimentConfig(**base, dealer_seed=2))
-        assert [r.t_true for r in rec_a] == [r.t_true for r in rec_b]
-        assert [r.t_projected for r in rec_a] == [r.t_projected for r in rec_b]
+        # another dealer deals other masks, and the values do not move
+        (rec_a, rec_b), (s1_a, s1_b) = cargo_under_two_dealers(monkeypatch, cfg)
+        assert not any(np.array_equal(a, b) for a, b in zip(s1_a, s1_b, strict=True))
+        for field in ("t_true", "t_projected", "t_noisy"):
+            assert [getattr(r, field) for r in rec_a] == [getattr(r, field) for r in rec_b]
 
 
 def test_criterion_9_full_scale_out_of_scope(tmp_path, cargo_calls):

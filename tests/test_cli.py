@@ -1,15 +1,23 @@
 import argparse
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+from privtri import ExperimentConfig
 from privtri.cli import build_parser, main
 from privtri.ring import MAX_USERS
 
 from conftest import write_path
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def run_parser() -> argparse.ArgumentParser:
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sub.choices["run"]
 
 
 def test_cli_exact_run(k4_graph_file, tmp_path, capsys):
@@ -108,7 +116,18 @@ def test_cli_rejects_bad_theta(k4_graph_file):
         ])
 
 
-@pytest.mark.parametrize("flag", ["--seed", "--dealer-seed"])
+@pytest.mark.parametrize("thetas", ["5,,20", "5,", ",5", ",", ""])
+def test_cli_refuses_empty_theta_items(k4_graph_file, thetas, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "run", "--graph", str(k4_graph_file), "--mechanism",
+            "project-compare", "--theta", thetas,
+        ])
+    assert exc.value.code == 2
+    assert f"bad theta list {thetas!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--seed"])
 def test_cli_names_a_negative_seed(k4_graph_file, flag, capsys):
     code = main(["run", "--graph", str(k4_graph_file), "--mechanism", "exact", flag, "-1"])
     assert code == 1
@@ -122,12 +141,23 @@ def test_cli_rejects_removed_bit_policy_flag(k4_graph_file):
     assert exc.value.code == 2
 
 
+def test_cli_rejects_removed_dealer_seed_flag(k4_graph_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--graph", str(k4_graph_file), "--dealer-seed", "1"])
+    assert exc.value.code == 2
+
+
+def test_cli_flags_are_the_config_fields():
+    # main builds ExperimentConfig straight from the parsed options, so
+    # each option is stored under the name of its config field
+    dests = {action.dest for action in run_parser()._actions} - {"help"}
+    assert dests == {f.name for f in fields(ExperimentConfig)} - {"workers"}
+
+
 def test_readme_synopsis_lists_every_run_flag():
     # the README's `privtri run` synopsis block must name exactly the parser's flags
     synopsis = re.search(r"```sh\n(privtri run .*?)```", README.read_text(), re.S)
     documented = set(re.findall(r"--[a-z][a-z-]*", synopsis.group(1)))
-    sub = next(a for a in build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    offered = {opt for action in sub.choices["run"]._actions
+    offered = {opt for action in run_parser()._actions
                for opt in action.option_strings if opt.startswith("--")}
     assert documented == offered - {"--help"}

@@ -19,7 +19,7 @@ from privtri import (
 )
 from privtri.ring import MAX_USERS
 
-from conftest import ReachedCount, write_lines, write_path
+from conftest import ReachedCount, cargo_under_two_dealers, write_lines, write_path
 
 
 def test_budget_split_is_exact():
@@ -52,12 +52,13 @@ def test_config_validation(k4_graph_file):
         )
 
 
+# a tuple value's test id is its index (value5-value7), so new cases go last
 @pytest.mark.parametrize("field, value, error", [
     ("seed", -1, ValueError), ("seed", 2.5, TypeError), ("seed", "7", TypeError),
-    ("dealer_seed", -1, ValueError), ("dealer_seed", 1.0, TypeError),
+    ("trials", 2.5, TypeError), ("n_limit", 1.5, TypeError),
     ("theta_override", (2.5,), TypeError), ("theta_override", (10, 0), ValueError),
     ("theta_override", (), ValueError),
-    ("trials", 2.5, TypeError), ("n_limit", 1.5, TypeError), ("n_limit", 2.0, TypeError),
+    ("n_limit", 2.0, TypeError),
 ])
 def test_config_rejects_bad_seeds_and_thetas_before_the_load(tmp_path, field, value, error):
     # the graph file does not exist, so a config that got past its checks
@@ -106,12 +107,12 @@ def test_cargo_reproducible_csv(proxy_graph_file, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_cargo_dealer_seed_moves_masks_not_values(proxy_graph_file):
-    base = dict(graph_path=proxy_graph_file, n_limit=40, epsilon=2.0,
-                trials=3, seed=11, zero_timings=True)
-    rec_a = run_cargo(ExperimentConfig(**base, dealer_seed=100))
-    rec_b = run_cargo(ExperimentConfig(**base, dealer_seed=200))
-    for a, b in zip(rec_a, rec_b):
+def test_cargo_dealer_seed_moves_masks_not_values(proxy_graph_file, monkeypatch):
+    cfg = ExperimentConfig(graph_path=proxy_graph_file, n_limit=40, epsilon=2.0,
+                           trials=3, seed=11, zero_timings=True)
+    (rec_a, rec_b), (s1_a, s1_b) = cargo_under_two_dealers(monkeypatch, cfg)
+    for a, b, mask_a, mask_b in zip(rec_a, rec_b, s1_a, s1_b, strict=True):
+        assert not np.array_equal(mask_a, mask_b)
         assert a.t_true == b.t_true
         assert a.t_projected == b.t_projected
         assert a.t_noisy == b.t_noisy  # noise stream untouched

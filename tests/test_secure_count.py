@@ -375,7 +375,7 @@ def server_views(g: Graph, make_dealer, first_seed: int) -> tuple[np.ndarray, np
         dealer, channel = make_dealer(sa, seed), CallCountingChannel()
         count(sa, g.n, dealer, channel)
         x1, x2, w1 = dealer.draws
-        tx1 = dealer.words[0] & MASK
+        tx1 = dealer.words[0]
         e = np.array(channel.values, dtype=np.uint32)
         x = x1 + x2
         px = ring.ring_square(x, g.n)
