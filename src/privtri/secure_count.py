@@ -89,7 +89,8 @@ def share_adjacency(
     bits = np.zeros(pg.n * (pg.n - 1) // 2, dtype=np.uint32)
     bits[pair_index(i, j, pg.n)] = 1
     masks = rng.elements(bits.size)
-    return SharedAdjacency(n=pg.n, s1=masks, s2=bits - masks)
+    bits -= masks
+    return SharedAdjacency(n=pg.n, s1=masks, s2=bits)
 
 
 def count(
@@ -111,10 +112,21 @@ def count(
     opened e alone, so like e itself the simulation computes it once for
     both servers. Since T(u) = T(e) + <x, P_e> + <e, P_x> + T(x), server 1
     outputs 3^-1 <e, P_e> + <x1, P_e> + <e, w1> + tx1 and server 2
-    <x2, P_e> + <e, w2> + tx2. The dealer's square and the public one
-    share ring_square's resident workspace. A given dealer seed fixes
-    every share and opened value; the reconstructed count depends only on
-    the shared bits.
+    <x2, P_e> + <e, w2> + tx2. A given dealer seed fixes every share and
+    opened value; the reconstructed count depends only on the shared bits.
+
+    Each value is dropped once its last use is done, so beside the
+    caller's shares and ring_square's resident workspace the count holds
+    at most five pair vectors of 4 m bytes. In order: x1 and x2 are drawn;
+    the servers' messages u1 - x1 and u2 - x2 are formed, e is opened and
+    the messages are dropped; the dealer forms x, P_x and T(x) and drops
+    x; it draws w1 and tx1, and folds w2 = P_x - w1 into P_x's array;
+    <e, w1> + tx1 and <e, w2> + tx2 go into the shares and w1 and w2 are
+    dropped; only then is P_e squared. The dealer never reads e, and the
+    stream is read in the same order (x1, x2, w1, tx1) as if it dealt
+    before the round, so dealing P_x after the opening moves no value,
+    and each server still computes only from its own view. The caller's
+    shares are read, never written.
 
     Everything runs in Z_2^32 on uint32 pair vectors, which wrap mod
     2**32 by themselves, so no value that leaves the dealer or a server
@@ -129,22 +141,29 @@ def count(
         channel = OpeningChannel()
     third = pow(3, -1, 1 << 32)
 
-    # dealer: server 2's shares of W = P_x and T(x) follow from x = x1 + x2.
-    # x1, x2, w1 are drawn as three pair vectors rather than one (3, m)
-    # block: glibc serves each from its heap, where a fresh (3, m) block
-    # was mapped and page-faulted in anew on every count
+    # the one round opens e before the dealer squares, so the servers'
+    # messages are gone before P_x exists. x1, x2 and w1 are drawn as
+    # pair vectors one at a time rather than one (3, m) block: glibc
+    # serves each from its heap, where a fresh (3, m) block was mapped
+    # and page-faulted in anew on every count
     m = n * (n - 1) // 2
-    x1, x2, w1 = (dealer.elements(m) for _ in range(3))
-    tx1 = dealer.element()
+    x1, x2 = dealer.elements(m), dealer.elements(m)
+    e = channel.open_array(sa.s1 - x1, sa.s2 - x2)
+
+    # dealer: server 2's shares of W = P_x and T(x) follow from x = x1 + x2
     x = x1 + x2
     w2 = ring_square(x, n)
-    tx2 = (third * int(np.dot(x, w2)) - tx1) & MASK
+    tx = third * int(np.dot(x, w2))
     del x
+    w1 = dealer.elements(m)
+    tx1 = dealer.element()
     w2 -= w1
 
-    # the one round; np.dot wraps in uint32, exact mod 2**32
-    e = channel.open_array(sa.s1 - x1, sa.s2 - x2)
+    # np.dot wraps in uint32, exact mod 2**32
+    t1 = int(np.dot(e, w1)) + tx1
+    t2 = int(np.dot(e, w2)) + tx - tx1
+    del w1, w2
     pe = ring_square(e, n)
-    t1 = third * int(np.dot(e, pe)) + int(np.dot(x1, pe)) + int(np.dot(e, w1)) + tx1
-    t2 = int(np.dot(x2, pe)) + int(np.dot(e, w2)) + tx2
+    t1 += third * int(np.dot(e, pe)) + int(np.dot(x1, pe))
+    t2 += int(np.dot(x2, pe))
     return SharePair(t1 & MASK, t2 & MASK)

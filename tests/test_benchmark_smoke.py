@@ -46,3 +46,19 @@ def test_benchmark_traced_round_is_correct(workload, checkout_copy):
     assert lines, proc.stderr
     assert json.loads(lines[-1])["correct"] is True, proc.stderr
     assert proc.returncode == 0
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # every workload's peak_rss_mb includes what importing privtri loads;
+    # numpy imports numpy.random lazily, and its 5-6 MB would move
+    # noise-n2000's peak past its bound with no change at run time
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import privtri; "
+        "print('numpy.random' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(ROOT / "src")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]

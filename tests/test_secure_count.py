@@ -208,16 +208,27 @@ def test_count_spans_several_row_blocks():
         assert got == exact_triangle_count(effective_graph(pg)) > 0
 
 
+def pinned_count_input():
+    # an n = 300 Erdős–Rényi graph at p = 0.1, shared under DealerRng(13, 0)
+    n = 300
+    g = erdos_renyi(n, 0.1, np.random.default_rng(113))
+    return g, share_adjacency(as_projected(g), DealerRng(13, 0))
+
+
 @pytest.mark.parametrize("bits", [RING_BITS])
 def test_count_peak_is_the_draw_a_few_pair_vectors_and_the_workspace(bits):
-    # from a cleared workspace, count's traced peak at n = 300 is at most the
-    # dealer's three pair-vector draws, the workspace it allocates (two limb
-    # matrices and one scratch matrix, n x n float64 each) and 12 uint32
-    # pair vectors; one more n x n float64 matrix, the size of 4 such
-    # vectors, would pass it
-    n, m = 300, comb(300, 2)
-    g = erdos_renyi(n, 0.1, np.random.default_rng(113))
-    sa = share_adjacency(as_projected(g), DealerRng(13, 0))
+    # count's traced peak at n = 300 is at most the workspace it allocates
+    # (two limb matrices and one scratch matrix, n x n float64 each), five
+    # uint32 pair vectors (x1, x2, the opened e, x and P_x, then x1, x2, e,
+    # w1 and w2), the n x n bool pair_mask it caches on a first square at
+    # n, one band of _square_pairs temporaries (a float64 gather and its
+    # int64 copy of at most _PAIR_BLOCK + n pairs) and 128 KB for numpy's
+    # cast buffers; a sixth pair vector held across either square fails it.
+    # A count at another n first loads what a first call imports lazily
+    g, sa = pinned_count_input()
+    n, m = g.n, comb(g.n, 2)
+    warm = erdos_renyi(40, 0.3, np.random.default_rng(1))
+    count(share_adjacency(as_projected(warm), DealerRng(1, 0)), warm.n, DealerRng(1, 1))
     ring._workspace.clear()
     tracemalloc.start()
     try:
@@ -225,10 +236,20 @@ def test_count_peak_is_the_draw_a_few_pair_vectors_and_the_workspace(bits):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    draw = 3 * m * bits // 8
     workspace = (bits // 16 + 1) * n * n * 8
-    assert peak < draw + workspace + 12 * bits // 8 * m + 65536
+    band = 2 * 8 * (ring._PAIR_BLOCK + n)
+    assert peak < workspace + 5 * bits // 8 * m + n * n + band + 131072
     assert reconstruct(t) == exact_triangle_count(g) > 0
+
+
+def test_count_reads_the_dealer_stream_in_order_and_never_writes_the_shares():
+    # the dealer stream is read as x1, x2, w1, then tx1, so these seeds fix
+    # the output shares; a reorder that moves a draw changes them, and one
+    # that writes into the caller's shares fails the byte comparison
+    g, sa = pinned_count_input()
+    s1, s2 = sa.s1.tobytes(), sa.s2.tobytes()
+    assert count(sa, g.n, DealerRng(13, 1)) == (3083888135, 1211083591)
+    assert sa.s1.tobytes() == s1 and sa.s2.tobytes() == s2
 
 
 def test_count_mismatched_n_rejected():
