@@ -1,10 +1,12 @@
-"""Trusted-server comparator: plain Laplace mechanism on the exact count."""
+"""Trusted-server comparator: discrete Laplace mechanism on the exact count."""
 
 import math
 
+from .perturbation import discrete_laplace
+
 
 def central_lap(t_true: int, d_max: int, epsilon: float, rng) -> float:
-    """Exact count t_true plus Laplace(d_max / epsilon) noise.
+    """Exact count t_true plus one discrete_laplace(d_max / epsilon) draw.
 
     The trusted server sees the whole graph, so it uses the true maximum
     degree as the sensitivity; no projection, no sharing. That makes it
@@ -15,5 +17,5 @@ def central_lap(t_true: int, d_max: int, epsilon: float, rng) -> float:
     if not 0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     scale = d_max / epsilon
-    noise = float(rng.laplace(0.0, scale)) if scale > 0 else 0.0
-    return t_true + noise
+    noise = int(discrete_laplace(scale, rng)) if scale > 0 else 0
+    return float(t_true + noise)

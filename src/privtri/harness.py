@@ -7,7 +7,7 @@ trial's record does not depend on how many trials the run has.
 Mechanisms:
   cargo            private max degree -> projection -> secret-shared
                    counting -> distributed perturbation
-  central          trusted-server Laplace baseline at the full budget
+  central          trusted-server discrete Laplace baseline at the full budget
   exact            plain count, no privacy (ground-truth timing reference)
   project-compare  projection-only loss sweep, similarity vs random,
                    at explicit theta values and with noiseless degrees
@@ -177,7 +177,7 @@ def _cargo_trial(g: Graph, t_true: int, cfg: ExperimentConfig, trial: int) -> Tr
 
     return _record(
         cfg, g, trial, t_true, t_noisy, (time_project, time_count, time_perturb),
-        d_max_noisy=noisy.d_max_noisy, t_projected=reconstruct(t_shares),
+        d_max_noisy=float(noisy.d_max_noisy), t_projected=reconstruct(t_shares),
     )
 
 

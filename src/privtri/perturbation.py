@@ -12,7 +12,8 @@ divisible: it is the sum over n users of NB(1/n, 1 - alpha) - NB(1/n,
 anything on its own, and secret-shares it in Z_2^32; each server adds the
 sum of its noise shares onto its count share, and only the one opened
 sum carries the full noise. The sensitivity is the projection bound
-theta.
+theta. discrete_laplace, the one noise kernel, draws the partials, and
+with one part per entry also the noisy degrees and the central noise.
 
 The privacy claim is edge local differential privacy under the one-bit
 neighbouring relation (Imola, Murakami & Chaudhuri, USENIX Security 2021):
@@ -23,13 +24,6 @@ noisy degree), so the projected count moves by at most theta - 1 and
 theta bounds its sensitivity. A whole-edge relation, which flips both
 endpoints' bits at once, would need the scale 2 * theta and is out of
 scope.
-
-The opened sum is read as a signed 32-bit integer. P(|Z| > t) =
-2 alpha**(t + 1) / (1 + alpha), so |Z| exceeds NoiseParams.tail with
-probability at most 2**-92. NoiseParams refuses any (n, lambda) whose
-count bound C(n, 3) plus that tail reaches 2**31, before any count, and
-perturb raises OverflowError for an opened value outside [-tail,
-C(n, 3) + tail].
 """
 
 import math
@@ -95,34 +89,34 @@ class NoiseParams:
         return math.ceil(self.scale * rate) - 1
 
 
-def partial_noise(params: NoiseParams, rng, size: tuple[int, ...] = ()) -> np.ndarray:
-    """The n_users users' partial noises, int64 of shape (*size, n_users).
+def discrete_laplace(scale: float, rng, size: tuple[int, ...] = (), parts: int = 1):
+    """int64 noise of shape size; a sum of parts entries is discrete Laplace(scale).
 
-    Each is a difference of two NB(1/n, 1 - alpha) draws, all from one
-    bulk rng.negative_binomial call, so each sum over the last axis is
-    discrete Laplace of the params' scale. size is the shape of samples,
-    which leads the users' axis; 1 - alpha is computed as
-    -expm1(-1/scale), exact where alpha is near 1.
+    Each entry is NB(1/parts, 1 - alpha) - NB(1/parts, 1 - alpha), all
+    from one bulk rng.negative_binomial call, with 1 - alpha computed as
+    -expm1(-1/scale), exact where alpha is near 1. numpy's NB is a float
+    Gamma-Poisson mixture, so the law is exact only up to rounding (Canonne,
+    Kamath & Steinke, NeurIPS 2020, sample it exactly), but the output is
+    an integer, with no support gap of the kind Mironov's attack reads.
     """
-    n = params.n_users
-    draws = rng.negative_binomial(1 / n, -math.expm1(-1 / params.scale), size=(2, *size, n))
+    draws = rng.negative_binomial(1 / parts, -math.expm1(-1 / scale), size=(2, *size))
     return draws[0] - draws[1]
 
 
 def perturb(t_shares: SharePair, params: NoiseParams, rng) -> float:
     """Noisy count: servers add the users' shared noises to their count shares.
 
-    The n_users partial noises come from partial_noise, and each user
-    masks its own with a uint32 draw of one bulk call: server 1 holds the
-    masks and server 2 the partials minus the masks. Each server adds the
-    sum of its noise shares straight onto its 32-bit count share, all in
-    uint32, which wraps mod 2**32, and the one opening decodes to count +
-    noise, an integer returned as a float. Raises OverflowError unless the
-    opened value lies in [-tail, C(n_users, 3) + tail], the range
-    NoiseParams admits.
+    The n_users partial noises are one discrete_laplace draw of n_users
+    parts, and each user masks its own with a uint32 draw of one bulk
+    call: server 1 holds the masks and server 2 the partials minus the
+    masks. Each server adds the sum of its noise shares straight onto its
+    32-bit count share, all in uint32, which wraps mod 2**32, and the one
+    opening decodes to count + noise, an integer returned as a float.
+    Raises OverflowError unless the opened value lies in [-tail,
+    C(n_users, 3) + tail], the range NoiseParams admits.
     """
     n = params.n_users
-    partials = partial_noise(params, rng)
+    partials = discrete_laplace(params.scale, rng, size=(n,), parts=n)
     masks = rng.integers(0, 1 << RING_BITS, size=n, dtype=np.uint32)
     noise1 = int(masks.sum(dtype=np.uint32))
     noise2 = int((partials.astype(np.uint32) - masks).sum(dtype=np.uint32))

@@ -1,15 +1,16 @@
 """Degree-bounded local projection of adjacency vectors.
 
 Two pieces: a private estimate of the maximum degree (every user perturbs
-its degree with Laplace noise of sensitivity 1, the server takes the max),
-and the per-user projection that truncates adjacency rows to at most theta
-neighbors. The similarity-based variant keeps the neighbors whose noisy
-degrees are closest to the user's own noisy degree; since the three
-degrees of a triangle tend to be similar, this preserves far more triangles
-than deleting uniformly at random, which is kept as a baseline. Ranking
-against the user's published noisy degree, not its true one, is what
-bounds the count's sensitivity: one added bit in a row then adds or
-removes at most one kept neighbour, and changes no other row.
+its degree with integer discrete-Laplace noise of sensitivity 1, the
+server takes the max), and the per-user projection that truncates
+adjacency rows to at most theta neighbors. The similarity-based variant
+keeps the neighbors whose noisy degrees are closest to the user's own
+noisy degree; since the three degrees of a triangle tend to be similar,
+this preserves far more triangles than deleting uniformly at random, which
+is kept as a baseline. Ranking against the user's published noisy degree,
+not its true one, is what bounds the count's sensitivity: one added bit in
+a row then adds or removes at most one kept neighbour, and changes no
+other row.
 
 A projection is a flag per directed slot of the source graph (see
 graph.Slots): whether the slot's tail kept that neighbour. Both
@@ -33,24 +34,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, check_int
+from .perturbation import discrete_laplace
 
 
 @dataclass(frozen=True, eq=False)
 class NoisyDegrees:
-    """Per-user noisy degrees d'_i = d_i + Lap(1/epsilon1), and their max.
+    """Per-user noisy degrees d'_i = d_i + DLap(1/epsilon1), and their max.
 
-    Values are real and may be negative; they are used raw, both as the
-    bound estimate and as similarity inputs.
+    max_private's are int64 and may be negative; they are used raw, as the
+    bound estimate and as similarity inputs. project also takes reals.
     """
 
     values: np.ndarray
-    d_max_noisy: float
+
+    @property
+    def d_max_noisy(self):
+        return self.values.max()
 
     @classmethod
     def exact(cls, degree_vector: np.ndarray) -> "NoisyDegrees":
         """Noiseless stand-in (used by projection-only comparisons)."""
-        values = np.asarray(degree_vector, dtype=np.float64)
-        return cls(values, float(values.max()))
+        return cls(np.asarray(degree_vector))
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,27 +92,26 @@ class ProjectedGraph:
 
 
 def max_private(degree_vector: np.ndarray, epsilon1: float, rng) -> NoisyDegrees:
-    """Perturb every degree with an independent Laplace(1/epsilon1) draw.
+    """Perturb every degree with an independent discrete Laplace(1/epsilon1) draw.
 
-    Sensitivity is 1 under the one-bit neighbouring relation of edge LDP:
-    the two directions of an edge are separate secrets, and one adjacency
-    bit changes one degree by one. Under a whole-edge relation the degree
-    vector's L1 sensitivity would be 2; that relation is out of scope.
+    All the draws are one perturbation.discrete_laplace call, so the noisy
+    degrees are int64. Sensitivity is 1 under the one-bit neighbouring
+    relation of edge LDP: the two directions of an edge are separate
+    secrets, and one adjacency bit changes one degree by one. Under a
+    whole-edge relation the degree vector's L1 sensitivity would be 2.
     """
     if not 0 < epsilon1 < math.inf:
         raise ValueError(f"epsilon1 must be positive and finite, got {epsilon1}")
-    degree_vector = np.asarray(degree_vector, dtype=np.float64)
-    values = degree_vector + rng.laplace(0.0, 1.0 / epsilon1, size=degree_vector.size)
-    return NoisyDegrees(values, float(values.max()))
+    degrees = np.asarray(degree_vector, dtype=np.int64)
+    return NoisyDegrees(degrees + discrete_laplace(1 / epsilon1, rng, degrees.shape))
 
 
 def effective_theta(noisy: NoisyDegrees) -> int:
-    """Integer projection bound: round the noisy max, floored at 1.
+    """Integer projection bound: the integer noisy max, floored at 1.
 
-    The floor keeps a negative or near-zero noisy max from producing a
-    degenerate bound.
+    The floor keeps a negative or zero noisy max from giving no bound.
     """
-    return max(int(round(noisy.d_max_noisy)), 1)
+    return max(int(noisy.d_max_noisy), 1)
 
 
 def project(g: Graph, noisy: NoisyDegrees, theta: int | None = None) -> ProjectedGraph:

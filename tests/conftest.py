@@ -1,14 +1,16 @@
 """Shared test helpers: independent oracles, small graph builders, data paths."""
 
+import math
 import os
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from privtri import EdgeListFormatError, Graph, ProjectedGraph
-from privtri.perturbation import partial_noise
+from privtri.perturbation import discrete_laplace
 
 
 def brute_triangles(g: Graph) -> int:
@@ -192,14 +194,46 @@ def planted_hub(
 def noise_sums(params, rng, samples: int) -> np.ndarray:
     """samples sums of the n_users partial noises perturb adds, as int64.
 
-    Drawn through perturbation.partial_noise, about 2**18 users' partial
-    noises a call, so a draw holds a few MB at any n_users.
+    Drawn through perturbation.discrete_laplace with parts = n_users, as
+    perturb draws them, about 2**18 users' partial noises a call, so a
+    draw holds a few MB at any n_users.
     """
-    chunk = max(1, (1 << 18) // params.n_users)
+    n = params.n_users
+    chunk = max(1, (1 << 18) // n)
     return np.concatenate([
-        partial_noise(params, rng, size=(min(chunk, samples - start),)).sum(axis=-1)
+        discrete_laplace(params.scale, rng, size=(min(chunk, samples - start), n), parts=n)
+        .sum(axis=-1)
         for start in range(0, samples, chunk)
     ])
+
+
+def discrete_variance(scale: float) -> float:
+    """Variance of discrete Laplace of the scale, 2 alpha / (1 - alpha)**2."""
+    alpha = math.exp(-1 / scale)
+    return 2 * alpha / (1 - alpha) ** 2
+
+
+def audit_epsilon(low, high, cut, alpha=0.05) -> float:
+    """Lower confidence bound on the privacy loss two samples of a mechanism show.
+
+    low and high are equally many outputs of the mechanism on two
+    neighbouring inputs, the lower and the higher, and a test guesses the
+    higher input when an output lies above cut. With one-sided
+    Clopper-Pearson upper bounds (confidence 1 - alpha each) on its false
+    positive rate and its false negative rate, ln((1 - FNR_hi) / FPR_hi)
+    is a lower bound on any epsilon the pair satisfies.
+    """
+    runs = len(low)
+    assert len(high) == runs
+
+    def upper(errors):
+        if errors == runs:
+            return 1.0
+        return float(stats.beta.ppf(1 - alpha, errors + 1, runs - errors))
+
+    fpr_hi = upper(int(np.sum(np.asarray(low) > cut)))
+    fnr_hi = upper(int(np.sum(np.asarray(high) <= cut)))
+    return math.log((1 - fnr_hi) / fpr_hi)
 
 
 def relaxed_caveman(n: int, seed: int) -> Graph:

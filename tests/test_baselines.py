@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from privtri import central_lap, exact_triangle_count
+from privtri.perturbation import discrete_laplace
 
-from conftest import complete_graph, erdos_renyi, star_graph
+from conftest import complete_graph, discrete_variance, erdos_renyi, star_graph
 
 
 def rng_for(seed):
@@ -34,19 +35,24 @@ def test_central_lap_rejects_non_finite_epsilon(epsilon):
 
 
 def test_central_lap_scale_uses_true_max_degree():
-    # d_max 7 at epsilon 2: the noise is the stream's Laplace(3.5) draw
+    # d_max 7 at epsilon 2: the noise is the kernel's discrete Laplace(3.5)
+    # draw from the same stream
     g = star_graph(7)
-    want = exact_triangle_count(g) + rng_for(2).laplace(0.0, 3.5)
+    want = exact_triangle_count(g) + int(discrete_laplace(3.5, rng_for(2)))
     assert central_lap_of(g, 2.0, rng_for(2)) == want
 
 
 def test_central_lap_variance_k3():
-    # K3 at epsilon 1: scale d_max/eps = 2, variance 2 * 2^2 = 8
+    # K3 at epsilon 1: scale d_max/eps = 2, discrete Laplace variance
+    # 2 alpha / (1 - alpha)**2 at alpha = e**-1/2, about 7.84
     t_true, d_max = 1, 2
     rng = rng_for(3)
     draws = np.array([central_lap(t_true, d_max, 1.0, rng) for _ in range(10**5)])
-    assert abs(draws.mean() - 1.0) < 3 * np.sqrt(8 / draws.size)
-    assert abs(draws.var() - 8.0) < 0.05 * 8.0
+    assert np.all(draws == np.rint(draws))
+    var = discrete_variance(2.0)
+    assert abs(var - 7.84) < 0.01
+    assert abs(draws.mean() - 1.0) < 3 * np.sqrt(var / draws.size)
+    assert abs(draws.var() - var) < 0.05 * var
 
 
 def test_central_lap_closed_form_reference_loss():

@@ -5,10 +5,9 @@ import pytest
 from scipy import stats
 
 from privtri import DealerRng, NoiseParams, SharePair, perturb, share
-from privtri.perturbation import partial_noise
 from privtri.ring import MASK, MAX_USERS
 
-from conftest import noise_sums
+from conftest import audit_epsilon, discrete_variance, noise_sums
 
 
 def rng_for(seed):
@@ -51,12 +50,6 @@ def test_perturb_no_noise_limit():
     assert got == 123.0
 
 
-def discrete_variance(lam):
-    """Variance of discrete Laplace of scale lam, 2 alpha / (1 - alpha)**2."""
-    alpha = math.exp(-1 / lam)
-    return 2 * alpha / (1 - alpha) ** 2
-
-
 def test_perturb_mean_and_variance():
     t = 100
     lam = 7.5
@@ -84,7 +77,7 @@ def test_perturb_aggregate_matches_direct_laplace():
 
 def noise_of(params, seed):
     """The noise perturb adds with rng_for(seed): the sum of its partial noises."""
-    return int(partial_noise(params, rng_for(seed)).sum())
+    return int(noise_sums(params, rng_for(seed), 1)[0])
 
 
 def test_perturb_opens_the_count_plus_the_partial_noises():
@@ -175,27 +168,12 @@ def test_max_users_is_the_largest_n_whose_count_fits_31_bits():
         NoiseParams(epsilon2=1.0, sensitivity=1.0, n_users=MAX_USERS + 1)
 
 
-def audit_epsilon(t_low, t_high, params, runs, seed, alpha=0.05):
-    """Lower confidence bound on the privacy loss perturb shows between two counts.
-
-    perturb runs `runs` times on each count and a test guesses the higher
-    one when the noisy value lies above their midpoint. With one-sided
-    Clopper-Pearson upper bounds (confidence 1 - alpha each) on its false
-    positive rate and its false negative rate, ln((1 - FNR_hi) / FPR_hi)
-    is a lower bound on any epsilon the pair satisfies.
-    """
-
-    def upper(errors):
-        if errors == runs:
-            return 1.0
-        return float(stats.beta.ppf(1 - alpha, errors + 1, runs - errors))
-
-    cut = (t_low + t_high) / 2
+def perturb_audit(t_low, t_high, params, runs, seed):
+    """audit_epsilon of perturb run `runs` times on each of two counts."""
     rng = rng_for(seed)
-    low, high = (np.array([perturb(shares, params, rng) for _ in range(runs)])
+    low, high = ([perturb(shares, params, rng) for _ in range(runs)]
                  for shares in (shares_of(t_low), shares_of(t_high)))
-    fpr_hi, fnr_hi = upper(int(np.sum(low > cut))), upper(int(np.sum(high <= cut)))
-    return math.log((1 - fnr_hi) / fpr_hi)
+    return audit_epsilon(low, high, (t_low + t_high) / 2)
 
 
 def test_privacy_audit_of_a_neighbouring_pair_stays_within_epsilon2():
@@ -207,5 +185,5 @@ def test_privacy_audit_of_a_neighbouring_pair_stays_within_epsilon2():
     # is not for want of power
     theta, epsilon2 = 10, 1.8
     params = NoiseParams(epsilon2=epsilon2, sensitivity=float(theta), n_users=22)
-    assert audit_epsilon(100, 100 + theta - 1, params, runs=20000, seed=83) <= epsilon2
-    assert audit_epsilon(120, 165, params, runs=5000, seed=89) > epsilon2
+    assert perturb_audit(100, 100 + theta - 1, params, runs=20000, seed=83) <= epsilon2
+    assert perturb_audit(120, 165, params, runs=5000, seed=89) > epsilon2

@@ -18,10 +18,12 @@ from privtri import (
 from privtri.secure_count import effective_edges, effective_graph
 
 from conftest import (
+    audit_epsilon,
     complete_graph,
     dense_effective_edges,
     dense_project,
     dense_project_random,
+    discrete_variance,
     erdos_renyi,
     facebook_path,
     planted_hub,
@@ -101,7 +103,7 @@ def random_projection_input(rng):
         values = rng.integers(-3, g.d_max + 3, size=g.n).astype(np.float64)
     else:
         values = g.degrees + rng.laplace(0.0, 2.0, size=g.n)
-    return g, NoisyDegrees(values, float(values.max()))
+    return g, NoisyDegrees(values)
 
 
 def test_max_private_high_budget_recovers_max():
@@ -125,21 +127,39 @@ def test_max_private_rejects_non_finite_epsilon(epsilon1):
 
 
 def test_max_private_laplace_moments():
-    # single user of degree 0 at epsilon1=1: the noisy degree is a raw
-    # Laplace(1) draw, mean 0 and variance 2
+    # users of degree 0 at epsilon1=1: each noisy degree is a raw discrete
+    # Laplace(1) draw, mean 0 and variance 2 alpha / (1 - alpha)**2 at
+    # alpha = e**-1, about 1.84
     n = 10**5
-    rng = rng_for(42)
-    draws = np.array(
-        [max_private(np.array([0]), 1.0, rng).values[0] for _ in range(n)]
-    )
-    se_mean = np.sqrt(2.0 / n)
-    assert abs(draws.mean()) < 3 * se_mean
-    assert abs(draws.var() - 2.0) < 0.05 * 2.0
+    draws = max_private(np.zeros(n, dtype=np.int64), 1.0, rng_for(42)).values
+    assert draws.dtype == np.int64
+    var = discrete_variance(1.0)
+    assert abs(draws.mean()) < 3 * np.sqrt(var / n)
+    assert abs(draws.var() - var) < 0.05 * var
+
+
+def test_privacy_audit_of_one_degree_stays_within_epsilon1():
+    # one bit of a user's row moves its degree by one, so degrees d and
+    # d + 1 are a neighbouring pair, and max_private must not tell them
+    # apart by more than epsilon1. Discrete Laplace is exactly epsilon1
+    # apart at the midpoint cut, so the audit's lower bound sits just
+    # below it. The control pair, 5 apart, is far beyond the bound, and
+    # the same audit must flag it, so a pass is not for want of power
+    epsilon1, runs = 0.5, 20000
+
+    def audit(d_low, d_high, seed):
+        rng = rng_for(seed)
+        low, high = (max_private(np.full(runs, d), epsilon1, rng).values
+                     for d in (d_low, d_high))
+        return audit_epsilon(low, high, (d_low + d_high) / 2)
+
+    assert audit(40, 41, seed=97) <= epsilon1
+    assert audit(40, 45, seed=101) > epsilon1
 
 
 def test_effective_theta_floors_at_one():
-    noisy = NoisyDegrees(values=np.array([-3.0]), d_max_noisy=-3.0)
-    assert effective_theta(noisy) == 1
+    assert effective_theta(NoisyDegrees(np.array([-3]))) == 1
+    assert effective_theta(NoisyDegrees(np.array([0, -2]))) == 1
 
 
 def test_project_noop_when_theta_covers_max():
@@ -169,7 +189,7 @@ def test_project_tie_break_by_index():
 def test_project_uses_raw_negative_noisy_degrees():
     g = Graph(4, [(0, 1), (0, 2), (0, 3)])
     # own noisy degree 3; |3 - (-2)| = 5 beats |3 - 9| = 6; no clamping
-    noisy = NoisyDegrees(values=np.array([3.0, 9.0, -2.0, 40.0]), d_max_noisy=40.0)
+    noisy = NoisyDegrees(np.array([3.0, 9.0, -2.0, 40.0]))
     pg = project(g, noisy, theta=1)
     assert list(np.flatnonzero(pg.adj[0])) == [2]
 
@@ -190,7 +210,7 @@ def test_one_added_bit_cannot_swap_a_whole_kept_set():
     edges = [(0, j) for j in [*low, *high]] + list(combinations(high, 2))
     noisy = np.zeros(22)
     noisy[0], noisy[list(low)], noisy[list(high)] = 2 * theta, 2 * theta - 0.45, 2 * theta + 0.55
-    noisy = NoisyDegrees(noisy, float(noisy.max()))
+    noisy = NoisyDegrees(noisy)
     before = projected_count(Graph(22, edges), noisy, theta)
     after = projected_count(Graph(22, edges + [(0, w)]), noisy, theta)
     assert before == after == comb(theta, 3)
@@ -218,7 +238,7 @@ def test_one_added_bit_moves_the_projected_count_by_less_than_theta():
 
 def count_change_of_one_bit(g, values, theta, u, w):
     """How far adding the edge (u, w) moves the projected count, noisy degrees held."""
-    noisy = NoisyDegrees(values, float(values.max()))
+    noisy = NoisyDegrees(values)
     added = Graph(g.n, np.concatenate((g.edges, [sorted((u, w))])))
     return projected_count(added, noisy, theta) - projected_count(g, noisy, theta)
 

@@ -35,7 +35,7 @@ def secure_count_of(g: Graph, dealer_seed: int = 0) -> int:
     "make",
     [
         lambda: Graph(3, [(0, 1)]),
-        lambda: NoisyDegrees(np.array([1.0, 2.0]), 2.0),
+        lambda: NoisyDegrees(np.array([1, 2])),
         lambda: projected_rows(np.zeros((3, 3), dtype=np.uint8), theta=1),
         lambda: SharedAdjacency(3, np.zeros(3, dtype=np.uint32), np.ones(3, dtype=np.uint32)),
     ],
