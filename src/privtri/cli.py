@@ -24,22 +24,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Two-server private triangle counting benchmarks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    run_p = sub.add_parser("run", help="run one experiment configuration")
+    run_p = sub.add_parser("run", help="run one experiment configuration",
+                           argument_default=argparse.SUPPRESS)
     run_p.add_argument("--graph", dest="graph_path", required=True, metavar="PATH",
                        help="edge-list file")
-    run_p.add_argument("--mechanism", choices=MECHANISMS, default="cargo")
-    run_p.add_argument("--epsilon", type=float, default=2.0,
-                       help="total privacy budget")
-    run_p.add_argument("--epsilon-split", type=float, default=0.1,
+    run_p.add_argument("--mechanism", choices=MECHANISMS)
+    run_p.add_argument("--epsilon", type=float, help="total privacy budget")
+    run_p.add_argument("--epsilon-split", type=float,
                        help="fraction of the budget spent on the max degree")
-    run_p.add_argument("--n", dest="n_limit", type=int, default=None, metavar="N",
+    run_p.add_argument("--n", dest="n_limit", type=int, metavar="N",
                        help="keep only the first N distinct node ids")
-    run_p.add_argument("--trials", type=int, default=10)
-    run_p.add_argument("--seed", type=int, default=0)
+    run_p.add_argument("--trials", type=int)
+    run_p.add_argument("--seed", type=int)
     run_p.add_argument("--theta", dest="theta_override", type=_parse_thetas,
-                       default=None, metavar="INT[,INT...]",
+                       metavar="INT[,INT...]",
                        help="projection bounds for project-compare sweeps")
-    run_p.add_argument("--output", dest="output_path", default=None, metavar="PATH",
+    run_p.add_argument("--output", dest="output_path", metavar="PATH",
                        help="CSV output path")
     run_p.add_argument("--zero-timings", action="store_true",
                        help="write 0.0 timings for bit-reproducible CSVs")

@@ -35,6 +35,8 @@ from .ring import MAX_USERS, RING_BITS, SharePair, decode_signed
 
 # the noise exceeds NoiseParams.tail in magnitude with probability at most 2**-TAIL_BITS
 TAIL_BITS = 92
+# the scale above which that tail, about scale * TAIL_BITS * ln 2, passes int64
+MAX_SCALE = 2**63 / (TAIL_BITS * math.log(2))
 
 
 @dataclass(frozen=True)
@@ -98,7 +100,10 @@ def discrete_laplace(scale: float, rng, size: tuple[int, ...] = (), parts: int =
     Gamma-Poisson mixture, so the law is exact only up to rounding (Canonne,
     Kamath & Steinke, NeurIPS 2020, sample it exactly), but the output is
     an integer, with no support gap of the kind Mironov's attack reads.
+    Raises ValueError, naming the scale, if it is not below MAX_SCALE.
     """
+    if not scale < MAX_SCALE:
+        raise ValueError(f"noise scale {scale} is too large: its tail does not fit int64")
     draws = rng.negative_binomial(1 / parts, -math.expm1(-1 / scale), size=(2, *size))
     return draws[0] - draws[1]
 

@@ -11,9 +11,11 @@ word as two little-endian 32-bit elements.
 
 Correlated randomness (share masks and the count's dealer correlation)
 comes from a seeded trusted dealer, standing in for an oblivious-transfer
-offline phase. The share products rest on one kernel, ring_square: the
-pair vector of V_s @ V_s, with V_s = V + V.T the symmetric zero-diagonal
-matrix of a pair vector v (pair_mask fixes the row-major pair layout).
+offline phase. One kernel, share, splits the users' pair bits, the
+dealer's P_x and T(x), and a scalar count alike. The share products rest
+on one kernel, ring_square: the pair vector of V_s @ V_s, with V_s =
+V + V.T the symmetric zero-diagonal matrix of a pair vector v (pair_mask
+fixes the row-major pair layout).
 V_s is staged once, in the kernel's own n x n scratch matrix viewed as
 little-endian uint32 entries: v is scattered into both triangles and the
 diagonal reset to zero. Its two 16-bit limbs S0 and S1 are then copied
@@ -49,13 +51,11 @@ _LIMB_BITS = 16
 # 64 KB of int64, plus one row, small enough to come from the heap
 _PAIR_BLOCK = 1 << 13
 
-RingElement = int
-
 # the largest n whose count, at most C(n, 3), fits the signed range of Z_2^32
 MAX_USERS = next(n for n in itertools.count(3) if comb(n + 1, 3) >= 1 << (RING_BITS - 1))
 
 
-def decode_signed(element: RingElement) -> int:
+def decode_signed(element: int) -> int:
     """Read an element of Z_2^32 as a two's-complement signed integer."""
     element &= MASK
     return element - (1 << RING_BITS) if element >> (RING_BITS - 1) else element
@@ -64,8 +64,8 @@ def decode_signed(element: RingElement) -> int:
 class SharePair(NamedTuple):
     """Additive shares of one element of Z_2^32: server 1 holds s1, server 2 s2."""
 
-    s1: RingElement
-    s2: RingElement
+    s1: int
+    s2: int
 
 
 class DealerRng:
@@ -81,28 +81,32 @@ class DealerRng:
         seq = np.random.SeedSequence([int(seed), *map(int, path)])
         self._raw = np.random.PCG64(seq).random_raw
 
-    def element(self) -> RingElement:
-        """One element of Z_2^32: the low half of the next raw 64-bit word."""
-        return self._raw() & MASK
-
     def elements(self, shape) -> np.ndarray:
         """Uniform uint32 array of Z_2^32.
 
         Draws ceil(size / 2) raw 64-bit words and reads each as two
-        little-endian uint32 elements, low half first; an odd size drops
-        the high half of the last word.
+        little-endian uint32 elements, low half first; an odd size, a 0-d
+        draw's too, drops the high half of the last word.
         """
         size = int(np.prod(shape))
         return self._raw((size + 1) // 2).view("<u4")[:size].reshape(shape)
 
 
-def share(secret: int, rng: DealerRng) -> SharePair:
-    """Split a secret into two uniform additive shares: (mask, secret - mask)."""
-    mask = rng.element()
-    return SharePair(mask, (secret - mask) & MASK)
+def share(values, rng: DealerRng):
+    """Split values into two uniform additive shares: (masks, values - masks).
+
+    The masks are rng's next draw of values' shape. A uint32 array is
+    handed over, its buffer overwritten by the second share; a scalar
+    gives a SharePair of two Python ints.
+    """
+    masks = rng.elements(np.shape(values))
+    if isinstance(values, np.ndarray):
+        values -= masks
+        return masks, values
+    return SharePair(int(masks), (int(values) - int(masks)) & MASK)
 
 
-def reconstruct(pair: SharePair) -> RingElement:
+def reconstruct(pair: SharePair) -> int:
     return (pair.s1 + pair.s2) & MASK
 
 

@@ -19,11 +19,12 @@ so
 
     T(u) = T(e) + <x, P_e> + <e, P_x> + T(x),
 
-and the dealer shares P_x and T(x). The servers open e = u - x once and
-finish from the public P_e, each with ring.ring_square, the one product
-kernel. Neither server sees a bit in the clear: the only cross-server
-traffic is the masked opening, routed through an OpeningChannel so the
-exchange is auditable.
+and the dealer shares P_x and T(x) with ring.share, the one sharing
+kernel, which also splits the users' bits. The servers open e = u - x
+once and finish from the public P_e, each with ring.ring_square, the one
+product kernel. Neither server sees a bit in the clear: the only
+cross-server traffic is the masked opening, routed through an
+OpeningChannel so the exchange is auditable.
 
 The simulation runs both servers in one process. Each server's values are
 computed only from its own shares, its dealer shares, and opened values.
@@ -36,13 +37,7 @@ import numpy as np
 from .graph import Graph
 from .projection import ProjectedGraph
 from .ring import (
-    MASK,
-    MAX_USERS,
-    DealerRng,
-    OpeningChannel,
-    SharePair,
-    pair_index,
-    ring_square,
+    MASK, MAX_USERS, DealerRng, OpeningChannel, SharePair, pair_index, ring_square, share,
 )
 
 
@@ -88,9 +83,7 @@ def share_adjacency(
     i, j = effective_edges(pg).T
     bits = np.zeros(pg.n * (pg.n - 1) // 2, dtype=np.uint32)
     bits[pair_index(i, j, pg.n)] = 1
-    masks = rng.elements(bits.size)
-    bits -= masks
-    return SharedAdjacency(n=pg.n, s1=masks, s2=bits)
+    return SharedAdjacency(pg.n, *share(bits, rng))
 
 
 def count(
@@ -104,9 +97,9 @@ def count(
     All data, the shared bits u included, are pair vectors over the
     m = C(n, 2) pairs i < k (ring.pair_mask), and P_v = ring_square(v) is
     the pair vector of V_s @ V_s, V_s = V + V.T. The dealer draws pair
-    vectors x1, x2 and w1, one call each from one stream, then a scalar
-    tx1, and gives server 2 the shares w2 = W - w1 of W = P_x and
-    tx2 = T(x) - tx1 of T(x) = 3^-1 <x, W>, x = x1 + x2.
+    vectors x1 and x2 from one stream and, with ring.share from the same
+    stream, splits W = P_x and T(x) = 3^-1 <x, W>, x = x1 + x2: server 1
+    gets the masks w1 and tx1, server 2 w2 = W - w1 and tx2 = T(x) - tx1.
 
     The one round opens e = u - x (m openings). P_e is a function of the
     opened e alone, so like e itself the simulation computes it once for
@@ -117,16 +110,15 @@ def count(
 
     Each value is dropped once its last use is done, so beside the
     caller's shares and ring_square's resident workspace the count holds
-    at most five pair vectors of 4 m bytes. In order: x1 and x2 are drawn;
-    the servers' messages u1 - x1 and u2 - x2 are formed, e is opened and
-    the messages are dropped; the dealer forms x, P_x and T(x) and drops
-    x; it draws w1 and tx1, and folds w2 = P_x - w1 into P_x's array;
-    <e, w1> + tx1 and <e, w2> + tx2 go into the shares and w1 and w2 are
-    dropped; only then is P_e squared. The dealer never reads e, and the
-    stream is read in the same order (x1, x2, w1, tx1) as if it dealt
-    before the round, so dealing P_x after the opening moves no value,
-    and each server still computes only from its own view. The caller's
-    shares are read, never written.
+    at most five pair vectors of 4 m bytes: x1 and x2 are drawn; e is
+    opened from the servers' messages u1 - x1 and u2 - x2, then dropped;
+    the dealer forms x, P_x and T(x), drops x, and shares P_x in its own
+    array, then T(x); <e, w1> + tx1 and <e, w2> + tx2 go into the shares
+    and w1 and w2 are dropped; only then is P_e squared. The dealer never
+    reads e, and the stream is read in the same order (x1, x2, w1, tx1) as
+    if it dealt before the round, so dealing P_x after the opening moves
+    no value, and each server still computes only from its own view. The
+    caller's shares are read, never written.
 
     Everything runs in Z_2^32 on uint32 pair vectors, which wrap mod
     2**32 by themselves, so no value that leaves the dealer or a server
@@ -142,27 +134,24 @@ def count(
     third = pow(3, -1, 1 << 32)
 
     # the one round opens e before the dealer squares, so the servers'
-    # messages are gone before P_x exists. x1, x2 and w1 are drawn as
-    # pair vectors one at a time rather than one (3, m) block: glibc
-    # serves each from its heap, where a fresh (3, m) block was mapped
-    # and page-faulted in anew on every count
+    # messages are gone before P_x exists. x1, x2 and w1 are drawn one at
+    # a time: glibc serves each from its heap, where one fresh (3, m)
+    # block was mapped and page-faulted in anew on every count
     m = n * (n - 1) // 2
     x1, x2 = dealer.elements(m), dealer.elements(m)
     e = channel.open_array(sa.s1 - x1, sa.s2 - x2)
 
-    # dealer: server 2's shares of W = P_x and T(x) follow from x = x1 + x2
+    # dealer: W = P_x and T(x) of x = x1 + x2; w2 overwrites W's array
     x = x1 + x2
-    w2 = ring_square(x, n)
-    tx = third * int(np.dot(x, w2))
+    w = ring_square(x, n)
+    tx = third * int(np.dot(x, w))
     del x
-    w1 = dealer.elements(m)
-    tx1 = dealer.element()
-    w2 -= w1
+    (w1, w2), (tx1, tx2) = share(w, dealer), share(tx, dealer)
 
     # np.dot wraps in uint32, exact mod 2**32
     t1 = int(np.dot(e, w1)) + tx1
-    t2 = int(np.dot(e, w2)) + tx - tx1
-    del w1, w2
+    t2 = int(np.dot(e, w2)) + tx2
+    del w, w1, w2
     pe = ring_square(e, n)
     t1 += third * int(np.dot(e, pe)) + int(np.dot(x1, pe))
     t2 += int(np.dot(x2, pe))

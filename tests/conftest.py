@@ -13,6 +13,12 @@ from privtri import EdgeListFormatError, Graph, ProjectedGraph
 from privtri.perturbation import discrete_laplace
 
 
+def rng_for(seed) -> np.random.Generator:
+    """A numpy Generator on PCG64, seeded by SeedSequence(seed), seed an
+    int or a list of ints; SeedSequence(5) and SeedSequence([5]) agree."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+
+
 def brute_triangles(g: Graph) -> int:
     """Independent triangle oracle: full triple sum over the dense matrix.
 

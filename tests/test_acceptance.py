@@ -40,6 +40,7 @@ from conftest import (
     erdos_renyi,
     facebook_path,
     noise_sums,
+    rng_for,
     write_path,
 )
 
@@ -55,10 +56,6 @@ def criterion(num: int, desc: str):
         print(f"ACCEPTANCE {num} FAIL: {desc}")
         raise
     print(f"ACCEPTANCE {num} PASS: {desc}")
-
-
-def rng_for(*seed):
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(seed))))
 
 
 def test_criterion_1_three_way_product_oracle():
@@ -103,9 +100,9 @@ def test_criterion_3_aggregated_noise_is_laplace():
         for n_users in (10, 1000):
             for lam in (1.0, 50.0):
                 params = NoiseParams(epsilon2=1.0, sensitivity=lam, n_users=n_users)
-                agg = noise_sums(params, rng_for(3307, n_users, int(lam)), n_samples)
+                agg = noise_sums(params, rng_for([3307, n_users, int(lam)]), n_samples)
                 law = stats.dlaplace(1 / lam)
-                direct = law.rvs(n_samples, random_state=rng_for(3308, n_users, int(lam)))
+                direct = law.rvs(n_samples, random_state=rng_for([3308, n_users, int(lam)]))
                 ks = stats.ks_2samp(agg, direct).statistic
                 assert ks < crit, f"n={n_users} lam={lam}: KS {ks:.4f} >= {crit:.4f}"
                 var = agg.var()
@@ -123,7 +120,7 @@ def test_criterion_4_perturbation_error_closed_form(proxy_graph_file):
         # first master seed whose noisy bound covers the true max keeps the
         # projection lossless, as the criterion requires
         for seed in range(100):
-            noisy = max_private(g.degrees, eps1, rng_for(4401, seed))
+            noisy = max_private(g.degrees, eps1, rng_for([4401, seed]))
             if effective_theta(noisy) >= g.d_max:
                 break
         theta = effective_theta(noisy)
@@ -149,7 +146,7 @@ def test_criterion_5_private_max_degree_accuracy(proxy_graph_file):
         d_max = g.d_max
         for eps in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0):
             eps1 = 0.1 * eps
-            rng = rng_for(5501, int(eps * 10))
+            rng = rng_for([5501, int(eps * 10)])
             hits = 0
             for _ in range(100):
                 noisy = max_private(g.degrees, eps1, rng)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,11 +7,7 @@ import pytest
 from privtri import central_lap, exact_triangle_count
 from privtri.perturbation import discrete_laplace
 
-from conftest import complete_graph, discrete_variance, erdos_renyi, star_graph
-
-
-def rng_for(seed):
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+from conftest import complete_graph, discrete_variance, erdos_renyi, rng_for, star_graph
 
 
 def central_lap_of(g, epsilon, rng):
@@ -32,6 +29,13 @@ def test_central_lap_rejects_non_finite_epsilon(epsilon):
     # a NaN scale would fail `scale > 0` and release the exact count
     with pytest.raises(ValueError, match="finite"):
         central_lap(1, 2, epsilon, rng_for(0))
+
+
+def test_central_lap_names_a_scale_out_of_range():
+    # d_max 59 at epsilon 1e-18 asks for a scale of 5.9e19, whose noise
+    # tail does not fit int64
+    with pytest.raises(ValueError, match=re.escape(f"noise scale {59 / 1e-18} is too large")):
+        central_lap(0, 59, 1e-18, rng_for(0))
 
 
 def test_central_lap_scale_uses_true_max_degree():

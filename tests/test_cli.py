@@ -89,6 +89,29 @@ def test_cli_rejects_non_finite_epsilon(k4_graph_file, tmp_path, capsys, mechani
     assert not out.exists()
 
 
+def test_cli_names_a_noise_scale_out_of_range(k4_graph_file, capsys):
+    # d_max 3 at epsilon 1e-18: a central scale of 3e18, past what the
+    # noise kernel can draw
+    code = main(["run", "--graph", str(k4_graph_file), "--mechanism", "central",
+                 "--epsilon", "1e-18"])
+    assert code == 1
+    assert "error: noise scale 3e+18 is too large" in capsys.readouterr().err
+
+
+def test_cli_run_defaults_are_the_config_defaults(k4_graph_file, monkeypatch):
+    # the parser sets no default of its own: a bare run builds exactly the
+    # config of its graph path
+    built = []
+
+    def stop(cfg):
+        built.append(cfg)
+        raise ValueError("stop")
+
+    monkeypatch.setattr("privtri.cli.run", stop)
+    assert main(["run", "--graph", str(k4_graph_file)]) == 1
+    assert built == [ExperimentConfig(graph_path=str(k4_graph_file))]
+
+
 def test_cli_guard_refuses_large_cargo(tmp_path, capsys, cargo_calls):
     # a file over MAX_USERS = 2345 nodes is refused before the oracle and
     # the count, whatever --n asks; the error says how to cut the graph

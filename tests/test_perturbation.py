@@ -1,22 +1,19 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from privtri import DealerRng, NoiseParams, SharePair, perturb, share
-from privtri.ring import MASK, MAX_USERS
+from privtri.perturbation import MAX_SCALE, discrete_laplace
+from privtri.ring import MAX_USERS
 
-from conftest import audit_epsilon, discrete_variance, noise_sums
-
-
-def rng_for(seed):
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+from conftest import audit_epsilon, discrete_variance, noise_sums, rng_for
 
 
 def shares_of(value: int, seed: int = 0) -> SharePair:
-    mask = int(rng_for(seed).integers(0, 1 << 64, dtype=np.uint64))
-    return SharePair(mask & MASK, (value - mask) & MASK)
+    return share(value, DealerRng(seed))
 
 
 def test_noise_params_validation():
@@ -42,6 +39,35 @@ def test_noise_params_rejects_non_finite(value):
         NoiseParams(epsilon2=value, sensitivity=1.0, n_users=10)
     with pytest.raises(ValueError, match="sensitivity"):
         NoiseParams(epsilon2=1.0, sensitivity=value, n_users=10)
+
+
+def test_discrete_laplace_names_a_scale_whose_tail_passes_int64():
+    # MAX_SCALE is where the 2**-92 tail, about scale * 92 * ln 2, reaches
+    # 2**63; a scale below it draws, one at it or beyond is refused before
+    # any draw, by a message that names the scale
+    assert 1.44e17 < MAX_SCALE < 1.45e17
+    for parts in (1, 2000):
+        draws = discrete_laplace(MAX_SCALE * 0.999, rng_for(1), size=(3,), parts=parts)
+        assert draws.dtype == np.int64
+        for scale in (MAX_SCALE, 1e19, math.inf, math.nan):
+            rng = rng_for(1)
+            with pytest.raises(ValueError, match=re.escape(f"noise scale {scale} is too large")):
+                discrete_laplace(scale, rng, parts=parts)
+            assert rng.bit_generator.state == rng_for(1).bit_generator.state
+
+
+def test_perturb_masks_are_the_dealer_draw_of_the_same_stream():
+    # perturb's users mask with rng.integers(0, 2**32, dtype=uint32) of a
+    # numpy Generator, which on PCG64 reads the raw words DealerRng.elements
+    # reads, low half first, so both stream types give one uniform draw.
+    # The generator then stands at the same raw word; at an odd size it
+    # also buffers the unread high half, which DealerRng drops
+    for size in (1, 2, 5, 2000):
+        gen, dealer = rng_for([9, 3]), DealerRng(9, 3)
+        masks = gen.integers(0, 1 << 32, size=size, dtype=np.uint32)
+        assert np.array_equal(masks, dealer.elements(size))
+        assert gen.bit_generator.state["has_uint32"] == size % 2
+        assert np.array_equal(gen.bit_generator.random_raw(1).view("<u4"), dealer.elements(2))
 
 
 def test_perturb_no_noise_limit():

@@ -29,12 +29,9 @@ from conftest import (
     planted_hub,
     relaxed_caveman,
     requires_facebook,
+    rng_for,
     upper_edges,
 )
-
-
-def rng_for(seed):
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
 def loop_project(g, noisy, theta):
@@ -124,6 +121,12 @@ def test_max_private_rejects_bad_epsilon():
 def test_max_private_rejects_non_finite_epsilon(epsilon1):
     with pytest.raises(ValueError, match="finite"):
         max_private(np.array([1, 2]), epsilon1, rng_for(0))
+
+
+def test_max_private_names_a_scale_out_of_range():
+    # epsilon1 1e-19 asks for a scale of 1e19, whose noise tail does not fit int64
+    with pytest.raises(ValueError, match="noise scale 1e\\+19 is too large"):
+        max_private(np.array([3, 4]), 1e-19, rng_for(0))
 
 
 def test_max_private_laplace_moments():

@@ -40,7 +40,7 @@ LIMB_EXACT_INNER = (1 << 19) - 1
 
 def test_share_zero_with_known_mask():
     pair = share(0, DealerRng(3))
-    mask = DealerRng(3).element()
+    mask = int(DealerRng(3).elements(()))
     assert pair == SharePair(mask, MASK + 1 - mask)
     assert reconstruct(pair) == 0
 
@@ -54,6 +54,22 @@ def test_share_roundtrip_random():
     values = rng.elements(1000)
     for v in values.tolist():
         assert reconstruct(share(v, rng)) == v
+
+
+def test_share_of_an_array_writes_its_second_share_into_the_array():
+    # the masks are the stream's next draw of the array's shape, and the
+    # second share takes the given buffer, so the pair opens to the values
+    values = DealerRng(5).elements((4, 25))
+    given = values.copy()
+    rng = DealerRng(7)
+    first = rng.elements(3)
+    masks, second = share(given, rng)
+    after = DealerRng(7)
+    assert np.array_equal(after.elements(3), first)
+    assert masks.dtype == np.uint32 and np.array_equal(masks, after.elements((4, 25)))
+    assert second is given
+    assert np.array_equal(OpeningChannel().open_array(masks, second), values)
+    assert np.array_equal(rng.elements(2), after.elements(2))
 
 
 def test_reconstruct_known_pairs():
@@ -319,7 +335,7 @@ def test_dealer_draws_read_each_raw_word_as_two_uint32():
     assert np.array_equal(got.reshape(-1), words[:300])
     assert np.array_equal(rng.elements(5), words[300:305])
     assert np.array_equal(rng.elements(4), words[306:310])
-    assert rng.element() == int(low[155])
+    assert rng.elements(()) == low[155]
 
 
 def test_dealer_draws_are_one_stream_across_chunks():

@@ -323,15 +323,10 @@ class RecordingDealer(DealerRng):
     def __init__(self, *seed):
         super().__init__(*seed)
         self.draws = []
-        self.words = []
 
     def elements(self, shape):
         self.draws.append(super().elements(shape))
         return self.draws[-1]
-
-    def element(self):
-        self.words.append(super().element())
-        return self.words[-1]
 
 
 def test_count_pair_vectors_are_uint32_in_the_32_bit_ring():
@@ -348,11 +343,13 @@ def test_count_pair_vectors_are_uint32_in_the_32_bit_ring():
         sa = share_adjacency(as_projected(g), DealerRng(7, 0))
         dealer, channel = RecordingDealer(7, 1), CallCountingChannel()
         t = count(sa, n, dealer, channel)
-        # x1, x2 and w1 are three pair vectors drawn one after another
-        assert [(d.dtype, d.shape) for d in dealer.draws] == [(np.uint32, (comb(n, 2),))] * 3
+        # x1, x2 and w1 are three pair vectors drawn one after another,
+        # then tx1 is one 0-d draw
+        shapes = [(comb(n, 2),)] * 3 + [()]
+        assert [(d.dtype, d.shape) for d in dealer.draws] == [(np.uint32, s) for s in shapes]
         fresh = DealerRng(7, 1)
-        for draw in dealer.draws:
-            assert np.array_equal(draw, fresh.elements(comb(n, 2)))
+        for draw, shape in zip(dealer.draws, shapes):
+            assert np.array_equal(draw, fresh.elements(shape))
         assert channel.dtypes == [np.uint32]
         assert reconstruct(t) == exact_triangle_count(g)
 
@@ -395,12 +392,11 @@ def server_views(g: Graph, make_dealer, first_seed: int) -> tuple[np.ndarray, np
         sa = share_adjacency(as_projected(g), DealerRng(seed, 0))
         dealer, channel = make_dealer(sa, seed), CallCountingChannel()
         count(sa, g.n, dealer, channel)
-        x1, x2, w1 = dealer.draws
-        tx1 = dealer.words[0]
+        x1, x2, w1, tx1 = dealer.draws
         e = np.array(channel.values, dtype=np.uint32)
         x = x1 + x2
         px = ring.ring_square(x, g.n)
-        tx2 = (third * int(np.dot(x, px)) - tx1) & MASK
+        tx2 = (third * int(np.dot(x, px)) - int(tx1)) & MASK
         views[0].append(np.concatenate((sa.s1, x1, w1, [tx1], e, e - sa.s1 + x1)))
         views[1].append(np.concatenate((sa.s2, x2, px - w1, [tx2], e, e - sa.s2 + x2)))
     return tuple(np.array(v, dtype=np.uint32) for v in views)
