@@ -15,7 +15,6 @@ from .harness import (
 )
 from .perturbation import NoiseParams, perturb
 from .projection import (
-    NoisyDegrees,
     ProjectedGraph,
     effective_theta,
     max_private,
@@ -42,7 +41,6 @@ __all__ = [
     "ExperimentConfig",
     "Graph",
     "NoiseParams",
-    "NoisyDegrees",
     "OpeningChannel",
     "ProjectedGraph",
     "SharePair",

@@ -22,9 +22,9 @@ import numpy as np
 
 from .baselines import central_lap
 from .graph import Graph, check_int, exact_triangle_count, load_edge_list
-from .perturbation import NoiseParams, perturb
-from .projection import NoisyDegrees, max_private, project, project_random
-from .ring import MAX_USERS, DealerRng, reconstruct
+from .perturbation import NoiseParams, check_scale, perturb
+from .projection import max_private, project, project_random
+from .ring import MAX_USERS, RING_BITS, DealerRng, reconstruct
 from .secure_count import count, effective_graph, share_adjacency
 
 # per-trial substream tags
@@ -83,6 +83,12 @@ class ExperimentConfig:
             object.__setattr__(self, "theta_override", thetas)
         if self.mechanism == "project-compare" and not self.theta_override:
             raise ValueError("project-compare needs explicit theta values")
+        if self.mechanism == "cargo":
+            # before the load: the degrees' scale 1 / epsilon1, and 1 / epsilon2,
+            # from 2^31 on which NoiseParams refuses theta / epsilon2 for any theta
+            check_scale(1 / self.epsilon1 if self.epsilon1 else math.inf)
+            if not 1 / self.epsilon2 < 1 << (RING_BITS - 1):
+                raise ValueError(f"noise scale {1 / self.epsilon2} leaves no room in Z_2^32")
 
     @property
     def epsilon1(self) -> float:
@@ -177,7 +183,7 @@ def _cargo_trial(g: Graph, t_true: int, cfg: ExperimentConfig, trial: int) -> Tr
 
     return _record(
         cfg, g, trial, t_true, t_noisy, (time_project, time_count, time_perturb),
-        d_max_noisy=float(noisy.d_max_noisy), t_projected=reconstruct(t_shares),
+        d_max_noisy=float(noisy.max()), t_projected=reconstruct(t_shares),
     )
 
 
@@ -200,6 +206,7 @@ def run_cargo(cfg: ExperimentConfig) -> list[TrialRecord]:
 
 def run_central(cfg: ExperimentConfig) -> list[TrialRecord]:
     g = load_edge_list(cfg.graph_path, cfg.n_limit)
+    check_scale(g.d_max / cfg.epsilon)  # before the oracle, not in trial 0's draw
     t_true = exact_triangle_count(g)
     records = []
     for trial in range(cfg.trials):
@@ -230,7 +237,6 @@ def run_project_compare(cfg: ExperimentConfig) -> list[TrialRecord]:
     """
     g = load_edge_list(cfg.graph_path, cfg.n_limit)
     t_true = exact_triangle_count(g)
-    exact_deg = NoisyDegrees.exact(g.degrees)
     records = []
     for theta in cfg.theta_override:
         for trial in range(cfg.trials):
@@ -238,7 +244,7 @@ def run_project_compare(cfg: ExperimentConfig) -> list[TrialRecord]:
             for method in ("project", "random"):
                 t0 = time.perf_counter()
                 if method == "project":
-                    pg = project(g, exact_deg, theta=theta)
+                    pg = project(g, g.degrees, theta=theta)
                 else:
                     pg = project_random(g, theta, rng)
                 time_project = time.perf_counter() - t0

@@ -91,6 +91,12 @@ class NoiseParams:
         return math.ceil(self.scale * rate) - 1
 
 
+def check_scale(scale: float) -> None:
+    """Raise ValueError, naming the scale, unless it is below MAX_SCALE."""
+    if not scale < MAX_SCALE:
+        raise ValueError(f"noise scale {scale} is too large: its tail does not fit int64")
+
+
 def discrete_laplace(scale: float, rng, size: tuple[int, ...] = (), parts: int = 1):
     """int64 noise of shape size; a sum of parts entries is discrete Laplace(scale).
 
@@ -102,8 +108,7 @@ def discrete_laplace(scale: float, rng, size: tuple[int, ...] = (), parts: int =
     an integer, with no support gap of the kind Mironov's attack reads.
     Raises ValueError, naming the scale, if it is not below MAX_SCALE.
     """
-    if not scale < MAX_SCALE:
-        raise ValueError(f"noise scale {scale} is too large: its tail does not fit int64")
+    check_scale(scale)
     draws = rng.negative_binomial(1 / parts, -math.expm1(-1 / scale), size=(2, *size))
     return draws[0] - draws[1]
 

@@ -3,14 +3,16 @@
 Two pieces: a private estimate of the maximum degree (every user perturbs
 its degree with integer discrete-Laplace noise of sensitivity 1, the
 server takes the max), and the per-user projection that truncates
-adjacency rows to at most theta neighbors. The similarity-based variant
-keeps the neighbors whose noisy degrees are closest to the user's own
-noisy degree; since the three degrees of a triangle tend to be similar,
-this preserves far more triangles than deleting uniformly at random, which
-is kept as a baseline. Ranking against the user's published noisy degree,
-not its true one, is what bounds the count's sensitivity: one added bit in
-a row then adds or removes at most one kept neighbour, and changes no
-other row.
+adjacency rows to at most theta neighbors. The published noisy degrees
+are one plain array, d'_i at index i: max_private returns it as read-only
+int64, and project and effective_theta take any 1-D numeric array. The
+similarity-based variant keeps the neighbors whose noisy degrees are
+closest to the user's own noisy degree; since the three degrees of a
+triangle tend to be similar, this preserves far more triangles than
+deleting uniformly at random, which is kept as a baseline. Ranking
+against the user's published noisy degree, not its true one, is what
+bounds the count's sensitivity: one added bit in a row then adds or
+removes at most one kept neighbour, and changes no other row.
 
 A projection is a flag per directed slot of the source graph (see
 graph.Slots): whether the slot's tail kept that neighbour. Both
@@ -35,26 +37,6 @@ import numpy as np
 
 from .graph import Graph, check_int
 from .perturbation import discrete_laplace
-
-
-@dataclass(frozen=True, eq=False)
-class NoisyDegrees:
-    """Per-user noisy degrees d'_i = d_i + DLap(1/epsilon1), and their max.
-
-    max_private's are int64 and may be negative; they are used raw, as the
-    bound estimate and as similarity inputs. project also takes reals.
-    """
-
-    values: np.ndarray
-
-    @property
-    def d_max_noisy(self):
-        return self.values.max()
-
-    @classmethod
-    def exact(cls, degree_vector: np.ndarray) -> "NoisyDegrees":
-        """Noiseless stand-in (used by projection-only comparisons)."""
-        return cls(np.asarray(degree_vector))
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,45 +73,50 @@ class ProjectedGraph:
         return adj
 
 
-def max_private(degree_vector: np.ndarray, epsilon1: float, rng) -> NoisyDegrees:
-    """Perturb every degree with an independent discrete Laplace(1/epsilon1) draw.
+def max_private(degree_vector: np.ndarray, epsilon1: float, rng) -> np.ndarray:
+    """The noisy degrees d'_i = d_i + DLap(1/epsilon1), a read-only int64 array.
 
-    All the draws are one perturbation.discrete_laplace call, so the noisy
-    degrees are int64. Sensitivity is 1 under the one-bit neighbouring
-    relation of edge LDP: the two directions of an edge are separate
-    secrets, and one adjacency bit changes one degree by one. Under a
-    whole-edge relation the degree vector's L1 sensitivity would be 2.
+    All the draws are one perturbation.discrete_laplace call. The values
+    may be negative and are used raw: their max as the bound estimate,
+    each one as a similarity input. Sensitivity is 1 under the one-bit
+    neighbouring relation of edge LDP: the two directions of an edge are
+    separate secrets, and one adjacency bit changes one degree by one.
+    Under a whole-edge relation the degree vector's L1 sensitivity would
+    be 2.
     """
     if not 0 < epsilon1 < math.inf:
         raise ValueError(f"epsilon1 must be positive and finite, got {epsilon1}")
     degrees = np.asarray(degree_vector, dtype=np.int64)
-    return NoisyDegrees(degrees + discrete_laplace(1 / epsilon1, rng, degrees.shape))
+    noisy = degrees + discrete_laplace(1 / epsilon1, rng, degrees.shape)
+    noisy.flags.writeable = False
+    return noisy
 
 
-def effective_theta(noisy: NoisyDegrees) -> int:
-    """Integer projection bound: the integer noisy max, floored at 1.
+def effective_theta(noisy: np.ndarray) -> int:
+    """Integer projection bound: the noisy degrees' max, truncated, floored at 1.
 
     The floor keeps a negative or zero noisy max from giving no bound.
     """
-    return max(int(noisy.d_max_noisy), 1)
+    return max(int(noisy.max()), 1)
 
 
-def project(g: Graph, noisy: NoisyDegrees, theta: int | None = None) -> ProjectedGraph:
+def project(g: Graph, noisy: np.ndarray, theta: int | None = None) -> ProjectedGraph:
     """Similarity-based projection of every row to at most theta neighbors.
 
     Users with degree <= theta keep their row. Others keep exactly the
     theta neighbors whose noisy degrees are closest to their own noisy
     degree, |d'_i - d'_j|; ties break by ascending neighbor index, so the
-    output is deterministic. Raises TypeError for a non-integral theta
-    and ValueError for theta < 1.
+    output is deterministic. noisy is any numeric array of shape (g.n,),
+    max_private's or the true degrees. Raises ValueError for any other
+    shape, TypeError for a non-integral theta and ValueError for theta < 1.
     """
-    if noisy.values.size != g.n:
-        raise ValueError("noisy degrees do not match graph size")
+    if np.shape(noisy) != (g.n,):
+        raise ValueError(f"noisy degrees of shape {np.shape(noisy)} do not match {g.n} users")
     if theta is None:
         theta = effective_theta(noisy)
     theta = check_int("theta", theta, 1)
     over, d_rows, start = _over_theta_slots(g, theta)
-    key = np.abs(noisy.values[g.slots.tail[over]] - noisy.values[g.slots.head[over]])
+    key = np.abs(noisy[g.slots.tail[over]] - noisy[g.slots.head[over]])
     return _keep_lowest(g, theta, over, d_rows, start, np.argsort(key, kind="stable"))
 
 

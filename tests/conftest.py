@@ -124,7 +124,7 @@ def dense_project(g: Graph, noisy, theta: int) -> np.ndarray:
     """projection.project as an (n, n) uint8 matrix: one lexsort of every
     over-theta row's edges by (row, similarity, neighbour)."""
     rows, i, j, start = dense_over_theta_edges(g, theta)
-    ds = np.abs(noisy.values[i] - noisy.values[j])
+    ds = np.abs(noisy[i] - noisy[j])
     order = np.lexsort((j, ds, i))
     rank = np.arange(order.size) - np.repeat(start, g.degrees[rows])
     keep = order[rank < theta]

@@ -6,6 +6,7 @@ import pytest
 
 from privtri import (
     ExperimentConfig,
+    NoiseParams,
     TrialRecord,
     emit_csv,
     harness,
@@ -83,6 +84,39 @@ def test_config_keeps_thetas_as_a_tuple_of_ints(k4_graph_file):
 def test_config_rejects_non_finite_epsilon(k4_graph_file, epsilon):
     with pytest.raises(ValueError, match="finite"):
         ExperimentConfig(graph_path=k4_graph_file, epsilon=epsilon)
+
+
+def test_config_refuses_a_cargo_noise_scale_before_the_load(tmp_path):
+    # the graph file does not exist, so a config that got past its checks
+    # would fail on the load with OSError. epsilon1 = 1e-18 asks the
+    # degrees for a scale of about 1e18, past MAX_SCALE
+    absent = tmp_path / "absent.txt"
+    with pytest.raises(ValueError, match=r"noise scale \S+e\+17 is too large"):
+        ExperimentConfig(graph_path=absent, epsilon=1e-17)
+    # 0.1 * 5e-324 underflows to an epsilon1 of 0, an infinite scale
+    with pytest.raises(ValueError, match="noise scale inf is too large"):
+        ExperimentConfig(graph_path=absent, epsilon=5e-324)
+    # epsilon2 = 4.5e-10 puts 1 / epsilon2 past 2^31, which NoiseParams
+    # refuses as the count's scale at theta = 1 and so at every theta
+    with pytest.raises(ValueError, match="noise scale .* leaves no room"):
+        ExperimentConfig(graph_path=absent, epsilon=5e-10)
+    with pytest.raises(ValueError, match="noise scale .* leaves no room"):
+        NoiseParams(epsilon2=4.5e-10, sensitivity=1.0, n_users=3)
+    ExperimentConfig(graph_path=absent, epsilon=6e-10)
+    # the other mechanisms draw at neither scale
+    for mechanism in ("central", "exact"):
+        ExperimentConfig(graph_path=absent, mechanism=mechanism, epsilon=1e-17)
+
+
+def test_central_refuses_its_noise_scale_before_the_oracle(k4_graph_file, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the oracle ran before the noise scale was checked")
+
+    monkeypatch.setattr(harness, "exact_triangle_count", unreachable)
+    # d_max 3 at epsilon 1e-17: a central scale of 3e17, past MAX_SCALE
+    with pytest.raises(ValueError, match="noise scale 3e\\+17 is too large"):
+        run_central(ExperimentConfig(graph_path=k4_graph_file, mechanism="central",
+                                     epsilon=1e-17))
 
 
 def test_cargo_no_noise_limit(k4_graph_file):

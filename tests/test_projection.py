@@ -8,7 +8,6 @@ from scipy import stats
 
 from privtri import (
     Graph,
-    NoisyDegrees,
     effective_theta,
     exact_triangle_count,
     max_private,
@@ -30,6 +29,7 @@ from conftest import (
     relaxed_caveman,
     requires_facebook,
     rng_for,
+    star_graph,
     upper_edges,
 )
 
@@ -39,7 +39,7 @@ def loop_project(g, noisy, theta):
     adj = np.array(g.adj, dtype=np.uint8)
     for i in np.flatnonzero(g.degrees > theta):
         nbrs = np.flatnonzero(adj[i])
-        ds = np.abs(noisy.values[i] - noisy.values[nbrs])
+        ds = np.abs(noisy[i] - noisy[nbrs])
         keep = nbrs[np.lexsort((nbrs, ds))[:theta]]
         adj[i] = 0
         adj[i, keep] = 1
@@ -100,13 +100,13 @@ def random_projection_input(rng):
         values = rng.integers(-3, g.d_max + 3, size=g.n).astype(np.float64)
     else:
         values = g.degrees + rng.laplace(0.0, 2.0, size=g.n)
-    return g, NoisyDegrees(values)
+    return g, values
 
 
 def test_max_private_high_budget_recovers_max():
     degs = np.array([3, 9, 4, 9, 1])
     noisy = max_private(degs, 1e9, rng_for(0))
-    assert abs(noisy.d_max_noisy - 9) < 1e-6
+    assert abs(noisy.max() - 9) < 1e-6
     assert effective_theta(noisy) == 9
 
 
@@ -134,11 +134,18 @@ def test_max_private_laplace_moments():
     # Laplace(1) draw, mean 0 and variance 2 alpha / (1 - alpha)**2 at
     # alpha = e**-1, about 1.84
     n = 10**5
-    draws = max_private(np.zeros(n, dtype=np.int64), 1.0, rng_for(42)).values
+    draws = max_private(np.zeros(n, dtype=np.int64), 1.0, rng_for(42))
     assert draws.dtype == np.int64
     var = discrete_variance(1.0)
     assert abs(draws.mean()) < 3 * np.sqrt(var / n)
     assert abs(draws.var() - var) < 0.05 * var
+
+
+def test_max_private_output_is_read_only():
+    noisy = max_private(np.array([3, 9, 4]), 1.0, rng_for(0))
+    assert noisy.dtype == np.int64 and noisy.shape == (3,)
+    with pytest.raises(ValueError):
+        noisy[0] = 7
 
 
 def test_privacy_audit_of_one_degree_stays_within_epsilon1():
@@ -152,7 +159,7 @@ def test_privacy_audit_of_one_degree_stays_within_epsilon1():
 
     def audit(d_low, d_high, seed):
         rng = rng_for(seed)
-        low, high = (max_private(np.full(runs, d), epsilon1, rng).values
+        low, high = (max_private(np.full(runs, d), epsilon1, rng)
                      for d in (d_low, d_high))
         return audit_epsilon(low, high, (d_low + d_high) / 2)
 
@@ -161,13 +168,13 @@ def test_privacy_audit_of_one_degree_stays_within_epsilon1():
 
 
 def test_effective_theta_floors_at_one():
-    assert effective_theta(NoisyDegrees(np.array([-3]))) == 1
-    assert effective_theta(NoisyDegrees(np.array([0, -2]))) == 1
+    assert effective_theta(np.array([-3])) == 1
+    assert effective_theta(np.array([0, -2])) == 1
 
 
 def test_project_noop_when_theta_covers_max():
     g = erdos_renyi(20, 0.3, rng_for(1))
-    pg = project(g, NoisyDegrees.exact(g.degrees), theta=g.d_max)
+    pg = project(g, g.degrees, theta=g.d_max)
     assert np.array_equal(pg.adj, g.adj)
 
 
@@ -178,21 +185,31 @@ def test_project_keeps_most_similar_neighbors():
     g = Graph(8, edges)
     assert g.degrees[2] == 4 and g.degrees[3] == 4 and g.degrees[4] == 3
     assert g.degrees[1] == 1 and g.degrees[5] == 1
-    pg = project(g, NoisyDegrees.exact(g.degrees), theta=2)
+    pg = project(g, g.degrees, theta=2)
     assert list(np.flatnonzero(pg.adj[2])) == [3, 4]
 
 
 def test_project_tie_break_by_index():
     g = complete_graph(5)  # all degrees equal: every similarity ties
-    pg = project(g, NoisyDegrees.exact(g.degrees), theta=2)
+    pg = project(g, g.degrees, theta=2)
     assert list(np.flatnonzero(pg.adj[0])) == [1, 2]
     assert list(np.flatnonzero(pg.adj[3])) == [0, 1]
+
+
+def test_project_rejects_a_wrong_shaped_noisy_vector():
+    # a 5-node star at theta 2: the hub keeps two leaves given the (n,)
+    # degrees, and an (n, 1) or (n + 1,) vector is refused, not broadcast
+    g = star_graph(4)
+    assert project(g, g.degrees, theta=2).adj[0].sum() == 2
+    for noisy in (g.degrees.reshape(-1, 1), np.append(g.degrees, 1)):
+        with pytest.raises(ValueError, match="do not match 5 users"):
+            project(g, noisy, theta=2)
 
 
 def test_project_uses_raw_negative_noisy_degrees():
     g = Graph(4, [(0, 1), (0, 2), (0, 3)])
     # own noisy degree 3; |3 - (-2)| = 5 beats |3 - 9| = 6; no clamping
-    noisy = NoisyDegrees(np.array([3.0, 9.0, -2.0, 40.0]))
+    noisy = np.array([3.0, 9.0, -2.0, 40.0])
     pg = project(g, noisy, theta=1)
     assert list(np.flatnonzero(pg.adj[0])) == [2]
 
@@ -213,7 +230,6 @@ def test_one_added_bit_cannot_swap_a_whole_kept_set():
     edges = [(0, j) for j in [*low, *high]] + list(combinations(high, 2))
     noisy = np.zeros(22)
     noisy[0], noisy[list(low)], noisy[list(high)] = 2 * theta, 2 * theta - 0.45, 2 * theta + 0.55
-    noisy = NoisyDegrees(noisy)
     before = projected_count(Graph(22, edges), noisy, theta)
     after = projected_count(Graph(22, edges + [(0, w)]), noisy, theta)
     assert before == after == comb(theta, 3)
@@ -239,9 +255,8 @@ def test_one_added_bit_moves_the_projected_count_by_less_than_theta():
         assert abs(count_change_of_one_bit(g, values, theta, u, w)) <= theta - 1
 
 
-def count_change_of_one_bit(g, values, theta, u, w):
+def count_change_of_one_bit(g, noisy, theta, u, w):
     """How far adding the edge (u, w) moves the projected count, noisy degrees held."""
-    noisy = NoisyDegrees(values)
     added = Graph(g.n, np.concatenate((g.edges, [sorted((u, w))])))
     return projected_count(added, noisy, theta) - projected_count(g, noisy, theta)
 
@@ -269,7 +284,7 @@ def test_project_matches_row_loop_reference():
     for _ in range(50):
         g, noisy = random_projection_input(rng)
         seen_isolated += int(np.any(g.degrees == 0))
-        seen_negative += int(np.any(noisy.values < 0))
+        seen_negative += int(np.any(noisy < 0))
         for theta in range(1, g.d_max + 2):
             seen_exact_theta += int(np.any(g.degrees == theta))
             pg = project(g, noisy, theta=theta)
@@ -373,7 +388,7 @@ def test_projections_reject_bad_theta_before_any_work(theta, error):
     rng = rng_for(0)
     state = rng.bit_generator.state
     with pytest.raises(error):
-        project(g, NoisyDegrees.exact(g.degrees), theta=theta)
+        project(g, g.degrees, theta=theta)
     with pytest.raises(error):
         project_random(g, theta, rng)
     assert rng.bit_generator.state == state
@@ -381,7 +396,7 @@ def test_projections_reject_bad_theta_before_any_work(theta, error):
 
 def test_projections_accept_numpy_integer_theta():
     g = complete_graph(5)
-    for pg in (project(g, NoisyDegrees.exact(g.degrees), theta=np.int64(2)),
+    for pg in (project(g, g.degrees, theta=np.int64(2)),
                project_random(g, np.int32(2), rng_for(0))):
         assert type(pg.theta) is int and pg.theta == 2
         assert pg.adj.sum(axis=1).max() == 2
@@ -391,7 +406,7 @@ def test_planted_hub_projection_preserves_triangles():
     g = planted_hub()
     assert g.degrees[0] == 20
     assert exact_triangle_count(g) == 4
-    pg = project(g, NoisyDegrees.exact(g.degrees), theta=5)
+    pg = project(g, g.degrees, theta=5)
     kept = set(np.flatnonzero(pg.adj[0]).tolist())
     assert {1, 2, 3} <= kept
     assert exact_triangle_count(effective_graph(pg)) == 4
@@ -418,7 +433,7 @@ def test_planted_hub_similarity_beats_random():
     g = planted_hub()
     t_true = exact_triangle_count(g)
     kept_proj = exact_triangle_count(
-        effective_graph(project(g, NoisyDegrees.exact(g.degrees), theta=5))
+        effective_graph(project(g, g.degrees, theta=5))
     )
     rng = rng_for(5)
     kept_rand = [
@@ -436,10 +451,9 @@ def test_similarity_beats_random_on_a_caveman_graph():
     # Similarity keeps at least as many triangles as random deletion does
     # on average over five draws
     g = relaxed_caveman(2000, seed=1)
-    exact = NoisyDegrees.exact(g.degrees)
     for theta in (10, 20, 40):
         assert np.sum(g.degrees > theta) >= 300
-        kept = exact_triangle_count(effective_graph(project(g, exact, theta=theta)))
+        kept = exact_triangle_count(effective_graph(project(g, g.degrees, theta=theta)))
         rand = [exact_triangle_count(effective_graph(project_random(g, theta, rng_for(s))))
                 for s in range(5)]
         assert kept >= np.mean(rand)
@@ -517,6 +531,6 @@ def test_facebook_noisy_max_stays_near_true_max():
     hits = 0
     for _ in range(50):
         noisy = max_private(g.degrees, 0.2, rng)  # the 0.1 split of epsilon 2
-        if abs(noisy.d_max_noisy - 1045) / 1045 < 0.05:
+        if abs(noisy.max() - 1045) / 1045 < 0.05:
             hits += 1
     assert hits >= 48

@@ -8,7 +8,6 @@ import pytest
 from privtri import (
     DealerRng,
     Graph,
-    NoisyDegrees,
     OpeningChannel,
     SharedAdjacency,
     count,
@@ -35,11 +34,10 @@ def secure_count_of(g: Graph, dealer_seed: int = 0) -> int:
     "make",
     [
         lambda: Graph(3, [(0, 1)]),
-        lambda: NoisyDegrees(np.array([1, 2])),
         lambda: projected_rows(np.zeros((3, 3), dtype=np.uint8), theta=1),
         lambda: SharedAdjacency(3, np.zeros(3, dtype=np.uint32), np.ones(3, dtype=np.uint32)),
     ],
-    ids=["Graph", "NoisyDegrees", "ProjectedGraph", "SharedAdjacency"],
+    ids=["Graph", "ProjectedGraph", "SharedAdjacency"],
 )
 def test_array_holders_compare_and_hash_by_identity(make):
     # a field-wise == over arrays has no single truth value; identity does
@@ -130,7 +128,7 @@ def test_count_matches_oracle_on_a_caveman_graph():
     # and after similarity projection at theta = 10, which cuts rows
     g = relaxed_caveman(300, seed=3)
     assert secure_count_of(g) == exact_triangle_count(g)
-    pg = project(g, NoisyDegrees.exact(g.degrees), theta=10)
+    pg = project(g, g.degrees, theta=10)
     assert np.sum(g.degrees > 10) >= 30
     sa = share_adjacency(pg, DealerRng(4, 0))
     assert reconstruct(count(sa, g.n, DealerRng(4, 1))) == exact_triangle_count(effective_graph(pg))
