@@ -102,8 +102,9 @@ class Graph:
     already in that form (effective_edges gives one) is kept as it is,
     with no copy, and becomes read-only; any other is put in that form by
     sorting the pair keys i * n + j. degrees[i] counts the edges at i.
-    edges and degrees are read-only. Raises ValueError unless edges has
-    shape (m, 2) and every id is in [0, n).
+    edges and degrees are read-only. Raises TypeError unless n is an
+    integer, and ValueError unless n >= 0, edges has shape (m, 2) and every
+    id is an integer in [0, n); ids of a float dtype pass only if integral.
     """
 
     n: int
@@ -111,7 +112,16 @@ class Graph:
     degrees: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        e = np.asarray(self.edges, dtype=np.int64)
+        object.__setattr__(self, "n", check_int("n", self.n, 0))
+        e = np.asarray(self.edges)
+        if e.dtype.kind not in "iu":
+            # ids of any other dtype are kept only where the int64 cast is exact
+            with np.errstate(invalid="ignore"):
+                cast = e.astype(np.int64)
+            if np.any(cast != e):
+                raise ValueError("node ids must be integers")
+            e = cast
+        e = e.astype(np.int64, copy=False)
         if e.size == 0:
             e = e.reshape(0, 2)
         if e.ndim != 2 or e.shape[1] != 2:

@@ -103,11 +103,13 @@ class ExperimentConfig:
 
 @dataclass(frozen=True, slots=True)
 class TrialRecord:
+    """What one trial measured. Its two error metrics, l2_loss and
+    relative_error, are derived from t_true and t_noisy on each read and
+    not stored; the CSV writes them as columns all the same."""
+
     trial: int
     t_true: int
     t_noisy: float
-    l2_loss: float
-    relative_error: float
     d_max_true: int
     d_max_noisy: float
     time_project_s: float
@@ -118,6 +120,16 @@ class TrialRecord:
     method: str | None = None
     # reconstructed pre-noise count; not serialized
     t_projected: int | None = None
+
+    @property
+    def l2_loss(self) -> float:
+        return (self.t_true - self.t_noisy) ** 2
+
+    @property
+    def relative_error(self) -> float:
+        """|t_true - t_noisy| / t_true; NaN for a graph with no triangle."""
+        t_true, t_noisy = self.t_true, self.t_noisy
+        return abs(t_true - t_noisy) / t_true if t_true > 0 else math.nan
 
 
 # unannotated: naming np.random.Generator at import would load numpy.random,
@@ -137,7 +149,10 @@ def _record(
     d_max_noisy: float = math.nan,
     **extra,
 ) -> TrialRecord:
-    """One trial's record: error metrics, and (project, count, perturb) times.
+    """One trial's record: counts, degrees, and (project, count, perturb) times.
+
+    The error metrics are not passed: TrialRecord derives them from t_true
+    and t_noisy.
 
     Timings are written as 0.0 under cfg.zero_timings, so records and CSVs
     depend only on the config.
@@ -148,8 +163,6 @@ def _record(
         trial=trial,
         t_true=t_true,
         t_noisy=t_noisy,
-        l2_loss=(t_true - t_noisy) ** 2,
-        relative_error=abs(t_true - t_noisy) / t_true if t_true > 0 else math.nan,
         d_max_true=g.d_max,
         d_max_noisy=d_max_noisy,
         time_project_s=times[0],

@@ -106,9 +106,12 @@ def discrete_laplace(scale: float, rng, size: tuple[int, ...] = (), parts: int =
     Gamma-Poisson mixture, so the law is exact only up to rounding (Canonne,
     Kamath & Steinke, NeurIPS 2020, sample it exactly), but the output is
     an integer, with no support gap of the kind Mironov's attack reads.
-    Raises ValueError, naming the scale, if it is not below MAX_SCALE.
+    Raises ValueError, naming the scale, before any draw unless it is
+    positive and below MAX_SCALE.
     """
     check_scale(scale)
+    if not scale > 0:
+        raise ValueError(f"noise scale {scale} must be positive")
     draws = rng.negative_binomial(1 / parts, -math.expm1(-1 / scale), size=(2, *size))
     return draws[0] - draws[1]
 

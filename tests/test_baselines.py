@@ -38,6 +38,14 @@ def test_central_lap_names_a_scale_out_of_range():
         central_lap(0, 59, 1e-18, rng_for(0))
 
 
+def test_central_lap_edgeless_graph_draws_nothing():
+    # d_max 0 needs no noise: the exact count comes back and the stream is
+    # not read, where discrete_laplace would refuse the zero scale
+    rng = rng_for(0)
+    assert central_lap(0, 0, 1.0, rng) == 0.0
+    assert rng.bit_generator.state == rng_for(0).bit_generator.state
+
+
 def test_central_lap_scale_uses_true_max_degree():
     # d_max 7 at epsilon 2: the noise is the kernel's discrete Laplace(3.5)
     # draw from the same stream

@@ -397,13 +397,22 @@ def test_graph_scatters_any_edge_array():
     for u, v in [(0, 1), (1, 3)]:
         want[u, v] = want[v, u] = 1
     edges = [(0, 1), (1, 0), (2, 2), (1, 3), (0, 1)]  # duplicate, reversed, self-loop
-    for form in (edges, np.array(edges, dtype=np.int32), tuple(map(list, edges))):
+    forms = (edges, np.array(edges, dtype=np.int32), np.array(edges, dtype=np.uint16),
+             np.array(edges, dtype=np.float64), tuple(map(list, edges)))
+    for form in forms:
         assert np.array_equal(Graph(4, form).adj, want)
     assert not Graph(3, []).adj.any()
     dense = np.ones((4, 4), dtype=np.uint8)  # an adjacency matrix is not an edge array
-    for bad in ([0, 1], [(0, 1, 2)], [(0, 4)], [(-1, 2)], dense):
+    # a non-integral id is refused, not truncated: (0.5, 1.7) is not the edge (0, 1)
+    non_integral = ([(0.5, 1.7)], [(0, 1), (1, 2.5)], [(0.0, np.nan)], [(0.0, np.inf)])
+    for bad in ([0, 1], [(0, 1, 2)], [(0, 4)], [(-1, 2)], dense, *non_integral):
         with pytest.raises(ValueError):
             Graph(4, bad)
+    with pytest.raises(ValueError, match="n must be a non-negative integer, got -1"):
+        Graph(-1, [])
+    with pytest.raises(TypeError, match="n must be an integer, got 1.5"):
+        Graph(1.5, [])
+    assert type(Graph(np.int64(4), edges).n) is int
 
 
 def test_upper_edges_round_trip():

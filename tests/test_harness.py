@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -321,8 +322,7 @@ def test_run_dispatch_writes_csv(k4_graph_file, tmp_path):
 
 def sample_record(**overrides):
     base = dict(
-        trial=0, t_true=10, t_noisy=9.25, l2_loss=0.5625,
-        relative_error=0.075, d_max_true=5, d_max_noisy=5.2,
+        trial=0, t_true=10, t_noisy=9.25, d_max_true=5, d_max_noisy=5.2,
         time_project_s=0.125, time_count_s=1.5, time_perturb_s=0.25,
     )
     base.update(overrides)
@@ -362,8 +362,34 @@ def test_emit_csv_sweep_columns(tmp_path):
     assert row.endswith("10,project")
 
 
+def test_record_stores_what_the_trial_measured_and_derives_its_errors(
+    k4_graph_file, tmp_path
+):
+    assert [f.name for f in fields(TrialRecord)] == [
+        "trial", "t_true", "t_noisy", "d_max_true", "d_max_noisy", "time_project_s",
+        "time_count_s", "time_perturb_s", "theta", "method", "t_projected",
+    ]
+    path = write_lines(tmp_path / "path.txt", ["0 1", "1 2", "2 3"])
+    records = []
+    for graph_path, mechanism in ((k4_graph_file, "cargo"), (k4_graph_file, "central"),
+                                  (path, "central")):
+        out = tmp_path / f"{mechanism}.csv"
+        (rec,) = run(ExperimentConfig(
+            graph_path=graph_path, mechanism=mechanism, trials=1, seed=5, output_path=out
+        ))
+        header, row = out.read_text().splitlines()
+        csv = dict(zip(header.split(","), row.split(",")))
+        for name in ("l2_loss", "relative_error"):
+            assert repr(getattr(rec, name)) == csv[name]
+        records.append(rec)
+    cargo, central, triangle_free = records
+    assert cargo.t_true == central.t_true == 4 and triangle_free.t_true == 0
+    assert math.isnan(triangle_free.relative_error)
+
+
 def test_summarize_handles_nan_relative_error():
-    recs = [sample_record(), sample_record(relative_error=float("nan"))]
+    recs = [sample_record(), sample_record(t_true=0)]
+    assert math.isnan(recs[1].relative_error)
     stats = summarize(recs)
     assert stats["trials"] == 2
     assert stats["mean_relative_error"] == 0.075

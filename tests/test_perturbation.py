@@ -56,6 +56,17 @@ def test_discrete_laplace_names_a_scale_whose_tail_passes_int64():
             assert rng.bit_generator.state == rng_for(1).bit_generator.state
 
 
+@pytest.mark.parametrize("parts", [1, 2000])
+@pytest.mark.parametrize("scale", [0.0, -0.0, -1.0, -math.inf])
+def test_discrete_laplace_names_a_non_positive_scale(scale, parts):
+    # refused before any draw, not by a division by zero or by numpy's
+    # check of the negative binomial's probability
+    rng = rng_for(1)
+    with pytest.raises(ValueError, match=re.escape(f"noise scale {scale} must be positive")):
+        discrete_laplace(scale, rng, parts=parts)
+    assert rng.bit_generator.state == rng_for(1).bit_generator.state
+
+
 def test_perturb_masks_are_the_dealer_draw_of_the_same_stream():
     # perturb's users mask with rng.integers(0, 2**32, dtype=uint32) of a
     # numpy Generator, which on PCG64 reads the raw words DealerRng.elements
